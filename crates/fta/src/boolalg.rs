@@ -148,12 +148,14 @@ impl SatAlg {
 
     /// Creates an empty SAT algebra in shared-solver mode: the one
     /// growing encoding is kept, but every tautology/countermodel
-    /// query is restricted to the variable [`hfta_sat::Domain`] of its
-    /// transitive support, and subsumption inprocessing runs between
-    /// queries. Verdicts are bit-identical to [`SatAlg::new`]'s —
-    /// domains are definition-closed and the encoding is purely
-    /// definitional — but a query no longer pays for unrelated logic
-    /// accumulated by earlier queries.
+    /// query searches only the variable [`hfta_sat::Domain`] of its
+    /// transitive support (decisions, and propagation above level 0,
+    /// stay inside it; see [`hfta_sat::Solver::solve_domain`]), and
+    /// subsumption inprocessing runs between queries. Verdicts are
+    /// bit-identical to [`SatAlg::new`]'s — domains are
+    /// definition-closed and the encoding is purely definitional — but
+    /// a query no longer pays for unrelated logic accumulated by
+    /// earlier queries.
     #[must_use]
     pub fn new_shared() -> SatAlg {
         let mut alg = SatAlg::default();

@@ -341,6 +341,7 @@ impl CnfBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::LBool;
 
     /// Checks `f(inputs) == expected_gate_output` over all input
     /// assignments by SAT-querying each row.
@@ -434,7 +435,10 @@ mod tests {
     }
 
     /// Builds a deterministic pseudo-random gate network and checks
-    /// that every domain-restricted verdict equals the plain verdict.
+    /// that every domain-restricted verdict equals the plain verdict,
+    /// with inprocessing passes between queries, and that a `Sat`
+    /// domain solve never assigns an out-of-domain variable that is
+    /// not fixed at level 0.
     #[test]
     fn domain_restricted_matches_plain() {
         let mut seed = 0x2545F491_4F6CDD1Du64;
@@ -451,26 +455,22 @@ mod tests {
             let n_inputs = 3 + (round % 3);
             let mut t_pool: Vec<Lit> = (0..n_inputs).map(|_| tracked.new_lit()).collect();
             let mut p_pool: Vec<Lit> = (0..n_inputs).map(|_| plain.new_lit()).collect();
-            for _ in 0..12 {
+            for _ in 0..16 {
                 let r = rng();
-                let i = (r as usize) % t_pool.len();
-                let j = ((r >> 16) as usize) % t_pool.len();
-                let neg_i = r & (1 << 32) != 0;
-                let neg_j = r & (1 << 33) != 0;
-                let (ta, pa) = if neg_i {
-                    (!t_pool[i], !p_pool[i])
-                } else {
-                    (t_pool[i], p_pool[i])
+                let pick = |shift: u32, neg_bit: u32| {
+                    let k = ((r >> shift) as usize & 0xffff) % t_pool.len();
+                    let neg = r & (1 << neg_bit) != 0;
+                    let flip = |l: Lit| if neg { !l } else { l };
+                    (flip(t_pool[k]), flip(p_pool[k]))
                 };
-                let (tb, pb) = if neg_j {
-                    (!t_pool[j], !p_pool[j])
-                } else {
-                    (t_pool[j], p_pool[j])
-                };
-                let (tz, pz) = match (r >> 34) % 3 {
+                let (ta, pa) = pick(0, 48);
+                let (tb, pb) = pick(16, 49);
+                let (tc, pc) = pick(32, 50);
+                let (tz, pz) = match (r >> 51) % 4 {
                     0 => (tracked.emit_and(&[ta, tb]), plain.emit_and(&[pa, pb])),
                     1 => (tracked.emit_or(&[ta, tb]), plain.emit_or(&[pa, pb])),
-                    _ => (tracked.emit_xor(ta, tb), plain.emit_xor(pa, pb)),
+                    2 => (tracked.emit_xor(ta, tb), plain.emit_xor(pa, pb)),
+                    _ => (tracked.emit_mux(ta, tb, tc), plain.emit_mux(pa, pb, pc)),
                 };
                 t_pool.push(tz);
                 p_pool.push(pz);
@@ -484,11 +484,29 @@ mod tests {
                     let tl = if sign { !t_pool[k] } else { t_pool[k] };
                     let pl = if sign { !p_pool[k] } else { p_pool[k] };
                     let dom = tracked.domain_of(&[tl]);
+                    let implied = tracked.is_implied_domain(tl, &dom);
                     assert_eq!(
-                        tracked.is_implied_domain(tl, &dom),
+                        implied,
                         plain.is_implied(pl),
                         "round {round}, literal {k}, sign {sign}"
                     );
+                    if !implied {
+                        // Between solves the solver sits at level 0, so
+                        // an assigned variable is a level-0 unit.
+                        let solver = tracked.solver();
+                        for v in (0..solver.num_vars()).map(Var::from_index) {
+                            if !dom.contains(v) && solver.assign[v.index()] == LBool::Undef {
+                                assert_eq!(
+                                    solver.value(v),
+                                    None,
+                                    "round {round}, literal {k}: {v} assigned outside the domain"
+                                );
+                            }
+                        }
+                    }
+                    if (k + usize::from(sign)) % 3 == 0 {
+                        tracked.solver_mut().inprocess();
+                    }
                 }
             }
         }

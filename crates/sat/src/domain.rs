@@ -2,18 +2,21 @@
 //!
 //! HFTA's shared-solver mode encodes an entire module into one
 //! incremental SAT instance and answers each per-cone stability query
-//! restricted to the variable domain of that cone's transitive fanin:
-//! the search runs exactly as an unrestricted solve would, but may
-//! *stop early* — the moment every domain variable is assigned at a
-//! conflict-free propagation fixpoint (with every assumption
-//! enqueued), the query is declared `Sat` without extending the
+//! on the variable domain of that cone's transitive fanin: the search
+//! branches only on domain variables, and above decision level 0 an
+//! implication onto a variable outside the domain is left unassigned
+//! (its clause stays watched), so no out-of-domain variable is ever
+//! assigned above level 0. The moment every domain variable is
+//! assigned at a conflict-free propagation fixpoint (with every
+//! assumption enqueued), the query is `Sat`, without extending the
 //! assignment over the rest of the module. A [`Domain`] is that
 //! active-variable set: a flat, deduplicated list of variables
-//! (cache-friendly to walk) plus a bitset for O(1) membership tests.
+//! (cache-friendly to walk, and what the decision heap is refilled
+//! from) plus a bitset for O(1) membership tests.
 //!
 //! # Soundness contract
 //!
-//! The early exit is sound *and* complete for formulas that are
+//! The scoped search is sound *and* complete for formulas that are
 //! **definitional extensions** over a domain `D`:
 //!
 //! * `D` is *definition-closed*: for every non-input variable in `D`,
@@ -23,17 +26,18 @@
 //!   formula (e.g. a learnt clause).
 //!
 //! Under that contract, a conflict-free fixpoint that assigns all of
-//! `D` extends to a total model even when out-of-domain variables sit
-//! (decided or propagated) on the trail: keep the trail's values on
-//! `D`'s inputs, assign the remaining free inputs arbitrarily, and
-//! evaluate every defined variable from its definition in topological
-//! order. The rebuilt model agrees with the trail on `D` by induction
-//! over `D`'s definitions, satisfies every gate-definition clause by
-//! construction, and satisfies every learnt clause because learnt
-//! clauses are implied. An `Unsat` answer is exact without any
-//! argument, because the full formula is a conservative extension of
-//! the in-domain sub-formula. See `DESIGN.md` ("Why domain-restricted
-//! sharing is sound").
+//! `D` extends to a total model: keep the trail's values on `D`'s
+//! inputs, assign the remaining free inputs arbitrarily, and evaluate
+//! every defined variable from its definition in topological order.
+//! The rebuilt model agrees with the trail on `D` by induction over
+//! `D`'s definitions (each is a clause set over `D` alone, so the
+//! held-back implications never touch it and the fixpoint leaves none
+//! of it falsified), satisfies every gate-definition clause by
+//! construction, and satisfies every learnt clause and level-0 unit
+//! because those are implied. An `Unsat` answer is exact without any
+//! argument: every clause the search used is in, or implied by, the
+//! formula, so a refutation from a subset of them is a refutation. See
+//! `DESIGN.md` ("Why domain-restricted sharing is sound").
 //!
 //! [`crate::CnfBuilder::domain_of`] constructs domains satisfying the
 //! contract for formulas built purely from its gate primitives.

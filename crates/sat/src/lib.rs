@@ -6,11 +6,14 @@
 //! encoded to CNF and handed to [`Solver`]. The solver is a
 //! self-contained conflict-driven clause-learning implementation:
 //!
-//! * two-literal watching for unit propagation,
+//! * two-literal watching for unit propagation, with binary clauses
+//!   propagated from their watchers alone,
 //! * first-UIP conflict analysis with recursive clause minimization,
 //! * exponential VSIDS decision heuristic with phase saving,
 //! * Luby restarts and learnt-clause database reduction,
-//! * incremental solving under assumptions ([`Solver::solve_with`]).
+//! * incremental solving under assumptions ([`Solver::solve_with`]),
+//!   optionally confined to a query's variable [`Domain`]
+//!   ([`Solver::solve_domain`]).
 //!
 //! [`CnfBuilder`] provides Tseitin-style encodings of the gate
 //! primitives used by the timing engine, and [`dimacs`] reads/writes the

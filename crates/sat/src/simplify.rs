@@ -89,19 +89,19 @@ impl Solver {
         let mut entries: Vec<Entry> = Vec::new();
         for cidx in 0..self.clauses.len() {
             let c = &self.clauses[cidx];
+            let idx = u32::try_from(cidx).expect("clause count overflow");
             if !c.learnt || c.deleted || c.lits.len() < 2 {
                 continue;
             }
             let locked = c.lits.iter().take(2).any(|l| {
                 let v = l.var().index();
-                self.reason[v] == Some(cidx as u32) && self.assign[v] != LBool::Undef
+                self.reason[v] == Some(idx) && self.assign[v] != LBool::Undef
             });
             if locked {
                 continue;
             }
             if c.lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
-                self.clauses[cidx].deleted = true;
-                self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+                self.delete_clause(idx);
                 subsumed += 1;
                 continue;
             }
@@ -119,7 +119,7 @@ impl Solver {
             entries.push(Entry {
                 start,
                 len: arena.len() - start,
-                cidx: u32::try_from(cidx).expect("clause count overflow"),
+                cidx: idx,
                 sig,
                 dead: false,
                 remove: None,
@@ -199,10 +199,8 @@ impl Solver {
         // propagation for any strengthened-to-unit clause.
         let mut units: Vec<Lit> = Vec::new();
         for e in &entries {
-            let cidx = e.cidx as usize;
             if e.dead {
-                self.clauses[cidx].deleted = true;
-                self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+                self.delete_clause(e.cidx);
                 subsumed += 1;
                 continue;
             }
@@ -214,8 +212,7 @@ impl Solver {
                 .copied()
                 .filter(|&l| Some(l) != e.remove)
                 .collect();
-            self.clauses[cidx].deleted = true;
-            self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+            self.delete_clause(e.cidx);
             strengthened += 1;
             match new_lits.len() {
                 0 => self.ok = false,
@@ -234,7 +231,7 @@ impl Solver {
                 }
             }
         }
-        if self.ok && self.propagate().is_some() {
+        if self.ok && self.propagate(None).is_some() {
             self.ok = false;
         }
         self.stats.clauses_subsumed += subsumed;

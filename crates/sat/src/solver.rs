@@ -199,8 +199,8 @@ pub struct SolverStats {
     /// to the base infinitely often and the database stays bounded over
     /// arbitrarily long runs.
     pub max_learnts: u64,
-    /// Top-level solve calls answered under a variable [`Domain`]
-    /// watch (see [`Solver::solve_domain`]).
+    /// Top-level solve calls searched within a variable [`Domain`]
+    /// (see [`Solver::solve_domain`]).
     pub domain_solves: u64,
     /// Between-query inprocessing passes run (see
     /// [`Solver::inprocess`]).
@@ -255,10 +255,26 @@ pub(crate) struct Clause {
     pub(crate) deleted: bool,
 }
 
+/// Tag bit of [`Watcher::clause`] marking a binary clause.
+const BINARY: u32 = 1 << 31;
+
+/// One entry of a literal's watch list. A binary clause's watcher has
+/// [`BINARY`] set in `clause` and holds the clause's other literal in
+/// `blocker`, so propagating it never touches the clause itself.
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
     clause: u32,
     blocker: Lit,
+}
+
+impl Watcher {
+    fn is_binary(self) -> bool {
+        self.clause & BINARY != 0
+    }
+
+    fn index(self) -> u32 {
+        self.clause & !BINARY
+    }
 }
 
 /// A conflict-driven clause-learning (CDCL) SAT solver.
@@ -290,21 +306,10 @@ pub struct Solver {
     max_learnts_base: usize,
     record_episodes: bool,
     episodes: Vec<SolveEpisode>,
-    /// Stamp-based domain membership: `domain_mark[v] == domain_stamp`
-    /// iff `v` is in the active domain. Avoids clearing a bitset per
-    /// query.
-    domain_mark: Vec<u32>,
-    domain_stamp: u32,
-    /// Whether the current solve has an active domain. A domain solve
-    /// runs the *same* search as an unrestricted one — same decisions,
-    /// same conflicts — but may stop early: the moment every domain
-    /// variable is assigned at a conflict-free propagation fixpoint,
-    /// the query is `Sat` (see [`Domain`] for why that is exact).
-    domain_active: bool,
-    /// How many domain variables are still unassigned; maintained by
-    /// `unchecked_enqueue`/`cancel_until` while `domain_active`, so the
-    /// early-`Sat` test is O(1) per decision.
-    domain_unassigned: usize,
+    /// Whether the decision heap holds only the variables of the last
+    /// domain solve's [`Domain`] (see [`Solver::solve_domain`]). A
+    /// plain solve refills it from every variable first.
+    heap_scoped: bool,
 }
 
 impl Solver {
@@ -333,10 +338,7 @@ impl Solver {
             max_learnts_base: 4000,
             record_episodes: false,
             episodes: Vec::new(),
-            domain_mark: Vec::new(),
-            domain_stamp: 0,
-            domain_active: false,
-            domain_unassigned: 0,
+            heap_scoped: false,
         }
     }
 
@@ -441,7 +443,7 @@ impl Solver {
             }
             1 => {
                 self.unchecked_enqueue(filtered[0], None);
-                if self.propagate().is_some() {
+                if self.propagate(None).is_some() {
                     self.ok = false;
                 }
             }
@@ -453,13 +455,17 @@ impl Solver {
 
     pub(crate) fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
         debug_assert!(lits.len() >= 2);
-        let idx = u32::try_from(self.clauses.len()).expect("clause count overflow");
+        let idx = u32::try_from(self.clauses.len())
+            .ok()
+            .filter(|&i| i < BINARY)
+            .expect("clause count overflow");
+        let tag = if lits.len() == 2 { idx | BINARY } else { idx };
         let w0 = Watcher {
-            clause: idx,
+            clause: tag,
             blocker: lits[1],
         };
         let w1 = Watcher {
-            clause: idx,
+            clause: tag,
             blocker: lits[0],
         };
         self.watches[(!lits[0]).code()].push(w0);
@@ -474,6 +480,28 @@ impl Solver {
             self.stats.learnt_clauses += 1;
         }
         idx
+    }
+
+    /// Deletes a clause and frees its literals. A binary clause's two
+    /// watchers are unhooked at once, because propagation never reads
+    /// a binary clause's `deleted` flag; longer clauses' watchers are
+    /// purged lazily in `propagate`.
+    pub(crate) fn delete_clause(&mut self, idx: u32) {
+        let c = &mut self.clauses[idx as usize];
+        debug_assert!(!c.deleted, "clause deleted twice");
+        c.deleted = true;
+        if c.learnt {
+            self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+        }
+        let lits = std::mem::take(&mut c.lits);
+        if let [a, b] = lits[..] {
+            for l in [a, b] {
+                let ws = &mut self.watches[(!l).code()];
+                if let Some(at) = ws.iter().position(|w| w.clause == idx | BINARY) {
+                    ws.swap_remove(at);
+                }
+            }
+        }
     }
 
     pub(crate) fn lit_value(&self, l: Lit) -> LBool {
@@ -511,17 +539,18 @@ impl Solver {
         self.phase[v] = l.is_positive();
         self.reason[v] = from;
         self.level[v] = self.decision_level();
-        if self.domain_active && self.in_domain(l.var()) {
-            // Units learnt after the solve (while the encoding grows)
-            // can decrement a stale counter; saturate — `enter_mode`
-            // recounts at the next domain solve.
-            self.domain_unassigned = self.domain_unassigned.saturating_sub(1);
-        }
         self.trail.push(l);
     }
 
     /// Unit propagation; returns the index of a conflicting clause.
-    pub(crate) fn propagate(&mut self) -> Option<u32> {
+    ///
+    /// Above decision level 0, an implication onto a variable outside
+    /// `domain` is held back: the variable stays unassigned and the
+    /// clause stays watched, so a domain solve never assigns anything
+    /// outside its domain except at level 0 (see
+    /// [`Solver::solve_domain`]).
+    pub(crate) fn propagate(&mut self, domain: Option<&Domain>) -> Option<u32> {
+        let scope = domain.filter(|_| !self.trail_lim.is_empty());
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -531,7 +560,21 @@ impl Solver {
             let mut conflict = None;
             'watchers: while i < watch_list.len() {
                 let w = watch_list[i];
-                if self.lit_value(w.blocker) == LBool::True {
+                let other = self.lit_value(w.blocker);
+                if other == LBool::True {
+                    i += 1;
+                    continue;
+                }
+                if w.is_binary() {
+                    // The blocker is the clause's other literal.
+                    if other == LBool::False {
+                        conflict = Some(w.index());
+                        self.qhead = self.trail.len();
+                        break;
+                    }
+                    if scope.is_none_or(|d| d.contains(w.blocker.var())) {
+                        self.unchecked_enqueue(w.blocker, Some(w.index()));
+                    }
                     i += 1;
                     continue;
                 }
@@ -571,7 +614,9 @@ impl Solver {
                     self.qhead = self.trail.len();
                     break;
                 }
-                self.unchecked_enqueue(first, Some(w.clause));
+                if scope.is_none_or(|d| d.contains(first.var())) {
+                    self.unchecked_enqueue(first, Some(w.clause));
+                }
                 i += 1;
             }
             // Put the (possibly shrunk) watch list back, preserving any
@@ -594,9 +639,6 @@ impl Solver {
             let v = self.trail[k].var();
             self.assign[v.index()] = LBool::Undef;
             self.reason[v.index()] = None;
-            if self.domain_active && self.in_domain(v) {
-                self.domain_unassigned += 1;
-            }
             self.heap.insert(v, &self.activity);
         }
         self.trail.truncate(lim);
@@ -604,43 +646,27 @@ impl Solver {
         self.qhead = self.trail.len();
     }
 
-    fn in_domain(&self, v: Var) -> bool {
-        self.domain_mark.get(v.index()).copied() == Some(self.domain_stamp)
-    }
-
-    /// Arms (or disarms) the early-`Sat` domain watch for the upcoming
-    /// solve: marks the domain's variables and counts how many are
-    /// still unassigned. The decision heap is untouched — a domain
-    /// solve makes exactly the decisions an unrestricted solve would,
-    /// it just gets to stop sooner.
-    fn enter_mode(&mut self, domain: Option<&Domain>) {
+    /// Fills the decision heap for the upcoming solve. A domain solve
+    /// branches on its domain's unassigned variables only; a plain
+    /// solve needs every unassigned variable, which the heap already
+    /// holds unless the previous solve was scoped (backtracking
+    /// reinserts exactly the variables it unassigns).
+    fn fill_heap(&mut self, domain: Option<&Domain>) {
+        let assign = &self.assign;
+        let unassigned = |v: &Var| assign[v.index()] == LBool::Undef;
         match domain {
             Some(d) => {
                 self.stats.domain_solves += 1;
-                self.domain_stamp = self.domain_stamp.wrapping_add(1);
-                if self.domain_stamp == 0 {
-                    // Stamp wrapped: old marks could alias the new
-                    // stamp, so wipe them and restart at 1.
-                    self.domain_mark.iter_mut().for_each(|m| *m = 0);
-                    self.domain_stamp = 1;
-                }
-                if self.domain_mark.len() < self.num_vars() {
-                    self.domain_mark.resize(self.num_vars(), 0);
-                }
-                let mut unassigned = 0usize;
-                for &v in d.vars() {
-                    debug_assert!(v.index() < self.num_vars(), "domain var unallocated");
-                    self.domain_mark[v.index()] = self.domain_stamp;
-                    if self.assign[v.index()] == LBool::Undef {
-                        unassigned += 1;
-                    }
-                }
-                self.domain_unassigned = unassigned;
-                self.domain_active = true;
+                let vars = d.vars().iter().copied().filter(unassigned);
+                self.heap.rebuild(vars, &self.activity);
+                self.heap_scoped = true;
             }
-            None => {
-                self.domain_active = false;
+            None if self.heap_scoped => {
+                let vars = (0..assign.len()).map(Var::from_index).filter(unassigned);
+                self.heap.rebuild(vars, &self.activity);
+                self.heap_scoped = false;
             }
+            None => {}
         }
     }
 
@@ -678,12 +704,17 @@ impl Solver {
         let mut index = self.trail.len();
         let current = self.decision_level();
         loop {
-            if self.clauses[confl as usize].learnt {
+            let c = confl as usize;
+            if self.clauses[c].learnt {
                 self.cla_bump(confl);
             }
-            let lits = self.clauses[confl as usize].lits.clone();
-            let start = usize::from(p.is_some());
-            for &q in &lits[start..] {
+            // Every literal but the one this reason implied (a binary
+            // reason may hold it in either position).
+            for k in 0..self.clauses[c].lits.len() {
+                let q = self.clauses[c].lits[k];
+                if Some(q) == p {
+                    continue;
+                }
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -754,16 +785,16 @@ impl Solver {
         (learnt, bt_level)
     }
 
-    /// A learnt literal is redundant if its reason's literals are all
-    /// already in the learnt clause (marked `seen`) or at level 0.
+    /// A learnt literal is redundant if its reason's other literals are
+    /// all already in the learnt clause (marked `seen`) or at level 0.
     fn lit_redundant(&self, l: Lit) -> bool {
         let v = l.var().index();
         let Some(r) = self.reason[v] else {
             return false;
         };
-        self.clauses[r as usize].lits[1..].iter().all(|&q| {
+        self.clauses[r as usize].lits.iter().all(|&q| {
             let qv = q.var().index();
-            self.seen[qv] || self.level[qv] == 0
+            qv == v || self.seen[qv] || self.level[qv] == 0
         })
     }
 
@@ -798,12 +829,9 @@ impl Solver {
                 self.reason[v] == Some(idx) && self.assign[v] != LBool::Undef
             };
             if !locked {
-                self.clauses[idx as usize].deleted = true;
-                self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+                self.delete_clause(idx);
             }
         }
-        // Deleted clauses are purged from watch lists lazily in
-        // `propagate`.
     }
 
     /// Solves the current formula.
@@ -818,14 +846,18 @@ impl Solver {
     /// cheap. Returns [`SatResult::Unsat`] when the formula conjoined
     /// with the assumptions is unsatisfiable.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_inner(assumptions, None)
+        self.solve_inner(assumptions, None, None)
+            .known()
+            .expect("no limits were set")
     }
 
-    /// Like [`Solver::solve_with`], but answers under the early-`Sat`
-    /// domain watch: the search makes exactly the decisions an
-    /// unrestricted solve would, and declares `Sat` as soon as every
-    /// domain variable is assigned at a conflict-free propagation
-    /// fixpoint with all assumptions enqueued.
+    /// Like [`Solver::solve_with`], but searches only `domain`: the
+    /// solver branches on domain variables alone, and above decision
+    /// level 0 an implication onto a variable outside the domain is
+    /// left unassigned (its clause stays watched). The answer is `Sat`
+    /// once every domain variable is assigned at a conflict-free
+    /// propagation fixpoint with all assumptions enqueued; the model
+    /// then assigns the domain and the level-0 units, nothing else.
     ///
     /// Exact (same verdict as an unrestricted solve) only under the
     /// definitional-extension contract documented on [`Domain`]; the
@@ -833,47 +865,9 @@ impl Solver {
     /// containing every assumption variable
     /// ([`crate::CnfBuilder::domain_of`] does both).
     pub fn solve_domain(&mut self, assumptions: &[Lit], domain: &Domain) -> SatResult {
-        self.solve_inner(assumptions, Some(domain))
-    }
-
-    fn solve_inner(&mut self, assumptions: &[Lit], domain: Option<&Domain>) -> SatResult {
-        let before = self.stats;
-        self.stats.solves += 1;
-        if !self.ok {
-            if self.record_episodes {
-                self.record_episode(before, "unsat", false);
-            }
-            return SatResult::Unsat;
-        }
-        debug_assert_eq!(self.decision_level(), 0);
-        debug_assert!(domain.is_none_or(|d| assumptions.iter().all(|a| d.contains(a.var()))));
-        self.enter_mode(domain);
-        let mut restarts = 0u64;
-        let result = loop {
-            let budget = luby(restarts) * 256;
-            self.set_learnt_cap(restarts);
-            match self.search(assumptions, budget, None) {
-                SearchOutcome::Done(r) => break r,
-                SearchOutcome::Exhausted(_) => unreachable!("no limits were set"),
-                SearchOutcome::Restart => {
-                    restarts += 1;
-                    self.stats.restarts += 1;
-                    self.cancel_until(0);
-                }
-            }
-        };
-        if result == SatResult::Sat {
-            self.model = self.assign.clone();
-        }
-        self.cancel_until(0);
-        if self.record_episodes {
-            let outcome = match result {
-                SatResult::Sat => "sat",
-                SatResult::Unsat => "unsat",
-            };
-            self.record_episode(before, outcome, false);
-        }
-        result
+        self.solve_inner(assumptions, None, Some(domain))
+            .known()
+            .expect("no limits were set")
     }
 
     /// Like [`Solver::solve_with`], but interruptible: gives up with
@@ -892,69 +886,35 @@ impl Solver {
         assumptions: &[Lit],
         budget: &SolveBudget,
     ) -> BudgetedSatResult {
-        self.solve_budgeted_inner(assumptions, budget, None)
+        self.solve_inner(assumptions, Some(budget), None)
     }
 
     /// Budgeted counterpart of [`Solver::solve_domain`]: the same
-    /// domain-watched search, interruptible by `budget`.
+    /// domain search, interruptible by `budget`.
     pub fn solve_domain_budgeted(
         &mut self,
         assumptions: &[Lit],
         budget: &SolveBudget,
         domain: &Domain,
     ) -> BudgetedSatResult {
-        self.solve_budgeted_inner(assumptions, budget, Some(domain))
+        self.solve_inner(assumptions, Some(budget), Some(domain))
     }
 
-    fn solve_budgeted_inner(
+    fn solve_inner(
         &mut self,
         assumptions: &[Lit],
-        budget: &SolveBudget,
+        budget: Option<&SolveBudget>,
         domain: Option<&Domain>,
     ) -> BudgetedSatResult {
         let before = self.stats;
         self.stats.solves += 1;
-        if !self.ok {
-            // Permanently UNSAT at the top level — definitive no matter
-            // the budget.
-            if self.record_episodes {
-                self.record_episode(before, "unsat", true);
-            }
-            return BudgetedSatResult::Unsat;
-        }
-        debug_assert_eq!(self.decision_level(), 0);
-        debug_assert!(domain.is_none_or(|d| assumptions.iter().all(|a| d.contains(a.var()))));
-        self.enter_mode(domain);
-        let limits = Limits {
-            conflicts: budget
-                .conflicts
-                .map(|n| self.stats.conflicts.saturating_add(n)),
-            propagations: budget
-                .propagations
-                .map(|n| self.stats.propagations.saturating_add(n)),
-            decisions: budget
-                .decisions
-                .map(|n| self.stats.decisions.saturating_add(n)),
-            deadline: budget.deadline,
+        let result = if self.ok {
+            // Permanently UNSAT at the top level is definitive no
+            // matter the budget; otherwise search.
+            self.search_restarts(assumptions, budget, domain)
+        } else {
+            BudgetedSatResult::Unsat
         };
-        let mut restarts = 0u64;
-        let result = loop {
-            let max_conflicts = luby(restarts) * 256;
-            self.set_learnt_cap(restarts);
-            match self.search(assumptions, max_conflicts, Some(&limits)) {
-                SearchOutcome::Done(r) => break r.into(),
-                SearchOutcome::Exhausted(why) => break BudgetedSatResult::Unknown(why),
-                SearchOutcome::Restart => {
-                    restarts += 1;
-                    self.stats.restarts += 1;
-                    self.cancel_until(0);
-                }
-            }
-        };
-        if result == BudgetedSatResult::Sat {
-            self.model = self.assign.clone();
-        }
-        self.cancel_until(0);
         if self.record_episodes {
             let outcome = match result {
                 BudgetedSatResult::Sat => "sat",
@@ -966,8 +926,49 @@ impl Solver {
                 BudgetedSatResult::Unknown(BudgetExhausted::Decisions) => "unknown(decisions)",
                 BudgetedSatResult::Unknown(BudgetExhausted::Deadline) => "unknown(deadline)",
             };
-            self.record_episode(before, outcome, true);
+            self.record_episode(before, outcome, budget.is_some());
         }
+        result
+    }
+
+    /// Runs search episodes under the Luby restart schedule until the
+    /// query is decided or a limit of `budget` is hit, then returns to
+    /// level 0 (keeping the model of a `Sat` answer).
+    fn search_restarts(
+        &mut self,
+        assumptions: &[Lit],
+        budget: Option<&SolveBudget>,
+        domain: Option<&Domain>,
+    ) -> BudgetedSatResult {
+        debug_assert_eq!(self.decision_level(), 0);
+        debug_assert!(domain.is_none_or(|d| assumptions.iter().all(|a| d.contains(a.var()))));
+        self.fill_heap(domain);
+        let limits = budget.map(|b| Limits {
+            conflicts: b.conflicts.map(|n| self.stats.conflicts.saturating_add(n)),
+            propagations: b
+                .propagations
+                .map(|n| self.stats.propagations.saturating_add(n)),
+            decisions: b.decisions.map(|n| self.stats.decisions.saturating_add(n)),
+            deadline: b.deadline,
+        });
+        let mut restarts = 0u64;
+        let result = loop {
+            let max_conflicts = luby(restarts) * 256;
+            self.set_learnt_cap(restarts);
+            match self.search(assumptions, max_conflicts, limits.as_ref(), domain) {
+                SearchOutcome::Done(r) => break r.into(),
+                SearchOutcome::Exhausted(why) => break BudgetedSatResult::Unknown(why),
+                SearchOutcome::Restart => {
+                    restarts += 1;
+                    self.stats.restarts += 1;
+                    self.cancel_until(0);
+                }
+            }
+        };
+        if result == BudgetedSatResult::Sat {
+            self.model.clone_from(&self.assign);
+        }
+        self.cancel_until(0);
         result
     }
 
@@ -1014,6 +1015,7 @@ impl Solver {
         assumptions: &[Lit],
         max_conflicts: u64,
         limits: Option<&Limits>,
+        domain: Option<&Domain>,
     ) -> SearchOutcome {
         let mut conflicts = 0u64;
         loop {
@@ -1022,7 +1024,7 @@ impl Solver {
                     return SearchOutcome::Exhausted(why);
                 }
             }
-            if let Some(confl) = self.propagate() {
+            if let Some(confl) = self.propagate(domain) {
                 self.stats.conflicts += 1;
                 conflicts += 1;
                 if self.decision_level() == 0 {
@@ -1031,12 +1033,13 @@ impl Solver {
                 }
                 let (learnt, bt) = self.analyze(confl);
                 self.cancel_until(bt);
+                let asserting = learnt[0];
                 if learnt.len() == 1 {
-                    self.unchecked_enqueue(learnt[0], None);
+                    self.unchecked_enqueue(asserting, None);
                 } else {
-                    let idx = self.attach_clause(learnt.clone(), true);
+                    let idx = self.attach_clause(learnt, true);
                     self.cla_bump(idx);
-                    self.unchecked_enqueue(learnt[0], Some(idx));
+                    self.unchecked_enqueue(asserting, Some(idx));
                 }
                 self.var_inc /= 0.95;
                 self.cla_inc /= 0.999;
@@ -1066,13 +1069,8 @@ impl Solver {
                     }
                     continue;
                 }
-                // Domain watch: with every assumption enqueued and
-                // every domain variable assigned at a conflict-free
-                // fixpoint, the query is satisfiable — no need to
-                // extend the assignment over the rest of the formula.
-                if self.domain_active && self.domain_unassigned == 0 {
-                    return SearchOutcome::Done(SatResult::Sat);
-                }
+                // An empty heap means every variable the solve may
+                // branch on (its domain's, under a domain) is assigned.
                 let Some(v) = self.pick_branch_var() else {
                     return SearchOutcome::Done(SatResult::Sat);
                 };
@@ -1124,36 +1122,58 @@ fn luby(mut i: u64) -> u64 {
 #[derive(Debug, Default)]
 struct VarHeap {
     heap: Vec<Var>,
-    pos: Vec<usize>, // usize::MAX = absent
+    /// Position of each variable in `heap`; `ABSENT` when not queued.
+    pos: Vec<u32>,
 }
+
+const ABSENT: u32 = u32::MAX;
 
 impl VarHeap {
     fn contains(&self, v: Var) -> bool {
-        self.pos.get(v.index()).is_some_and(|&p| p != usize::MAX)
+        self.pos.get(v.index()).is_some_and(|&p| p != ABSENT)
     }
 
     fn insert(&mut self, v: Var, act: &[f64]) {
         if self.pos.len() <= v.index() {
-            self.pos.resize(v.index() + 1, usize::MAX);
+            self.pos.resize(v.index() + 1, ABSENT);
         }
         if self.contains(v) {
             return;
         }
-        self.pos[v.index()] = self.heap.len();
-        self.heap.push(v);
+        self.push_back(v);
         self.sift_up(self.heap.len() - 1, act);
+    }
+
+    fn push_back(&mut self, v: Var) {
+        self.pos[v.index()] = u32::try_from(self.heap.len()).expect("heap size overflow");
+        self.heap.push(v);
+    }
+
+    /// Replaces the contents with `vars` (each at most once), in
+    /// O(current size + new size).
+    fn rebuild(&mut self, vars: impl Iterator<Item = Var>, act: &[f64]) {
+        for v in self.heap.drain(..) {
+            self.pos[v.index()] = ABSENT;
+        }
+        for v in vars {
+            debug_assert!(!self.contains(v), "duplicate heap variable");
+            self.push_back(v);
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, act);
+        }
     }
 
     fn update(&mut self, v: Var, act: &[f64]) {
         if self.contains(v) {
-            self.sift_up(self.pos[v.index()], act);
+            self.sift_up(self.pos[v.index()] as usize, act);
         }
     }
 
     fn pop(&mut self, act: &[f64]) -> Option<Var> {
         let top = *self.heap.first()?;
         let last = self.heap.pop().expect("non-empty");
-        self.pos[top.index()] = usize::MAX;
+        self.pos[top.index()] = ABSENT;
         if !self.heap.is_empty() {
             self.heap[0] = last;
             self.pos[last.index()] = 0;
@@ -1194,8 +1214,8 @@ impl VarHeap {
 
     fn swap(&mut self, a: usize, b: usize) {
         self.heap.swap(a, b);
-        self.pos[self.heap[a].index()] = a;
-        self.pos[self.heap[b].index()] = b;
+        self.pos[self.heap[a].index()] = a as u32;
+        self.pos[self.heap[b].index()] = b as u32;
     }
 }
 
@@ -1556,6 +1576,75 @@ mod tests {
             );
         }
         assert!(s.stats().conflicts >= 29_000, "{:?}", s.stats());
+    }
+
+    /// Clause deletion frees the literals at once: a long-lived solver
+    /// must not keep every learnt clause it ever made.
+    #[test]
+    fn deleted_clauses_hold_no_literals() {
+        let (n, m) = (10usize, 9usize);
+        let mut s = Solver::new();
+        let p: Vec<Vec<Var>> = (0..n)
+            .map(|_| (0..m).map(|_| s.new_var()).collect())
+            .collect();
+        for row in &p {
+            let c: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
+            s.add_clause(&c);
+        }
+        #[allow(clippy::needless_range_loop)] // j enumerates holes
+        for j in 0..m {
+            for i1 in 0..n {
+                for i2 in (i1 + 1)..n {
+                    s.add_clause(&[p[i1][j].negative(), p[i2][j].negative()]);
+                }
+            }
+        }
+        // Two and a half times the base learnt cap: several reductions.
+        let budget = SolveBudget::default().with_conflicts(10_000);
+        assert!(s.solve_budgeted(&[], &budget).known().is_none());
+        s.inprocess();
+        let deleted: Vec<&Clause> = s.clauses.iter().filter(|c| c.deleted).collect();
+        assert!(deleted.len() >= 4_000, "only {} deletions", deleted.len());
+        assert!(deleted.iter().all(|c| c.lits.capacity() == 0));
+    }
+
+    /// Binary clauses are propagated from their watchers alone, so
+    /// deleting one must unhook both watchers at once.
+    #[test]
+    fn deleted_binary_clause_leaves_no_watchers() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 3);
+        let (a, b) = (v[0].positive(), v[1].positive());
+        s.attach_clause(vec![a, b], true);
+        let dup = s.attach_clause(vec![b, a], true);
+        s.attach_clause(vec![!a, v[2].positive()], true);
+        assert_eq!(s.inprocess(), (1, 0));
+        assert!(s.clauses[dup as usize].deleted);
+        let live = |w: &Watcher| !s.clauses[w.index() as usize].deleted;
+        assert!(s.watches.iter().flatten().all(live));
+        assert_eq!(s.watches.iter().map(Vec::len).sum::<usize>(), 4);
+        // Both directions of the surviving binaries still propagate.
+        assert_eq!(s.solve_with(&[!a, !b]), SatResult::Unsat);
+        assert_eq!(s.solve_with(&[!b, !v[2].positive()]), SatResult::Unsat);
+        assert_eq!(s.solve_with(&[!b]), SatResult::Sat);
+        assert_eq!(s.lit_model(a), Some(true));
+    }
+
+    /// A domain solve branches only inside its domain; the plain solve
+    /// after it must branch on everything again.
+    #[test]
+    fn plain_solve_after_domain_solve_assigns_every_variable() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 6);
+        for w in v.windows(2) {
+            s.add_clause(&[w[0].negative(), w[1].negative()]);
+        }
+        let dom = Domain::from_vars(v[..2].to_vec());
+        assert_eq!(s.solve_domain(&[v[0].negative()], &dom), SatResult::Sat);
+        assert!(v[2..].iter().all(|&x| s.value(x).is_none()));
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert!(v.iter().all(|&x| s.value(x).is_some()));
+        assert_eq!(s.stats().domain_solves, 1);
     }
 
     #[test]

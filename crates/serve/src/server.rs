@@ -588,9 +588,17 @@ pub fn serve_unix_socket(
     Ok(())
 }
 
+/// How long a stopping daemon lets its connections' writers deliver
+/// the responses already queued (the `shutdown` reply among them)
+/// before it closes the streams outright.
+#[cfg(unix)]
+const DRAIN_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+
 /// Accepts connections until `stop`, spawning a reader/writer pair per
-/// connection; on the way out, shuts every live stream down (unblocking
-/// its reader) and joins all connection threads.
+/// connection; on the way out, shuts the read half of every live stream
+/// (unblocking its reader), lets the writers drain for up to
+/// [`DRAIN_TIMEOUT`], then closes the streams and joins all connection
+/// threads.
 #[cfg(unix)]
 fn accept_loop(
     listener: &std::os::unix::net::UnixListener,
@@ -599,7 +607,7 @@ fn accept_loop(
     counters: &Arc<crate::session::ConnCounters>,
     max_line: usize,
 ) {
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut streams: Vec<std::os::unix::net::UnixStream> = Vec::new();
@@ -629,6 +637,17 @@ fn accept_loop(
             }
             Err(_) => break,
         }
+    }
+    // Closing the write half too would race each writer still
+    // delivering its last responses; end the reads only, and close the
+    // rest once the writers are done or the drain times out (a client
+    // that stopped reading must not hold up exit).
+    for s in &streams {
+        let _ = s.shutdown(std::net::Shutdown::Read);
+    }
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
+    while conns.iter().any(|h| !h.is_finished()) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
     }
     for s in &streams {
         let _ = s.shutdown(std::net::Shutdown::Both);

@@ -99,12 +99,18 @@ impl Daemon {
     /// Sends `shutdown` on a fresh connection, joins the daemon thread
     /// and returns the final counters.
     fn shutdown(self) -> ServeCounters {
+        self.shutdown_with_reply().0
+    }
+
+    /// [`Daemon::shutdown`], also returning the reply line as received
+    /// (empty when the daemon hung up without answering).
+    fn shutdown_with_reply(self) -> (ServeCounters, String) {
         let mut conn = self.connect();
         writeln!(conn, r#"{{"id":"bye","kind":"shutdown"}}"#).expect("shutdown writes");
         let mut line = String::new();
         let _ = BufReader::new(&conn).read_line(&mut line);
         let session = self.handle.join().expect("daemon thread panicked");
-        session.counters()
+        (session.counters(), line)
     }
 }
 
@@ -337,4 +343,37 @@ fn eco_behind_write_barrier_keeps_reads_coherent() {
     let counters = daemon.shutdown();
     assert_eq!(counters.eco_edits, 1);
     assert_eq!(counters.connections_active, 0);
+}
+
+/// Stopping the daemon ends its reads but never a write already queued:
+/// with busy threads competing for the CPU, every run must still
+/// deliver the reply to `shutdown` before the streams close.
+#[test]
+fn shutdown_reply_survives_a_busy_host() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let busy: Vec<_> = (0..2)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                let mut x = 1u64;
+                while !stop.load(Ordering::Relaxed) {
+                    x = std::hint::black_box(x.wrapping_mul(6_364_136_223_846_793_005) | 1);
+                }
+            })
+        })
+        .collect();
+    let lost = (0..100)
+        .filter(|_| {
+            let (_, reply) = spawn_daemon(session(), 1).shutdown_with_reply();
+            !reply.contains(r#""ok":true"#)
+        })
+        .count();
+    stop.store(true, Ordering::Relaxed);
+    for b in busy {
+        b.join().expect("busy thread panicked");
+    }
+    assert_eq!(lost, 0, "{lost} of 100 shutdown replies lost");
 }

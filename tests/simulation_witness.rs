@@ -2,13 +2,17 @@
 //! delay assignment — the nominal one) can never settle later than the
 //! XBD0 functional arrival, which in turn never exceeds the
 //! topological arrival. Monte-Carlo over random circuits and vector
-//! pairs.
+//! pairs. The functional arrivals come from both the per-query and the
+//! shared (domain-restricted) SAT solver, which must agree, and every
+//! sensitizing vector the shared solver extracts is checked against
+//! the BDD backend's characteristic functions.
 
+use hfta::fta::BddAlg;
 use hfta::netlist::event_sim::monte_carlo_settle;
 use hfta::netlist::gen::{
     carry_skip_adder_flat, random_circuit, CsaDelays, GateMix, RandomCircuitSpec,
 };
-use hfta::{DelayAnalyzer, Time, TopoSta};
+use hfta::{DelayAnalyzer, StabilityAnalyzer, Time, TopoSta};
 
 fn t(v: i64) -> Time {
     Time::new(v)
@@ -18,10 +22,31 @@ fn check_sandwich(nl: &hfta::Netlist, samples: usize, seed: u64) {
     let arrivals = vec![t(0); nl.inputs().len()];
     let observed = monte_carlo_settle(nl, &arrivals, samples, seed).expect("simulates");
     let mut an = DelayAnalyzer::new_sat(nl, &arrivals).expect("valid");
+    let mut shared = DelayAnalyzer::new_sat_shared(nl, &arrivals).expect("valid");
+    let mut bdd = StabilityAnalyzer::new(nl, &arrivals, BddAlg::new()).expect("valid");
     let sta = TopoSta::new(nl).expect("valid");
     let topo = sta.arrival_times(&arrivals);
     for (k, &out) in nl.outputs().iter().enumerate() {
         let functional = an.output_arrival(out);
+        assert_eq!(
+            shared.output_arrival(out),
+            functional,
+            "{}: shared and per-query solvers disagree",
+            nl.net_name(out)
+        );
+        // The witness must leave the output unsettled (neither S0 nor
+        // S1 holds) one unit before its arrival.
+        if let Some(w) = shared.sensitizing_vector(out) {
+            let arrival = functional.finite().expect("witness arrival is finite");
+            let before = t(arrival - 1);
+            let (s0, s1) = bdd.characteristic(out, before);
+            let mgr = bdd.alg_mut().manager();
+            assert!(
+                !mgr.eval(s0, &w) && !mgr.eval(s1, &w),
+                "{}: vector {w:?} settles by {before}",
+                nl.net_name(out)
+            );
+        }
         assert!(
             observed[k] <= functional,
             "{}: simulated settle {} exceeds functional arrival {}",

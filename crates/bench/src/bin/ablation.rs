@@ -7,15 +7,16 @@
 //!    characterization runs (1 tuple vs several incomparable tuples).
 //! 3. **Fixed vs min-cut partitioning** of the Table 2 workloads.
 //! 4. **Serial vs parallel characterization** of a mixed design.
-//! 5. **Fresh solver per probe vs persistent stability oracle** — the
+//! 5. **Persistent stability engines, serial vs 4 threads** — the
 //!    demand-driven refinement loop answers many stability queries per
-//!    cone; the oracle keeps one incremental SAT solver (plus the
-//!    `(net, t)` memo and learnt clauses) alive across all of them.
-//! 6. **Structural cone signatures on vs off** — hash-consed cone
-//!    signatures share characterization across renamed module copies
-//!    and stability verdicts across isomorphic cones. Measured on a
+//!    cone from solvers that stay warm across probes and rounds.
+//! 6. **Structural cone signatures** — hash-consed cone signatures
+//!    share characterization across renamed module copies and
+//!    stability verdicts across isomorphic cones. Measured on a
 //!    replicated-block fixture (where sharing should approach the copy
-//!    count) and an ISCAS-like partition (where it usually cannot).
+//!    count, asserted through nonzero signature-cache hits) and an
+//!    ISCAS-like partition (where it usually cannot). Sharing has no
+//!    off switch; a baseline without it is a recorded revision.
 //!
 //! 7. **Shared module-level SAT instance vs per-cone solvers** — see
 //!    [`bench_shared_solver`].
@@ -23,15 +24,12 @@
 //! Run with `cargo run --release -p hfta-bench --bin ablation`; see
 //! [`hfta_testkit::Harness`] for the environment knobs. Setting
 //! `HFTA_ABLATION_SMOKE` shrinks the workload and runs only the
-//! oracle, cone-signature and shared-solver ablations — a seconds-long
+//! oracle, cone-signature and shared-solver groups — a seconds-long
 //! sanity pass used by `scripts/check.sh` and CI, which also asserts
 //! the signature cache actually hits on the replicated fixture.
 
 use hfta_bench::{build_iscas_like, IscasLike};
-use hfta_core::{
-    CharacterizeOptions, DemandDrivenAnalyzer, DemandOptions, HierAnalyzer, HierOptions, Scheduler,
-    TraceSink,
-};
+use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer, Scheduler, TraceSink};
 use hfta_netlist::gen::carry_skip_adder;
 use hfta_netlist::partition::{cascade_bipartition, cascade_bipartition_min_cut};
 use hfta_netlist::Time;
@@ -44,11 +42,13 @@ fn bench_demand_vs_twostep(harness: &mut Harness) {
 
     group.bench("demand_driven", || {
         let mut an =
-            DemandDrivenAnalyzer::new(&design, "csa32.4", DemandOptions::default()).expect("valid");
+            DemandDrivenAnalyzer::with_config(&design, "csa32.4", &AnalysisConfig::default())
+                .expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
     group.bench("two_step_full", || {
-        let mut an = HierAnalyzer::new(&design, "csa32.4", HierOptions::default()).expect("valid");
+        let mut an = HierAnalyzer::with_config(&design, "csa32.4", &AnalysisConfig::default())
+            .expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
 }
@@ -58,15 +58,9 @@ fn bench_tuple_cap(harness: &mut Harness) {
     let design = carry_skip_adder(16, 2, Default::default());
     let arrivals = vec![Time::ZERO; 33];
     for max_tuples in [1usize, 4] {
-        let opts = HierOptions {
-            characterize: CharacterizeOptions {
-                max_tuples,
-                ..CharacterizeOptions::default()
-            },
-            ..HierOptions::default()
-        };
+        let config = AnalysisConfig::default().with_max_tuples(max_tuples);
         group.bench(&format!("max_tuples_{max_tuples}"), || {
-            let mut an = HierAnalyzer::new(&design, "csa16.2", opts).expect("valid");
+            let mut an = HierAnalyzer::with_config(&design, "csa16.2", &config).expect("valid");
             an.analyze(&arrivals).expect("analyzes").delay
         });
     }
@@ -85,13 +79,15 @@ fn bench_partition_strategy(harness: &mut Harness) {
     let fixed = cascade_bipartition(&flat, 0.5).expect("partitions");
     group.bench("fixed_half_split", || {
         let mut an =
-            DemandDrivenAnalyzer::new(&fixed, "c432_like_top", Default::default()).expect("valid");
+            DemandDrivenAnalyzer::with_config(&fixed, "c432_like_top", &AnalysisConfig::default())
+                .expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
     let mincut = cascade_bipartition_min_cut(&flat, 0.25, 0.75).expect("partitions");
     group.bench("min_cut_split", || {
         let mut an =
-            DemandDrivenAnalyzer::new(&mincut, "c432_like_top", Default::default()).expect("valid");
+            DemandDrivenAnalyzer::with_config(&mincut, "c432_like_top", &AnalysisConfig::default())
+                .expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
 }
@@ -131,18 +127,18 @@ fn bench_parallel_characterization(harness: &mut Harness) {
 
     let mut group = harness.group("ablation_parallel_characterize");
     group.bench("serial", || {
-        let mut an = HierAnalyzer::new(&design, "mixed", HierOptions::default()).expect("valid");
+        let mut an =
+            HierAnalyzer::with_config(&design, "mixed", &AnalysisConfig::default()).expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
     // One pool shared across iterations: workers spawn once, so the
     // measurement is scheduling + characterization, not thread setup.
-    let pool = Scheduler::new(4);
-    let par_opts = HierOptions::default()
+    let par_config = AnalysisConfig::default()
         .with_threads(4)
-        .with_thread_clamp(false);
+        .with_thread_clamp(false)
+        .with_scheduler(Scheduler::new(4));
     group.bench("parallel_4_threads", || {
-        let mut an = HierAnalyzer::new(&design, "mixed", par_opts).expect("valid");
-        an.set_scheduler(pool.clone());
+        let mut an = HierAnalyzer::with_config(&design, "mixed", &par_config).expect("valid");
         an.characterize_all().expect("characterizes");
         an.analyze(&arrivals).expect("analyzes").delay
     });
@@ -163,21 +159,12 @@ fn bench_stability_oracle(harness: &mut Harness) {
     let arrivals = vec![Time::ZERO; 2 * bits + 1];
 
     // Analyzers are built once, outside the timed closures, and reset
-    // to a pre-refinement state each iteration: what the three cases
+    // to a pre-refinement state each iteration: what the two cases
     // compare is steady-state refinement cost, not construction. The
     // threaded case gets a pre-built pool for the same reason — worker
     // spawning is a per-process cost, not a per-analysis one.
-    let fresh = DemandOptions {
-        reuse_oracle: false,
-        ..DemandOptions::default()
-    };
-    let mut an_fresh = DemandDrivenAnalyzer::new(&design, top, fresh).expect("valid");
-    group.bench_at_least("fresh_solver_per_probe", 10, || {
-        an_fresh.reset_refinement();
-        an_fresh.analyze(&arrivals).expect("analyzes").delay
-    });
     let mut an_oracle =
-        DemandDrivenAnalyzer::new(&design, top, DemandOptions::default()).expect("valid");
+        DemandDrivenAnalyzer::with_config(&design, top, &AnalysisConfig::default()).expect("valid");
     group.bench_at_least("persistent_oracle", 10, || {
         an_oracle.reset_refinement();
         an_oracle.analyze(&arrivals).expect("analyzes").delay
@@ -187,11 +174,8 @@ fn bench_stability_oracle(harness: &mut Harness) {
     // the regression this group guards against), and on a multicore box
     // the pool spawns once on the first iteration and persists in the
     // analyzer, so steady-state iterations never pay spawn cost.
-    let threaded = DemandOptions {
-        threads: 4,
-        ..DemandOptions::default()
-    };
-    let mut an_par = DemandDrivenAnalyzer::new(&design, top, threaded).expect("valid");
+    let threaded = AnalysisConfig::default().with_threads(4);
+    let mut an_par = DemandDrivenAnalyzer::with_config(&design, top, &threaded).expect("valid");
     group.bench_at_least("persistent_oracle_4_threads", 10, || {
         an_par.reset_refinement();
         an_par.analyze(&arrivals).expect("analyzes").delay
@@ -256,21 +240,9 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
     let arrivals = vec![Time::ZERO; n_inputs];
 
     let mut group = harness.group("ablation_cone_sig");
-    let hier_off = HierOptions {
-        characterize: CharacterizeOptions {
-            cone_sig: false,
-            ..CharacterizeOptions::default()
-        },
-        ..HierOptions::default()
-    };
-    group.bench("hier_sig_off", || {
-        let mut an = HierAnalyzer::new(&design, "replicated", hier_off).expect("valid");
-        an.analyze(&arrivals).expect("analyzes").delay
-    });
+    let traced = AnalysisConfig::default().with_trace(trace.clone());
     group.bench("hier_sig_on", || {
-        let mut an =
-            HierAnalyzer::new(&design, "replicated", HierOptions::default()).expect("valid");
-        an.set_trace(trace.clone());
+        let mut an = HierAnalyzer::with_config(&design, "replicated", &traced).expect("valid");
         let r = an.analyze(&arrivals).expect("analyzes");
         assert!(
             r.stats.stability.cone_sig_hits > 0,
@@ -279,19 +251,9 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
         assert_eq!(r.stats.modules_aliased, copies as u64 - 1);
         r.delay
     });
-
-    let demand_off = DemandOptions {
-        cone_sig: false,
-        ..DemandOptions::default()
-    };
-    group.bench("demand_sig_off", || {
-        let mut an = DemandDrivenAnalyzer::new(&design, "replicated", demand_off).expect("valid");
-        an.analyze(&arrivals).expect("analyzes").delay
-    });
     group.bench("demand_sig_on", || {
-        let mut an = DemandDrivenAnalyzer::new(&design, "replicated", DemandOptions::default())
-            .expect("valid");
-        an.set_trace(trace.clone());
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "replicated", &traced).expect("valid");
         let r = an.analyze(&arrivals).expect("analyzes");
         assert!(
             r.stability.cone_sig_hits > 0,
@@ -305,15 +267,13 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
     // cones actually land — the memo's intended workload.
     let (par_design, par_inputs) = replicated_blocks(copies, bits, false);
     let par_arrivals = vec![Time::ZERO; par_inputs];
-    group.bench("demand_par_sig_off", || {
-        let mut an =
-            DemandDrivenAnalyzer::new(&par_design, "replicated_par", demand_off).expect("valid");
-        an.analyze(&par_arrivals).expect("analyzes").delay
-    });
     group.bench("demand_par_sig_on", || {
-        let mut an =
-            DemandDrivenAnalyzer::new(&par_design, "replicated_par", DemandOptions::default())
-                .expect("valid");
+        let mut an = DemandDrivenAnalyzer::with_config(
+            &par_design,
+            "replicated_par",
+            &AnalysisConfig::default(),
+        )
+        .expect("valid");
         let r = an.analyze(&par_arrivals).expect("analyzes");
         assert!(
             r.stability.cone_sig_hits > 0,
@@ -334,15 +294,13 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
         let flat = build_iscas_like(&w);
         let arr = vec![Time::ZERO; flat.inputs().len()];
         let part = cascade_bipartition(&flat, 0.5).expect("partitions");
-        group.bench("iscas_demand_sig_off", || {
-            let mut an =
-                DemandDrivenAnalyzer::new(&part, "c880_like_top", demand_off).expect("valid");
-            an.analyze(&arr).expect("analyzes").delay
-        });
         group.bench("iscas_demand_sig_on", || {
-            let mut an =
-                DemandDrivenAnalyzer::new(&part, "c880_like_top", DemandOptions::default())
-                    .expect("valid");
+            let mut an = DemandDrivenAnalyzer::with_config(
+                &part,
+                "c880_like_top",
+                &AnalysisConfig::default(),
+            )
+            .expect("valid");
             an.analyze(&arr).expect("analyzes").delay
         });
     }
@@ -354,9 +312,10 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
 /// learnt clauses across cones (and, in demand mode, across isomorphic
 /// cone classes via slot-permuted import) with between-query
 /// inprocessing. Measured on the flat XBD0 path of an ISCAS-like
-/// netlist and on demand refinement of the replicated cascade; the
-/// `trajectory_gate` asserts shared mode never regresses past the
-/// per-cone baseline.
+/// netlist against a per-cone baseline the bench builds itself (the
+/// `trajectory_gate` asserts shared never regresses past it), and on
+/// demand refinement of the replicated cascade, which asserts the
+/// shared engines really ran.
 fn bench_shared_solver(harness: &mut Harness) {
     use hfta_fta::DelayAnalyzer;
 
@@ -399,23 +358,14 @@ fn bench_shared_solver(harness: &mut Harness) {
     });
 
     // Demand refinement on the replicated cascade: each signature
-    // class answers from one shared engine vs per-cone oracles. The
-    // verdict memo stays ON in both cases — what is measured is the
-    // solver-sharing delta, not the memo.
+    // class answers from one shared engine.
     let (copies, bits) = if smoke() { (4usize, 2usize) } else { (8, 4) };
     let (design, n_inputs) = replicated_blocks(copies, bits, true);
     let arrivals = vec![Time::ZERO; n_inputs];
-    let per_cone = DemandOptions {
-        shared_solver: false,
-        ..DemandOptions::default()
-    };
-    group.bench_at_least("demand_cascade_per_cone", 5, || {
-        let mut an = DemandDrivenAnalyzer::new(&design, "replicated", per_cone).expect("valid");
-        an.analyze(&arrivals).expect("analyzes").delay
-    });
     group.bench_at_least("demand_cascade_shared", 5, || {
-        let mut an = DemandDrivenAnalyzer::new(&design, "replicated", DemandOptions::default())
-            .expect("valid");
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "replicated", &AnalysisConfig::default())
+                .expect("valid");
         let r = an.analyze(&arrivals).expect("analyzes");
         assert!(
             r.stability.domains_built > 0,

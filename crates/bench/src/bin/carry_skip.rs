@@ -8,7 +8,7 @@
 //! Run with `cargo run --release -p hfta-bench --bin carry_skip`; see
 //! [`hfta_testkit::Harness`] for the environment knobs.
 
-use hfta_core::{DemandDrivenAnalyzer, DemandOptions};
+use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer};
 use hfta_fta::{DelayAnalyzer, TopoSta};
 use hfta_netlist::gen::carry_skip_adder;
 use hfta_netlist::Time;
@@ -25,8 +25,9 @@ fn main() {
             let arrivals = vec![Time::ZERO; 2 * bits + 1];
 
             group.bench(&format!("hier_demand/{bits}"), || {
-                let mut an = DemandDrivenAnalyzer::new(&design, &name, DemandOptions::default())
-                    .expect("valid");
+                let mut an =
+                    DemandDrivenAnalyzer::with_config(&design, &name, &AnalysisConfig::default())
+                        .expect("valid");
                 an.analyze(&arrivals).expect("analyzes").delay
             });
             group.bench(&format!("flat_xbd0/{bits}"), || {

@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release -p hfta-bench --bin figures`
 
-use hfta_core::{CharacterizeOptions, HierAnalyzer, HierOptions, ModelSource, ModuleTiming};
+use hfta_core::{AnalysisConfig, HierAnalyzer, ModelSource, ModuleTiming};
 use hfta_fta::DelayAnalyzer;
 use hfta_netlist::gen::{carry_skip_adder, carry_skip_adder_flat, carry_skip_block, CsaDelays};
 use hfta_netlist::Time;
@@ -40,12 +40,8 @@ fn main() {
     );
 
     // Figure 3: T_cout polygon.
-    let timing = ModuleTiming::characterize(
-        &block,
-        ModelSource::Functional,
-        CharacterizeOptions::default(),
-    )
-    .expect("characterizes");
+    let timing =
+        ModuleTiming::characterize(&block, &AnalysisConfig::default()).expect("characterizes");
     println!("Figure 3: timing model T_cout (effective delay per input):");
     let t_cout = timing.model(2);
     for (name, &d) in timing.input_names().iter().zip(t_cout.tuples()[0].delays()) {
@@ -54,7 +50,8 @@ fn main() {
     println!();
 
     // Figure 4: stacked propagation, all inputs at 0.
-    let mut hier = HierAnalyzer::new(&cascade, "csa4.2", HierOptions::default()).expect("valid");
+    let mut hier =
+        HierAnalyzer::with_config(&cascade, "csa4.2", &AnalysisConfig::default()).expect("valid");
     let analysis = hier.analyze(&[t(0); 9]).expect("analyzes");
     let top = cascade.composite("csa4.2").expect("exists");
     let tmp = top.find_net("c2").expect("exists");
@@ -71,7 +68,8 @@ fn main() {
         let bits = 2 * blocks;
         let name = format!("csa{bits}.2");
         let design = carry_skip_adder(bits, 2, delays);
-        let mut hier = HierAnalyzer::new(&design, &name, HierOptions::default()).expect("valid");
+        let mut hier =
+            HierAnalyzer::with_config(&design, &name, &AnalysisConfig::default()).expect("valid");
         let analysis = hier.analyze(&vec![t(0); 2 * bits + 1]).expect("analyzes");
         let topc = design.composite(&name).expect("exists");
         let carry = topc.find_net(&format!("c{bits}")).expect("exists");
@@ -96,8 +94,7 @@ fn main() {
     let func_slack = t_cout.input_slack(&arrivals, stable, 0);
     let topo = ModuleTiming::characterize(
         &block,
-        ModelSource::Topological,
-        CharacterizeOptions::default(),
+        &AnalysisConfig::default().with_source(ModelSource::Topological),
     )
     .expect("characterizes");
     let topo_slack = topo.model(2).input_slack(&arrivals, stable, 0);

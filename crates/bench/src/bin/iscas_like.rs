@@ -10,7 +10,7 @@
 //! [`hfta_testkit::Harness`] for the environment knobs.
 
 use hfta_bench::{build_iscas_like, IscasLike};
-use hfta_core::{DemandDrivenAnalyzer, DemandOptions};
+use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer};
 use hfta_fta::DelayAnalyzer;
 use hfta_netlist::partition::cascade_bipartition_min_cut;
 use hfta_netlist::Time;
@@ -32,8 +32,9 @@ fn main() {
             let arrivals = vec![Time::ZERO; flat.inputs().len()];
 
             group.bench(&format!("hier_demand/{gates}"), || {
-                let mut an = DemandDrivenAnalyzer::new(&design, &top, DemandOptions::default())
-                    .expect("valid");
+                let mut an =
+                    DemandDrivenAnalyzer::with_config(&design, &top, &AnalysisConfig::default())
+                        .expect("valid");
                 an.analyze(&arrivals).expect("analyzes").delay
             });
             group.bench(&format!("flat_xbd0/{gates}"), || {

@@ -8,7 +8,7 @@
 //! is never built, because oversubscribing cores is exactly the
 //! regression this bench guards against (the medians then record
 //! honest serial parity, not fantasy speedups). The `*_t4_forced`
-//! cases disable the clamp and inject a real 4-worker pool regardless
+//! cases disable the clamp and seat a real 4-worker pool regardless
 //! of core count, so the work-stealing path itself is exercised (and
 //! its determinism asserted) even on a 1-core CI runner; they are not
 //! part of the CI gate.
@@ -23,7 +23,7 @@
 //! whose `trajectory_gate` asserts parallel medians never regress past
 //! serial ones.
 
-use hfta_core::{DemandDrivenAnalyzer, DemandOptions, HierAnalyzer, HierOptions, Scheduler};
+use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer, Scheduler};
 use hfta_netlist::gen::{modular_design, ModularDesignSpec};
 use hfta_netlist::{Design, Time};
 use hfta_sched::effective_parallelism;
@@ -48,12 +48,14 @@ fn spec() -> ModularDesignSpec {
     }
 }
 
-/// A clamped pool for `threads`: `None` when the machine cannot
-/// actually run that wide (the analysis then takes its serial path).
-fn clamped_pool(threads: usize) -> Option<Scheduler> {
-    Some(effective_parallelism(threads, true))
-        .filter(|&e| e > 1 && threads > 1)
-        .map(Scheduler::new)
+/// Seats a clamped pool for `threads` in `config`, or none when the
+/// machine cannot actually run that wide (the analysis then takes its
+/// serial path).
+fn seat(config: AnalysisConfig, threads: usize) -> AnalysisConfig {
+    match Some(effective_parallelism(threads, true)).filter(|&e| e > 1 && threads > 1) {
+        Some(effective) => config.with_scheduler(Scheduler::new(effective)),
+        None => config,
+    }
 }
 
 fn case_id(kind: &str, threads: usize) -> String {
@@ -73,13 +75,9 @@ fn bench_hier(
 ) {
     let mut group = harness.group("parallel_scaling");
     for threads in THREAD_STEPS {
-        let pool = clamped_pool(threads);
-        let opts = HierOptions::default().with_threads(threads);
+        let config = seat(AnalysisConfig::default().with_threads(threads), threads);
         group.bench_at_least(&case_id("hier", threads), 3, || {
-            let mut an = HierAnalyzer::new(design, top, opts).expect("valid");
-            if let Some(p) = &pool {
-                an.set_scheduler(p.clone());
-            }
+            let mut an = HierAnalyzer::with_config(design, top, &config).expect("valid");
             let r = an.analyze(arrivals).expect("analyzes");
             assert_eq!(
                 r.delay, serial_delay,
@@ -89,13 +87,12 @@ fn bench_hier(
         });
     }
     // Forced-pool case: 4 genuine workers even on a narrower machine.
-    let pool = Scheduler::new(4);
-    let opts = HierOptions::default()
+    let config = AnalysisConfig::default()
         .with_threads(4)
-        .with_thread_clamp(false);
+        .with_thread_clamp(false)
+        .with_scheduler(Scheduler::new(4));
     group.bench_at_least("hier_t4_forced", 3, || {
-        let mut an = HierAnalyzer::new(design, top, opts).expect("valid");
-        an.set_scheduler(pool.clone());
+        let mut an = HierAnalyzer::with_config(design, top, &config).expect("valid");
         let r = an.analyze(arrivals).expect("analyzes");
         assert_eq!(
             r.delay, serial_delay,
@@ -116,11 +113,8 @@ fn bench_demand(
     for threads in THREAD_STEPS {
         // One analyzer per thread count, built and warmed outside the
         // timed closure; iterations measure steady-state refinement.
-        let opts = DemandOptions::default().with_threads(threads);
-        let mut an = DemandDrivenAnalyzer::new(design, top, opts).expect("valid");
-        if let Some(p) = clamped_pool(threads) {
-            an.set_scheduler(p);
-        }
+        let config = seat(AnalysisConfig::default().with_threads(threads), threads);
+        let mut an = DemandDrivenAnalyzer::with_config(design, top, &config).expect("valid");
         group.bench_at_least(&case_id("demand", threads), 3, || {
             an.reset_refinement();
             let r = an.analyze(arrivals).expect("analyzes");
@@ -131,11 +125,11 @@ fn bench_demand(
             r.delay
         });
     }
-    let opts = DemandOptions::default()
+    let config = AnalysisConfig::default()
         .with_threads(4)
-        .with_thread_clamp(false);
-    let mut an = DemandDrivenAnalyzer::new(design, top, opts).expect("valid");
-    an.set_scheduler(Scheduler::new(4));
+        .with_thread_clamp(false)
+        .with_scheduler(Scheduler::new(4));
+    let mut an = DemandDrivenAnalyzer::with_config(design, top, &config).expect("valid");
     group.bench_at_least("demand_t4_forced", 3, || {
         an.reset_refinement();
         let r = an.analyze(arrivals).expect("analyzes");
@@ -166,12 +160,13 @@ fn main() {
     // algorithms bound the true delay differently (demand refines only
     // while critical), so their answers need not coincide.
     let hier_delay = {
-        let mut an = HierAnalyzer::new(&design, &top, HierOptions::default()).expect("valid");
+        let mut an =
+            HierAnalyzer::with_config(&design, &top, &AnalysisConfig::default()).expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     };
     let demand_delay = {
-        let mut an =
-            DemandDrivenAnalyzer::new(&design, &top, DemandOptions::default()).expect("valid");
+        let mut an = DemandDrivenAnalyzer::with_config(&design, &top, &AnalysisConfig::default())
+            .expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     };
 

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release -p hfta-bench --bin pitfall`
 
 use hfta_core::naive::{find_underapproximation, independent_relaxation_model};
-use hfta_core::{CharacterizeOptions, ModelSource, ModuleTiming};
+use hfta_core::{AnalysisConfig, ModuleTiming};
 use hfta_netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 
 fn main() {
@@ -27,12 +27,8 @@ fn main() {
             mix: GateMix::NandHeavy,
         };
         let nl = random_circuit("pitfall", spec);
-        let sound = ModuleTiming::characterize(
-            &nl,
-            ModelSource::Functional,
-            CharacterizeOptions::default(),
-        )
-        .expect("characterizes");
+        let sound =
+            ModuleTiming::characterize(&nl, &AnalysisConfig::default()).expect("characterizes");
         for (k, &out) in nl.outputs().iter().enumerate() {
             examined += 1;
             // The sound model must never underapproximate.

@@ -24,15 +24,14 @@ use std::collections::HashMap;
 use hfta_netlist::{Composite, Design, ModuleBody, NetlistError, Time};
 use hfta_sched::Scheduler;
 
-use crate::hier::{propagate, HierAnalysis, HierOptions};
+use crate::hier::{propagate, HierAnalysis};
 use crate::module_timing::ModuleTiming;
-use crate::{TimingModel, TimingTuple};
+use crate::{AnalysisConfig, TimingModel, TimingTuple};
 
-/// Options for recursive characterization.
+/// The composition caps (leaf characterization itself runs under an
+/// [`AnalysisConfig`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ComposeOptions {
-    /// Leaf characterization options.
-    pub hier: HierOptions,
     /// Cap on tuples kept per composed model (non-dominated tuples are
     /// ranked by total finite delay; dropping tuples loses accuracy,
     /// never soundness).
@@ -45,7 +44,6 @@ pub struct ComposeOptions {
 impl Default for ComposeOptions {
     fn default() -> ComposeOptions {
         ComposeOptions {
-            hier: HierOptions::default(),
             max_tuples: 8,
             max_product: 4096,
         }
@@ -53,7 +51,8 @@ impl Default for ComposeOptions {
 }
 
 /// Recursively characterizes `module` (leaf or composite) into a
-/// [`ModuleTiming`] over its own ports, caching by module name.
+/// [`ModuleTiming`] over its own ports, caching by module name. Leaves
+/// are characterized under `config`.
 ///
 /// # Errors
 ///
@@ -62,6 +61,7 @@ impl Default for ComposeOptions {
 pub fn characterize_recursive(
     design: &Design,
     module: &str,
+    config: &AnalysisConfig,
     opts: &ComposeOptions,
     cache: &mut HashMap<String, ModuleTiming>,
 ) -> Result<ModuleTiming, NetlistError> {
@@ -73,13 +73,11 @@ pub fn characterize_recursive(
         name: module.to_string(),
     })?;
     let timing = match &def.body {
-        ModuleBody::Leaf(nl) => {
-            ModuleTiming::characterize(nl, opts.hier.source, opts.hier.characterize)?
-        }
+        ModuleBody::Leaf(nl) => ModuleTiming::characterize(nl, config)?,
         ModuleBody::Composite(c) => {
             for idx in c.instance_topo_order()? {
                 let inst = &c.instances()[idx];
-                characterize_recursive(design, &inst.module, opts, cache)?;
+                characterize_recursive(design, &inst.module, config, opts, cache)?;
             }
             compose_composite(c, opts, cache)?
         }
@@ -248,7 +246,18 @@ fn truncate_ranked(mut set: Vec<TimingTuple>, cap: usize) -> Vec<TimingTuple> {
 
 /// Analyzes a design whose top-level composite may instantiate other
 /// composites (arbitrary hierarchy depth), by recursive timing-model
-/// composition followed by the usual top-level propagation.
+/// composition followed by the usual top-level propagation. Leaves are
+/// characterized under `config`.
+///
+/// Modules are characterized wavefront by wavefront over the module
+/// dependency DAG — every leaf of a wavefront is an independent task,
+/// so sibling subtrees characterize concurrently on the config's
+/// seated pool (or, with [`AnalysisConfig::threads`] above one, a pool
+/// of the effective clamped size for the duration of this analysis) —
+/// and composite models are composed from their children's models once
+/// the wave below them is done. Models merge back in deterministic
+/// (sorted name) order, so the analysis is bit-identical to the serial
+/// one.
 ///
 /// # Errors
 ///
@@ -262,47 +271,22 @@ pub fn analyze_multilevel(
     design: &Design,
     top: &str,
     pi_arrivals: &[Time],
+    config: &AnalysisConfig,
     opts: &ComposeOptions,
-) -> Result<HierAnalysis, NetlistError> {
-    // Auto-pool: opts asking for threads gets a pool of the effective
-    // (clamped) size for the duration of this analysis.
-    let pool = (opts.hier.threads > 1)
-        .then(|| hfta_sched::effective_parallelism(opts.hier.threads, opts.hier.clamp_threads))
-        .filter(|&effective| effective > 1)
-        .map(Scheduler::new);
-    analyze_multilevel_with(design, top, pi_arrivals, opts, pool.as_ref())
-}
-
-/// [`analyze_multilevel`] on an explicit worker pool (or `None` for
-/// serial): modules are characterized wavefront by wavefront over the
-/// module dependency DAG — every leaf of a wavefront is an independent
-/// task, so sibling subtrees characterize concurrently — and composite
-/// models are composed from their children's models once the wave
-/// below them is done. Models merge back in deterministic (sorted
-/// name) order, so the analysis is bit-identical to the serial one.
-///
-/// # Errors
-///
-/// Returns module-resolution and characterization errors.
-///
-/// # Panics
-///
-/// Panics if `pi_arrivals.len()` differs from the top-level input
-/// count.
-pub fn analyze_multilevel_with(
-    design: &Design,
-    top: &str,
-    pi_arrivals: &[Time],
-    opts: &ComposeOptions,
-    pool: Option<&Scheduler>,
 ) -> Result<HierAnalysis, NetlistError> {
     design.validate()?;
     let composite = design.composite(top).ok_or_else(|| NetlistError::Unknown {
         what: "top-level composite module",
         name: top.to_string(),
     })?;
+    let pool = config.scheduler.get().cloned().or_else(|| {
+        (config.threads > 1)
+            .then(|| hfta_sched::effective_parallelism(config.threads, config.clamp_threads))
+            .filter(|&effective| effective > 1)
+            .map(Scheduler::new)
+    });
     let mut cache = HashMap::new();
-    characterize_wavefronts(design, composite, opts, pool, &mut cache)?;
+    characterize_wavefronts(design, composite, config, opts, pool.as_ref(), &mut cache)?;
     let mut models = HashMap::new();
     for inst in composite.instances() {
         if !models.contains_key(&inst.module) {
@@ -327,6 +311,7 @@ pub fn analyze_multilevel_with(
 fn characterize_wavefronts(
     design: &Design,
     top: &Composite,
+    config: &AnalysisConfig,
     opts: &ComposeOptions,
     pool: Option<&Scheduler>,
     cache: &mut HashMap<String, ModuleTiming>,
@@ -382,16 +367,18 @@ fn characterize_wavefronts(
             }
         }
         leaves.sort_by(|a, b| a.0.cmp(&b.0));
-        let hier = opts.hier;
         let characterized: Vec<(String, Result<ModuleTiming, NetlistError>)> = match pool {
-            Some(pool) if leaves.len() > 1 => pool.run(leaves, move |(name, nl)| {
-                let r = ModuleTiming::characterize(&nl, hier.source, hier.characterize);
-                (name, r)
-            }),
+            Some(pool) if leaves.len() > 1 => {
+                let config = config.clone();
+                pool.run(leaves, move |(name, nl)| {
+                    let r = ModuleTiming::characterize(&nl, &config);
+                    (name, r)
+                })
+            }
             _ => leaves
                 .into_iter()
                 .map(|(name, nl)| {
-                    let r = ModuleTiming::characterize(&nl, hier.source, hier.characterize);
+                    let r = ModuleTiming::characterize(&nl, config);
                     (name, r)
                 })
                 .collect(),
@@ -471,9 +458,14 @@ mod tests {
         // must equal the two-step hierarchical analysis of csa8.2.
         let design = carry_skip_adder(8, 2, CsaDelays::default());
         let mut cache = HashMap::new();
-        let timing =
-            characterize_recursive(&design, "csa8.2", &ComposeOptions::default(), &mut cache)
-                .unwrap();
+        let timing = characterize_recursive(
+            &design,
+            "csa8.2",
+            &AnalysisConfig::default(),
+            &ComposeOptions::default(),
+            &mut cache,
+        )
+        .unwrap();
         assert_eq!(timing.input_names().len(), 17);
         assert_eq!(timing.output_names().len(), 9);
         let times = timing.output_stable_times(&[t(0); 17]);
@@ -487,8 +479,14 @@ mod tests {
     fn three_level_conservative_and_tight() {
         let design = three_level_design();
         let arrivals = vec![t(0); 33];
-        let analysis =
-            analyze_multilevel(&design, "pair16", &arrivals, &ComposeOptions::default()).unwrap();
+        let analysis = analyze_multilevel(
+            &design,
+            "pair16",
+            &arrivals,
+            &AnalysisConfig::default(),
+            &ComposeOptions::default(),
+        )
+        .unwrap();
         let flat = design.flatten("pair16").unwrap();
         let exact = functional_circuit_delay(&flat).unwrap();
         let sta = TopoSta::new(&flat).unwrap();
@@ -510,9 +508,14 @@ mod tests {
         // gives c_in → c_out = 2 per block, so 4 blocks compose to 8.
         let design = carry_skip_adder(8, 2, CsaDelays::default());
         let mut cache = HashMap::new();
-        let timing =
-            characterize_recursive(&design, "csa8.2", &ComposeOptions::default(), &mut cache)
-                .unwrap();
+        let timing = characterize_recursive(
+            &design,
+            "csa8.2",
+            &AnalysisConfig::default(),
+            &ComposeOptions::default(),
+            &mut cache,
+        )
+        .unwrap();
         let carry_model = timing.model(8);
         let min_cin_delay = carry_model
             .tuples()
@@ -524,33 +527,43 @@ mod tests {
     }
 
     /// Wavefront-parallel characterization is bit-identical to the
-    /// serial recursion — on an explicit pool and on the auto-pool
-    /// taken from the thread options.
+    /// serial recursion — on a seated pool and on the auto-pool taken
+    /// from the thread count.
     #[test]
     fn wavefront_parallel_matches_serial() {
         let design = three_level_design();
         let arrivals = vec![t(0); 33];
-        let serial =
-            analyze_multilevel(&design, "pair16", &arrivals, &ComposeOptions::default()).unwrap();
-
-        let pool = Scheduler::new(4);
-        let parallel = analyze_multilevel_with(
+        let serial = analyze_multilevel(
             &design,
             "pair16",
             &arrivals,
+            &AnalysisConfig::default(),
             &ComposeOptions::default(),
-            Some(&pool),
+        )
+        .unwrap();
+
+        let seated = AnalysisConfig::default().with_scheduler(Scheduler::new(4));
+        let parallel = analyze_multilevel(
+            &design,
+            "pair16",
+            &arrivals,
+            &seated,
+            &ComposeOptions::default(),
         )
         .unwrap();
         assert_eq!(serial, parallel);
 
-        let opts = ComposeOptions {
-            hier: HierOptions::default()
-                .with_threads(4)
-                .with_thread_clamp(false),
-            ..ComposeOptions::default()
-        };
-        let auto = analyze_multilevel(&design, "pair16", &arrivals, &opts).unwrap();
+        let threaded = AnalysisConfig::default()
+            .with_threads(4)
+            .with_thread_clamp(false);
+        let auto = analyze_multilevel(
+            &design,
+            "pair16",
+            &arrivals,
+            &threaded,
+            &ComposeOptions::default(),
+        )
+        .unwrap();
         assert_eq!(serial, auto);
     }
 
@@ -562,7 +575,14 @@ mod tests {
             max_tuples: 1,
             ..ComposeOptions::default()
         };
-        let analysis = analyze_multilevel(&design, "pair16", &arrivals, &tight).unwrap();
+        let analysis = analyze_multilevel(
+            &design,
+            "pair16",
+            &arrivals,
+            &AnalysisConfig::default(),
+            &tight,
+        )
+        .unwrap();
         let flat = design.flatten("pair16").unwrap();
         let exact = functional_circuit_delay(&flat).unwrap();
         assert!(analysis.delay >= exact, "cap must stay conservative");

@@ -24,200 +24,47 @@
 //! a conservative approximation of flat analysis (Theorem 1) while only
 //! spending characterization effort where it matters.
 //!
-//! Probes against one `(module, output)` cone go through a persistent
-//! [`StabilityOracle`] owned by that cone's refinement state, so the
-//! SAT solver, its learnt clauses, and the settled-function caches are
-//! shared by every probe of that cone — across rounds and across
-//! `analyze` calls. Independent cones are probed in parallel when
-//! [`DemandOptions::threads`] allows: a round's critical edges are
-//! grouped by `(module, output)` (probes of one group interact through
-//! its shared weights and must stay ordered; groups touch disjoint
-//! state), and groups are distributed over scoped worker threads. The
-//! grouping preserves the serial probe order within each cone, so the
-//! parallel analysis is bit-identical to the serial one.
-//!
-//! Structurally identical cones (equal hash-consed
-//! [`hfta_netlist::ConeSig`]) additionally share a *verdict memo*: a
+//! The budget picks where a probe is answered (see
+//! [`AnalysisConfig`]). Under an unlimited budget, structurally
+//! identical cones (equal hash-consed [`hfta_netlist::ConeSig`]) form
+//! a *signature class* that shares two things: a *verdict memo* — a
 //! probe whose canonical arrival vector was already decided for an
-//! isomorphic cone is answered without touching a solver. Stability is
-//! a semantic property of the cone function and the arrival vector, so
-//! under an unlimited budget the memoized verdict is exactly what the
-//! solver would have returned; under a limited budget verdicts depend
-//! on solver heuristics and probe history, so sharing is switched off
-//! to keep budgeted runs bit-identical to the memo-free analysis.
+//! isomorphic cone is answered without touching a solver — and one
+//! [`SharedStabilityEngine`], an incremental SAT instance over the
+//! class's representative cone that answers every member's probes.
+//! Stability is a semantic property of the cone function and the
+//! arrival vector, so a memoized or shared verdict is exactly what a
+//! private solver would have returned. Under a limited budget verdicts
+//! depend on solver heuristics and probe history, so each
+//! `(module, output)` cone instead probes through a persistent
+//! [`StabilityOracle`] of its own: a degraded verdict never reaches
+//! another cone. Either way the solver, its learnt clauses and the
+//! settled-function caches persist across rounds and `analyze` calls.
+//!
+//! Independent classes are probed in parallel when
+//! [`AnalysisConfig::threads`] allows: a round's critical edges are
+//! grouped by `(module, output)` (probes of one group interact through
+//! its shared weights and must stay ordered), groups of one class stay
+//! together, and classes are distributed over the persistent worker
+//! pool. The grouping preserves the serial probe order within each
+//! class, so the parallel analysis is bit-identical to the serial one.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use hfta_fta::{
-    solve_episode_fields, AnalysisConfig, BoolAlg, PhaseWall, SatAlg, SharedStabilityEngine,
-    SolveBudget, StabilityAnalyzer, StabilityOracle, StabilityStats, TopoSta,
+    solve_episode_fields, AnalysisConfig, PhaseWall, SatAlg, SharedStabilityEngine, SolveBudget,
+    StabilityOracle, StabilityStats, TopoSta, LENGTHS_CAP,
 };
 use hfta_modeldb::{ModelDb, ModelDbStats};
 use hfta_netlist::{
     cone_signature, Composite, ConeKey, Design, NetId, Netlist, NetlistError, Time,
 };
 use hfta_sched::Scheduler;
-use hfta_trace::{TraceSink, Tracer, Value};
+use hfta_trace::{Tracer, Value};
 
 use crate::deadline::DeadlineToken;
 use crate::hier::open_model_dbs;
-
-/// Options for the demand-driven analysis.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DemandOptions {
-    /// Cap on the per-pin distinct path-length lists.
-    pub lengths_cap: usize,
-    /// Whether an exhausted pin may be probed at `−∞` ("input
-    /// irrelevant").
-    pub try_irrelevant: bool,
-    /// Safety bound on refinement rounds (`None` = until fixpoint).
-    pub max_rounds: Option<usize>,
-    /// Keep one persistent [`StabilityOracle`] per `(module, output)`
-    /// cone, reusing solver state across probes (the default). When
-    /// `false`, every probe builds a fresh solver — the configuration
-    /// the `ablation` benchmark compares against.
-    pub reuse_oracle: bool,
-    /// Worker threads for each refinement round's independent critical
-    /// -edge probes. `1` (the default) probes serially; higher values
-    /// distribute per-`(module, output)` probe groups over a persistent
-    /// work-stealing pool that lives as long as the analyzer. Results
-    /// are identical either way.
-    pub threads: usize,
-    /// Clamp [`DemandOptions::threads`] to the machine's available
-    /// parallelism when the analyzer creates its pool (on by default —
-    /// more workers than cores only adds contention). A
-    /// `threads_clamped` trace event records when the clamp bites.
-    /// Pools injected via [`DemandDrivenAnalyzer::set_scheduler`] are
-    /// used as-is.
-    pub clamp_threads: bool,
-    /// Per-probe resource budget, plus (via its deadline) a wall-clock
-    /// cutoff for the whole refinement loop. A probe the budget
-    /// interrupts marks its edge at the current — already proven —
-    /// weight instead of spinning, and is counted in
-    /// [`StabilityStats::degraded`]. Unlimited by default, in which
-    /// case the analysis is bit-identical to an unbudgeted one.
-    pub budget: SolveBudget,
-    /// Share stability verdicts across structurally identical cones
-    /// (equal [`hfta_netlist::ConeSig`]): a probe whose canonical
-    /// arrival vector was already decided for an isomorphic cone is
-    /// answered from a memo instead of a solver. On by default. Only
-    /// active when [`DemandOptions::budget`] is unlimited — budgeted
-    /// verdicts depend on solver heuristics, so sharing them could
-    /// change what a budgeted run reports.
-    pub cone_sig: bool,
-    /// Route the probes of a whole signature class through **one**
-    /// shared incremental SAT instance
-    /// ([`SharedStabilityEngine`]): the class's representative cone is
-    /// encoded once, each probe is domain-restricted to its transitive
-    /// fanin, learnt clauses are shared across all member cones, and
-    /// the learnt database is compacted by subsumption between probes.
-    /// On by default. Like [`DemandOptions::cone_sig`] (which it
-    /// requires), only active under an unlimited budget — budgeted
-    /// runs keep fresh per-cone solvers so degraded results stay
-    /// bit-identical to the baseline. Verdicts are bit-identical
-    /// either way.
-    pub shared_solver: bool,
-}
-
-impl Default for DemandOptions {
-    fn default() -> DemandOptions {
-        DemandOptions {
-            lengths_cap: 32,
-            try_irrelevant: true,
-            max_rounds: None,
-            reuse_oracle: true,
-            threads: 1,
-            clamp_threads: true,
-            budget: SolveBudget::UNLIMITED,
-            cone_sig: true,
-            shared_solver: true,
-        }
-    }
-}
-
-impl DemandOptions {
-    /// Sets the distinct path-length list cap.
-    #[must_use]
-    pub fn with_lengths_cap(mut self, cap: usize) -> DemandOptions {
-        self.lengths_cap = cap;
-        self
-    }
-
-    /// Sets whether exhausted pins may be probed at `−∞`.
-    #[must_use]
-    pub fn with_try_irrelevant(mut self, on: bool) -> DemandOptions {
-        self.try_irrelevant = on;
-        self
-    }
-
-    /// Sets the refinement round cap (`None` = until fixpoint).
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: Option<usize>) -> DemandOptions {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Sets whether per-cone oracles persist across probes.
-    #[must_use]
-    pub fn with_reuse_oracle(mut self, on: bool) -> DemandOptions {
-        self.reuse_oracle = on;
-        self
-    }
-
-    /// Sets the refinement thread count (clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> DemandOptions {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets whether the thread count is clamped to the machine's
-    /// available parallelism (on by default).
-    #[must_use]
-    pub fn with_thread_clamp(mut self, clamp: bool) -> DemandOptions {
-        self.clamp_threads = clamp;
-        self
-    }
-
-    /// Sets the per-probe resource budget.
-    #[must_use]
-    pub fn with_budget(mut self, budget: SolveBudget) -> DemandOptions {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets whether isomorphic cones share stability verdicts.
-    #[must_use]
-    pub fn with_cone_sig(mut self, on: bool) -> DemandOptions {
-        self.cone_sig = on;
-        self
-    }
-
-    /// Sets whether a signature class's probes share one incremental
-    /// SAT instance (see [`DemandOptions::shared_solver`]).
-    #[must_use]
-    pub fn with_shared_solver(mut self, on: bool) -> DemandOptions {
-        self.shared_solver = on;
-        self
-    }
-}
-
-impl From<&AnalysisConfig> for DemandOptions {
-    fn from(config: &AnalysisConfig) -> DemandOptions {
-        DemandOptions {
-            lengths_cap: config.lengths_cap,
-            try_irrelevant: config.try_irrelevant,
-            max_rounds: config.max_rounds,
-            reuse_oracle: config.reuse_oracle,
-            threads: config.threads,
-            clamp_threads: config.clamp_threads,
-            budget: config.budget,
-            cone_sig: config.cone_sig,
-            shared_solver: config.shared_solver,
-        }
-    }
-}
 
 /// Work counters and result of a demand-driven analysis.
 #[derive(Clone, PartialEq, Debug)]
@@ -262,14 +109,16 @@ struct OutputState {
     /// "not yet computed" from "computed, cone is cyclic/unhashable".
     sig: Option<ConeKey>,
     sig_done: bool,
-    /// Persistent stability oracle for this cone (lazily created on
-    /// first probe when [`DemandOptions::reuse_oracle`] is set).
+    /// Persistent stability oracle for this cone, lazily created on
+    /// its first probe outside a signature class (limited budget, or a
+    /// cone without a signature).
     oracle: Option<StabilityOracle<SatAlg>>,
     /// Whether this cone identity has registered with its class's
-    /// [`SharedStabilityEngine`] (shared-solver mode only).
+    /// [`SharedStabilityEngine`].
     engine_attached: bool,
-    /// Stability work of fresh (non-oracle) probes of this cone.
-    fresh_stats: StabilityStats,
+    /// Counters booked outside the solvers: verdict-memo hits and
+    /// misses, and degraded probes.
+    probe_stats: StabilityStats,
 }
 
 /// Outcome of one cone's probes within a refinement round.
@@ -284,13 +133,13 @@ struct RoundWork {
 /// # Example
 ///
 /// ```
-/// use hfta_core::DemandDrivenAnalyzer;
+/// use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer};
 /// use hfta_netlist::gen::{carry_skip_adder, CsaDelays};
 /// use hfta_netlist::Time;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = carry_skip_adder(8, 2, CsaDelays::default());
-/// let mut an = DemandDrivenAnalyzer::new(&design, "csa8.2", Default::default())?;
+/// let mut an = DemandDrivenAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default())?;
 /// let result = an.analyze(&vec![Time::ZERO; 17])?;
 /// assert_eq!(result.delay, Time::new(16)); // matches flat analysis
 /// # Ok(())
@@ -319,28 +168,28 @@ pub struct DemandDrivenAnalyzer<'a> {
     /// rounds and `analyze` calls, like the per-cone oracles.
     verdict_memo: HashMap<u128, HashMap<Vec<Time>, bool>>,
     /// One shared incremental SAT instance per signature class
-    /// (shared-solver mode). Checked out to the class's worker for the
+    /// (unlimited budget). Checked out to the class's worker for the
     /// duration of a round, like the verdict memo; persists across
     /// rounds and `analyze` calls, like the per-cone oracles.
     class_engines: HashMap<u128, SharedStabilityEngine>,
-    /// Persistent verdict store probed once per signature class (see
-    /// [`DemandDrivenAnalyzer::set_model_db_use`]).
+    /// Persistent verdict store ([`AnalysisConfig::model_db`]'s read
+    /// side), probed once per signature class: stored verdicts are
+    /// exact (only unlimited-budget memos are ever persisted), so a
+    /// warm run is bit-identical to a cold one.
     db_use: Option<ModelDb>,
-    /// Persistent store the memo is flushed into after each `analyze`.
+    /// Persistent store the memo is flushed into after each `analyze`
+    /// (merged with whatever is already on disk).
     db_emit: Option<ModelDb>,
     /// Signature classes whose persisted verdicts were already folded
     /// into `verdict_memo` this session (one disk read per class).
     verdicts_loaded: HashSet<u128>,
-    opts: DemandOptions,
+    config: AnalysisConfig,
     checks: u64,
     refinements: u64,
     wall: PhaseWall,
-    /// Trace sink for `refine_round` spans, freeze events and per-probe
-    /// events; disabled by default (zero-cost).
-    trace: TraceSink,
     /// Persistent worker pool for parallel rounds: created once (first
-    /// parallel round) or injected, then reused across rounds and
-    /// across `analyze` calls — never re-spawned per round.
+    /// parallel round) or seated in the config, then reused across
+    /// rounds and across `analyze` calls — never re-spawned per round.
     scheduler: Option<Scheduler>,
     /// The `threads_clamped` event is emitted at most once.
     clamp_reported: bool,
@@ -355,16 +204,19 @@ fn micros_since(t0: Instant) -> u64 {
 
 impl<'a> DemandDrivenAnalyzer<'a> {
     /// Creates an analyzer for module `top` of `design` (depth-1
-    /// hierarchy, as in the paper).
+    /// hierarchy, as in the paper) under `config`: budget, round cap,
+    /// thread count and pool, trace sink and model databases all come
+    /// from it.
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::Unknown`] for missing/non-leaf modules
-    /// and validation errors.
-    pub fn new(
+    /// Returns [`NetlistError::Unknown`] for missing/non-leaf modules,
+    /// validation errors, and [`NetlistError::Io`] when the emit model
+    /// database cannot be created.
+    pub fn with_config(
         design: &'a Design,
         top: &str,
-        opts: DemandOptions,
+        config: &AnalysisConfig,
     ) -> Result<DemandDrivenAnalyzer<'a>, NetlistError> {
         design.validate()?;
         let top = design.composite(top).ok_or_else(|| NetlistError::Unknown {
@@ -389,7 +241,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 })?;
             let mut states = Vec::with_capacity(leaf.outputs().len());
             for &out in leaf.outputs() {
-                states.push(Some(OutputState::new(leaf, out, &opts)?));
+                states.push(Some(OutputState::new(leaf, out)?));
             }
             let mi = modules.len();
             module_index.insert(inst.module.clone(), mi);
@@ -397,6 +249,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             modules.push(states);
             inst_module.push(mi);
         }
+        let (db_use, db_emit) = open_model_dbs(&config.model_db)?;
         Ok(DemandDrivenAnalyzer {
             top,
             order,
@@ -406,57 +259,16 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             modules,
             verdict_memo: HashMap::new(),
             class_engines: HashMap::new(),
-            db_use: None,
-            db_emit: None,
+            db_use,
+            db_emit,
             verdicts_loaded: HashSet::new(),
-            opts,
+            config: config.clone(),
             checks: 0,
             refinements: 0,
             wall: PhaseWall::default(),
-            trace: TraceSink::disabled(),
-            scheduler: None,
+            scheduler: config.scheduler.get().cloned(),
             clamp_reported: false,
         })
-    }
-
-    /// Creates an analyzer from the unified [`AnalysisConfig`]: budget,
-    /// thread count, sharing switches and trace sink all come from
-    /// `config`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DemandDrivenAnalyzer::new`].
-    pub fn with_config(
-        design: &'a Design,
-        top: &str,
-        config: &AnalysisConfig,
-    ) -> Result<DemandDrivenAnalyzer<'a>, NetlistError> {
-        let mut an = DemandDrivenAnalyzer::new(design, top, DemandOptions::from(config))?;
-        an.set_trace(config.trace.clone());
-        if let Some(pool) = config.scheduler.get() {
-            an.set_scheduler(pool.clone());
-        }
-        let (use_db, emit_db) = open_model_dbs(&config.model_db)?;
-        an.db_use = use_db;
-        an.db_emit = emit_db;
-        Ok(an)
-    }
-
-    /// Attaches a persistent database to warm-start the verdict memo
-    /// from: each signature class's stored verdicts are folded in the
-    /// first time the class is probed. Stored verdicts are exact (only
-    /// unlimited-budget memos are ever persisted), so a warm run is
-    /// bit-identical to a cold one.
-    pub fn set_model_db_use(&mut self, db: ModelDb) {
-        self.db_use = Some(db);
-    }
-
-    /// Attaches a persistent database the verdict memo is flushed to
-    /// after every [`DemandDrivenAnalyzer::analyze`] (merged with
-    /// whatever is already on disk). Only active when verdict sharing
-    /// is — unlimited budget with [`DemandOptions::cone_sig`] on.
-    pub fn set_model_db_emit(&mut self, db: ModelDb) {
-        self.db_emit = Some(db);
     }
 
     /// Counters of the attached model-database handles, merged across
@@ -473,26 +285,12 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         s
     }
 
-    /// Installs a shared worker pool for parallel refinement rounds.
-    /// The pool is used as-is (no clamping — its size was decided by
-    /// whoever built it) and kept for the analyzer's whole life, so
-    /// several analyzers can share one set of workers.
-    pub fn set_scheduler(&mut self, pool: Scheduler) {
-        self.scheduler = Some(pool);
-    }
-
     /// The worker pool parallel rounds run on, if one exists yet
-    /// (injected or lazily created by the first parallel round).
+    /// (seated in the config or lazily created by the first parallel
+    /// round).
     #[must_use]
     pub fn scheduler_handle(&self) -> Option<&Scheduler> {
         self.scheduler.as_ref()
-    }
-
-    /// Installs a trace sink; subsequent `analyze` calls record
-    /// `refine_round` spans, freeze events and per-probe events into
-    /// it. A disabled sink (the default) costs nothing.
-    pub fn set_trace(&mut self, trace: TraceSink) {
-        self.trace = trace;
     }
 
     /// Runs the refinement loop to fixpoint and returns the analysis.
@@ -511,8 +309,8 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             self.top.inputs().len(),
             "arrival vector length mismatch"
         );
-        let deadline = DeadlineToken::new(self.opts.budget.deadline);
-        let mut tracer = self.trace.tracer();
+        let deadline = DeadlineToken::new(self.config.budget.deadline);
+        let mut tracer = self.config.trace.tracer();
         let mut rounds = 0u64;
         let arrivals = loop {
             let graph_t0 = Instant::now();
@@ -524,7 +322,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 break arrivals;
             }
             let capped = self
-                .opts
+                .config
                 .max_rounds
                 .is_some_and(|max| rounds as usize >= max);
             if capped || deadline.expired() {
@@ -550,7 +348,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                     self.modules[mi][o]
                         .as_mut()
                         .expect(STATE_PRESENT)
-                        .fresh_stats
+                        .probe_stats
                         .degraded += 1;
                 }
                 for states in &mut self.modules {
@@ -577,12 +375,12 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 );
             }
             if let Err(e) = refined {
-                self.trace.absorb(tracer);
+                self.config.trace.absorb(tracer);
                 return Err(e);
             }
             rounds += 1;
         };
-        if tracer.is_enabled() && self.opts.shared_solver {
+        if tracer.is_enabled() {
             let s = self.stability_stats();
             tracer.event(
                 "shared_solver_stats",
@@ -593,11 +391,11 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 ],
             );
         }
-        self.trace.absorb(tracer);
+        self.config.trace.absorb(tracer);
         // Flush decided verdicts to the persistent store (merged with
         // whatever is already on disk). The memo only ever fills under
-        // an unlimited budget with sharing on, so everything flushed
-        // here is exact and safe to replay in any later session.
+        // an unlimited budget, so everything flushed here is exact and
+        // safe to replay in any later session.
         if let Some(db) = self.db_emit.as_mut() {
             for (&sig, memo) in &self.verdict_memo {
                 db.store_verdicts(sig, memo);
@@ -625,7 +423,8 @@ impl<'a> DemandDrivenAnalyzer<'a> {
     }
 
     /// Stability/solver work aggregated across every cone's engines
-    /// (persistent oracles plus any fresh per-probe analyzers).
+    /// (per-class shared engines and per-cone oracles) plus the
+    /// memo and degradation counters.
     #[must_use]
     pub fn stability_stats(&self) -> StabilityStats {
         let mut total = StabilityStats::default();
@@ -634,7 +433,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 if let Some(oracle) = &st.oracle {
                     total.merge(&oracle.stats());
                 }
-                total.merge(&st.fresh_stats);
+                total.merge(&st.probe_stats);
             }
         }
         for engine in self.class_engines.values() {
@@ -706,8 +505,8 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         for (name, mi) in names {
             for (o, st) in self.modules[mi].iter().enumerate() {
                 let st = st.as_ref().expect(STATE_PRESENT);
-                if st.fresh_stats.degraded > 0 {
-                    v.push((name.clone(), o, st.fresh_stats.degraded));
+                if st.probe_stats.degraded > 0 {
+                    v.push((name.clone(), o, st.probe_stats.degraded));
                 }
             }
         }
@@ -823,21 +622,21 @@ impl<'a> DemandDrivenAnalyzer<'a> {
     }
 
     /// The pool this round's classes run on, or `None` to probe
-    /// serially. An injected pool wins unchanged; otherwise the first
-    /// parallel round creates one with [`DemandOptions::threads`]
+    /// serially. A seated pool wins unchanged; otherwise the first
+    /// parallel round creates one with [`AnalysisConfig::threads`]
     /// workers — clamped to the machine's parallelism unless
-    /// [`DemandOptions::clamp_threads`] is off — and the analyzer keeps
-    /// it from then on.
+    /// [`AnalysisConfig::clamp_threads`] is off — and the analyzer
+    /// keeps it from then on.
     fn scheduler_for_round(&mut self, tracer: &mut Tracer) -> Option<Scheduler> {
-        if self.scheduler.is_none() && self.opts.threads > 1 {
-            let effective =
-                hfta_sched::effective_parallelism(self.opts.threads, self.opts.clamp_threads);
-            if effective < self.opts.threads && tracer.is_enabled() && !self.clamp_reported {
+        let threads = self.config.threads;
+        if self.scheduler.is_none() && threads > 1 {
+            let effective = hfta_sched::effective_parallelism(threads, self.config.clamp_threads);
+            if effective < threads && tracer.is_enabled() && !self.clamp_reported {
                 self.clamp_reported = true;
                 tracer.event(
                     "threads_clamped",
                     vec![
-                        ("requested", Value::from(self.opts.threads)),
+                        ("requested", Value::from(threads)),
                         ("effective", Value::from(effective)),
                         (
                             "available",
@@ -892,12 +691,12 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             let edges = group_edges.remove(&(mi, o)).expect("grouped above");
             work.push((mi, o, st, edges));
         }
-        let opts = self.opts;
-        // Bundle the groups into signature classes. Each class takes
-        // its verdict memo out of the analyzer for the duration of the
-        // round (workers need exclusive access) and hands it back
-        // below.
-        let memo_on = opts.cone_sig && opts.budget.is_unlimited();
+        // Bundle the groups into signature classes (unlimited budget
+        // only). Each class takes its verdict memo out of the analyzer
+        // for the duration of the round (workers need exclusive access)
+        // and hands it back below.
+        let budget = self.config.budget;
+        let memo_on = budget.is_unlimited();
         struct ClassTask {
             sig: Option<u128>,
             memo: HashMap<Vec<Time>, bool>,
@@ -973,7 +772,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 &mut class.work,
                 &mut class.memo,
                 &mut class.engine,
-                &opts,
+                budget,
                 &mut class.tracer,
             );
             ClassDone {
@@ -1030,7 +829,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                     st.cursor[j] = 0;
                     st.marked[j] = false;
                 }
-                st.fresh_stats = StabilityStats::default();
+                st.probe_stats = StabilityStats::default();
             }
         }
         self.verdict_memo.clear();
@@ -1042,30 +841,30 @@ impl<'a> DemandDrivenAnalyzer<'a> {
 }
 
 /// Probes every `(cone, edges)` group of one signature class, in
-/// order, all sharing the class's verdict `memo` and (in shared-solver
-/// mode) its one incremental SAT `engine`.
+/// order, all sharing the class's verdict `memo` and its one
+/// incremental SAT `engine` (both unused under a limited budget).
 fn refine_class(
     work: &mut [(usize, usize, OutputState, Vec<usize>)],
     memo: &mut HashMap<Vec<Time>, bool>,
     engine: &mut Option<SharedStabilityEngine>,
-    opts: &DemandOptions,
+    budget: SolveBudget,
     tracer: &mut Tracer,
 ) -> Result<RoundWork, NetlistError> {
     let mut round = RoundWork::default();
     for (_, _, st, edges) in work.iter_mut() {
         for &j in edges.iter() {
-            st.refine_edge(j, opts, &mut round, memo, engine, tracer)?;
+            st.refine_edge(j, budget, &mut round, memo, engine, tracer)?;
         }
     }
     Ok(round)
 }
 
 impl OutputState {
-    fn new(leaf: &Netlist, out: NetId, opts: &DemandOptions) -> Result<OutputState, NetlistError> {
+    fn new(leaf: &Netlist, out: NetId) -> Result<OutputState, NetlistError> {
         let (cone, sources) = leaf.cone(out);
         let cone_out = cone.outputs()[0];
         let sta = TopoSta::new(&cone)?;
-        let distinct = sta.distinct_lengths_to(cone_out, opts.lengths_cap);
+        let distinct = sta.distinct_lengths_to(cone_out, LENGTHS_CAP);
         let mut cone_pos = vec![None; leaf.inputs().len()];
         for (p, src) in sources.iter().enumerate() {
             let mod_pos = leaf
@@ -1102,7 +901,7 @@ impl OutputState {
             sig_done: false,
             oracle: None,
             engine_attached: false,
-            fresh_stats: StabilityStats::default(),
+            probe_stats: StabilityStats::default(),
         })
     }
 
@@ -1118,11 +917,11 @@ impl OutputState {
     /// One refinement step of the edge into input `in_idx`: probe the
     /// next smaller distinct path length; accept or mark accurate.
     /// `memo` is the verdict memo of this cone's signature class (an
-    /// unused empty map when sharing is off).
+    /// unused empty map under a limited budget).
     fn refine_edge(
         &mut self,
         in_idx: usize,
-        opts: &DemandOptions,
+        budget: SolveBudget,
         round: &mut RoundWork,
         memo: &mut HashMap<Vec<Time>, bool>,
         engine: &mut Option<SharedStabilityEngine>,
@@ -1133,7 +932,7 @@ impl OutputState {
         let next = self.cursor[in_idx] + 1;
         let candidate = if next < list.len() {
             Some(list[next])
-        } else if opts.try_irrelevant && self.weights[in_idx] != Time::NEG_INF {
+        } else if self.weights[in_idx] != Time::NEG_INF {
             Some(Time::NEG_INF)
         } else {
             None
@@ -1162,7 +961,7 @@ impl OutputState {
         // (slot-space) arrival vector before spending solver time. Only
         // under an unlimited budget — then the verdict is semantic and
         // the solver would necessarily have returned the same answer.
-        let memo_key = if opts.cone_sig && opts.budget.is_unlimited() {
+        let memo_key = if budget.is_unlimited() {
             self.sig
                 .as_ref()
                 .map(|key| key.to_slots(&cone_arrivals, Time::POS_INF))
@@ -1171,7 +970,7 @@ impl OutputState {
         };
         if let Some(canon) = &memo_key {
             if let Some(&verdict) = memo.get(canon) {
-                self.fresh_stats.cone_sig_hits += 1;
+                self.probe_stats.cone_sig_hits += 1;
                 if tracer.is_enabled() {
                     tracer.event(
                         "refine_probe",
@@ -1186,20 +985,21 @@ impl OutputState {
                 self.apply_verdict(in_idx, candidate, Some(verdict), round);
                 return Ok(());
             }
-            self.fresh_stats.cone_sig_misses += 1;
+            self.probe_stats.cone_sig_misses += 1;
         }
-        // Shared-solver mode: the whole signature class answers from
-        // one incremental instance. Eligibility matches the memo's
-        // (`memo_key` is `Some` exactly when the signature exists and
-        // the budget is unlimited), so budgeted runs never touch the
-        // engine and stay bit-identical to the per-cone baseline.
-        let stable = if opts.shared_solver && memo_key.is_some() {
+        // The whole signature class answers from one incremental
+        // instance. Eligibility matches the memo's (`memo_key` is
+        // `Some` exactly when the signature exists and the budget is
+        // unlimited), so budgeted runs never touch the engine and keep
+        // every degraded verdict inside the cone's own oracle.
+        let stable = if memo_key.is_some() {
             let key = self.sig.as_ref().expect("memo_key implies signature");
             if engine.is_none() {
-                let mut fresh =
-                    SharedStabilityEngine::new(self.cone.clone(), cone_out, key.clone())?;
-                fresh.set_budget(opts.budget);
-                *engine = Some(fresh);
+                *engine = Some(SharedStabilityEngine::new(
+                    self.cone.clone(),
+                    cone_out,
+                    key.clone(),
+                )?);
             }
             let engine = engine.as_mut().expect("just created");
             if !self.engine_attached {
@@ -1216,10 +1016,10 @@ impl OutputState {
                 }
             }
             stable
-        } else if opts.reuse_oracle {
+        } else {
             if self.oracle.is_none() {
                 let mut oracle = StabilityOracle::new_sat(self.cone.clone(), &cone_arrivals)?;
-                oracle.set_budget(opts.budget);
+                oracle.set_budget(budget);
                 self.oracle = Some(oracle);
             }
             let oracle = self.oracle.as_mut().expect("just created");
@@ -1232,20 +1032,6 @@ impl OutputState {
                     tracer.event("sat_episode", solve_episode_fields(&ep));
                 }
             }
-            stable
-        } else {
-            let mut analyzer = StabilityAnalyzer::new(&self.cone, &cone_arrivals, SatAlg::new())?;
-            analyzer.set_budget(opts.budget);
-            if tracer.is_enabled() {
-                analyzer.alg_mut().set_episode_recording(true);
-            }
-            let stable = analyzer.try_is_stable_at(cone_out, Time::ZERO);
-            if tracer.is_enabled() {
-                for ep in analyzer.alg_mut().take_episodes() {
-                    tracer.event("sat_episode", solve_episode_fields(&ep));
-                }
-            }
-            self.fresh_stats.merge(&analyzer.stats());
             stable
         };
         if let (Some(canon), Some(verdict)) = (memo_key, stable) {
@@ -1302,7 +1088,7 @@ impl OutputState {
                 // weight and stop probing this edge — conservative, and
                 // it cannot loop.
                 self.marked[in_idx] = true;
-                self.fresh_stats.degraded += 1;
+                self.probe_stats.degraded += 1;
             }
         }
     }
@@ -1325,7 +1111,9 @@ mod tests {
         for n in [4usize, 8, 12] {
             let name = format!("csa{n}.2");
             let design = carry_skip_adder(n, 2, CsaDelays::default());
-            let mut an = DemandDrivenAnalyzer::new(&design, &name, Default::default()).unwrap();
+            let mut an =
+                DemandDrivenAnalyzer::with_config(&design, &name, &AnalysisConfig::default())
+                    .unwrap();
             let result = an.analyze(&vec![t(0); 2 * n + 1]).unwrap();
             let flat = carry_skip_adder_flat(n, 2, CsaDelays::default()).unwrap();
             let exact = functional_circuit_delay(&flat).unwrap();
@@ -1337,7 +1125,9 @@ mod tests {
     #[test]
     fn refines_only_critical_edges() {
         let design = carry_skip_adder(8, 2, CsaDelays::default());
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa8.2", Default::default()).unwrap();
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default())
+                .unwrap();
         let result = an.analyze(&[t(0); 17]).unwrap();
         // The refined carry edge: c_in (input 0) → c_out (output 2).
         assert_eq!(an.edge_weight("csa_block2", 2, 0), Some(t(2)));
@@ -1372,7 +1162,9 @@ mod tests {
             let flat = random_circuit(&format!("r{seed}"), spec);
             let design = cascade_bipartition(&flat, 0.5).unwrap();
             let top_name = format!("r{seed}_top");
-            let mut an = DemandDrivenAnalyzer::new(&design, &top_name, Default::default()).unwrap();
+            let mut an =
+                DemandDrivenAnalyzer::with_config(&design, &top_name, &AnalysisConfig::default())
+                    .unwrap();
             let top = design.composite(&top_name).unwrap();
             let result = an.analyze(&vec![t(0); top.inputs().len()]).unwrap();
             let exact = functional_circuit_delay(&flat).unwrap();
@@ -1391,11 +1183,8 @@ mod tests {
     #[test]
     fn max_rounds_caps_work() {
         let design = carry_skip_adder(8, 2, CsaDelays::default());
-        let opts = DemandOptions {
-            max_rounds: Some(1),
-            ..DemandOptions::default()
-        };
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa8.2", opts).unwrap();
+        let config = AnalysisConfig::default().with_max_rounds(Some(1));
+        let mut an = DemandDrivenAnalyzer::with_config(&design, "csa8.2", &config).unwrap();
         let result = an.analyze(&[t(0); 17]).unwrap();
         assert!(result.rounds <= 2);
         // Still conservative (between flat and topological).
@@ -1412,11 +1201,8 @@ mod tests {
         let design = carry_skip_adder(8, 2, CsaDelays::default());
 
         // Cap 0: the graph is frozen before any probe.
-        let opts = DemandOptions {
-            max_rounds: Some(0),
-            ..DemandOptions::default()
-        };
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa8.2", opts).unwrap();
+        let config = AnalysisConfig::default().with_max_rounds(Some(0));
+        let mut an = DemandDrivenAnalyzer::with_config(&design, "csa8.2", &config).unwrap();
         let result = an.analyze(&[t(0); 17]).unwrap();
         assert_eq!(result.checks, 0);
         assert_eq!(result.rounds, 0);
@@ -1424,11 +1210,8 @@ mod tests {
 
         // Cap 1: exactly one round of probes, then frozen — a second
         // analyze adds no checks.
-        let opts = DemandOptions {
-            max_rounds: Some(1),
-            ..DemandOptions::default()
-        };
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa8.2", opts).unwrap();
+        let config = AnalysisConfig::default().with_max_rounds(Some(1));
+        let mut an = DemandDrivenAnalyzer::with_config(&design, "csa8.2", &config).unwrap();
         let first = an.analyze(&[t(0); 17]).unwrap();
         assert!(first.checks > 0);
         assert_eq!(first.rounds, 1);
@@ -1441,7 +1224,8 @@ mod tests {
         // Uncapped needs more checks than one round: the cap really
         // cut the loop short rather than the loop having converged.
         let mut full =
-            DemandDrivenAnalyzer::new(&design, "csa8.2", DemandOptions::default()).unwrap();
+            DemandDrivenAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default())
+                .unwrap();
         let converged = full.analyze(&[t(0); 17]).unwrap();
         assert!(converged.checks > first.checks);
     }
@@ -1452,14 +1236,13 @@ mod tests {
     #[test]
     fn zero_budget_degrades_but_stays_conservative() {
         let design = carry_skip_adder(8, 2, CsaDelays::default());
-        let opts = DemandOptions {
-            budget: SolveBudget::default().with_conflicts(0),
-            ..DemandOptions::default()
-        };
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa8.2", opts).unwrap();
+        let config =
+            AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(0));
+        let mut an = DemandDrivenAnalyzer::with_config(&design, "csa8.2", &config).unwrap();
         let capped = an.analyze(&[t(0); 17]).unwrap();
         let mut full =
-            DemandDrivenAnalyzer::new(&design, "csa8.2", DemandOptions::default()).unwrap();
+            DemandDrivenAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default())
+                .unwrap();
         let exact = full.analyze(&[t(0); 17]).unwrap();
         assert!(
             capped.delay >= exact.delay,
@@ -1485,11 +1268,8 @@ mod tests {
     fn capped_runs_report_degraded_edges() {
         let design = carry_skip_adder(8, 2, CsaDelays::default());
 
-        let opts = DemandOptions {
-            max_rounds: Some(0),
-            ..DemandOptions::default()
-        };
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa8.2", opts).unwrap();
+        let config = AnalysisConfig::default().with_max_rounds(Some(0));
+        let mut an = DemandDrivenAnalyzer::with_config(&design, "csa8.2", &config).unwrap();
         let by_rounds = an.analyze(&[t(0); 17]).unwrap();
         assert!(
             by_rounds.stability.degraded > 0,
@@ -1498,11 +1278,9 @@ mod tests {
         );
         assert_eq!(by_rounds.checks, 0);
 
-        let opts = DemandOptions {
-            budget: SolveBudget::default().with_deadline(std::time::Instant::now()),
-            ..DemandOptions::default()
-        };
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa8.2", opts).unwrap();
+        let config = AnalysisConfig::default()
+            .with_budget(SolveBudget::default().with_deadline(std::time::Instant::now()));
+        let mut an = DemandDrivenAnalyzer::with_config(&design, "csa8.2", &config).unwrap();
         let by_deadline = an.analyze(&[t(0); 17]).unwrap();
         assert!(
             by_deadline.stability.degraded > 0,
@@ -1517,7 +1295,9 @@ mod tests {
     #[test]
     fn skewed_arrivals_supported() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa4.2", Default::default()).unwrap();
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default())
+                .unwrap();
         let mut arrivals = vec![t(0); 9];
         arrivals[0] = t(5); // c_in late, as in Figure 5
         let result = an.analyze(&arrivals).unwrap();
@@ -1529,34 +1309,6 @@ mod tests {
         let exact = flat_an.circuit_delay();
         assert!(result.delay >= exact);
         assert_eq!(result.delay, exact, "accuracy preserved on this example");
-    }
-
-    /// The persistent-oracle path and the fresh-solver path agree on
-    /// everything observable.
-    #[test]
-    fn fresh_solver_path_matches_oracle_path() {
-        let design = carry_skip_adder(8, 2, CsaDelays::default());
-        let mut with_oracle =
-            DemandDrivenAnalyzer::new(&design, "csa8.2", DemandOptions::default()).unwrap();
-        let fresh_opts = DemandOptions {
-            reuse_oracle: false,
-            ..DemandOptions::default()
-        };
-        let mut with_fresh = DemandDrivenAnalyzer::new(&design, "csa8.2", fresh_opts).unwrap();
-        let a = with_oracle.analyze(&[t(0); 17]).unwrap();
-        let b = with_fresh.analyze(&[t(0); 17]).unwrap();
-        assert_eq!(a.delay, b.delay);
-        assert_eq!(a.net_arrivals, b.net_arrivals);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.checks, b.checks);
-        assert_eq!(a.refinements, b.refinements);
-        assert_eq!(
-            with_oracle.refinement_report(),
-            with_fresh.refinement_report()
-        );
-        // Both instrument their probes.
-        assert_eq!(a.stability.queries, a.checks);
-        assert_eq!(b.stability.queries, b.checks);
     }
 
     /// Parallel refinement is bit-identical to serial: same analysis
@@ -1584,19 +1336,16 @@ mod tests {
             v
         };
         for (design, top, n_inputs) in &specs {
-            let serial_opts = DemandOptions {
-                threads: 1,
-                ..DemandOptions::default()
-            };
+            let serial_config = AnalysisConfig::default().with_threads(1);
             // clamp off: the pool must really run multi-worker even on
             // machines with fewer cores than requested threads.
-            let parallel_opts = DemandOptions {
-                threads: 4,
-                clamp_threads: false,
-                ..DemandOptions::default()
-            };
-            let mut serial = DemandDrivenAnalyzer::new(design, top, serial_opts).unwrap();
-            let mut parallel = DemandDrivenAnalyzer::new(design, top, parallel_opts).unwrap();
+            let parallel_config = AnalysisConfig::default()
+                .with_threads(4)
+                .with_thread_clamp(false);
+            let mut serial =
+                DemandDrivenAnalyzer::with_config(design, top, &serial_config).unwrap();
+            let mut parallel =
+                DemandDrivenAnalyzer::with_config(design, top, &parallel_config).unwrap();
             let arrivals = vec![t(0); *n_inputs];
             let a = serial.analyze(&arrivals).unwrap();
             let b = parallel.analyze(&arrivals).unwrap();
@@ -1615,12 +1364,13 @@ mod tests {
     /// `sat_episode` events.
     #[test]
     fn traced_demand_is_bit_identical_and_records() {
-        use hfta_fta::AnalysisConfig;
         use hfta_trace::TraceSink;
 
         let design = carry_skip_adder(8, 2, CsaDelays::default());
         let arrivals = vec![t(0); 17];
-        let mut plain = DemandDrivenAnalyzer::new(&design, "csa8.2", Default::default()).unwrap();
+        let mut plain =
+            DemandDrivenAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default())
+                .unwrap();
         let want = plain.analyze(&arrivals).unwrap();
 
         for threads in [1usize, 4] {
@@ -1699,18 +1449,18 @@ mod cone_sig_tests {
     }
 
     /// The verdict memo shares probes across renamed block copies, and
-    /// the analysis is bit-identical to a memo-free run.
+    /// the analysis is bit-identical to a memo-free run — the per-cone
+    /// path a budget that never binds selects.
     #[test]
     fn memo_shares_verdicts_across_isomorphic_modules() {
         let (design, n) = replicated_design(4);
         let arrivals = vec![Time::ZERO; n];
-        let mut with_memo = DemandDrivenAnalyzer::new(&design, "rep", Default::default()).unwrap();
+        let mut with_memo =
+            DemandDrivenAnalyzer::with_config(&design, "rep", &AnalysisConfig::default()).unwrap();
         let a = with_memo.analyze(&arrivals).unwrap();
-        let off = DemandOptions {
-            cone_sig: false,
-            ..DemandOptions::default()
-        };
-        let mut without = DemandDrivenAnalyzer::new(&design, "rep", off).unwrap();
+        let never_binds =
+            AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(u64::MAX));
+        let mut without = DemandDrivenAnalyzer::with_config(&design, "rep", &never_binds).unwrap();
         let b = without.analyze(&arrivals).unwrap();
 
         // Identical blocks, identical initial weights: the later blocks
@@ -1747,13 +1497,13 @@ mod cone_sig_tests {
     fn memo_sharing_is_deterministic_under_threads() {
         let (design, n) = replicated_design(4);
         let arrivals = vec![Time::ZERO; n];
-        let mut serial = DemandDrivenAnalyzer::new(&design, "rep", Default::default()).unwrap();
-        let parallel_opts = DemandOptions {
-            threads: 4,
-            clamp_threads: false,
-            ..DemandOptions::default()
-        };
-        let mut parallel = DemandDrivenAnalyzer::new(&design, "rep", parallel_opts).unwrap();
+        let mut serial =
+            DemandDrivenAnalyzer::with_config(&design, "rep", &AnalysisConfig::default()).unwrap();
+        let parallel_config = AnalysisConfig::default()
+            .with_threads(4)
+            .with_thread_clamp(false);
+        let mut parallel =
+            DemandDrivenAnalyzer::with_config(&design, "rep", &parallel_config).unwrap();
         let a = serial.analyze(&arrivals).unwrap();
         let b = parallel.analyze(&arrivals).unwrap();
         assert_eq!(a, b);
@@ -1772,13 +1522,13 @@ mod cone_sig_tests {
         let (design, n) = replicated_design(4);
         let arrivals = vec![Time::ZERO; n];
 
-        let mut emit = DemandDrivenAnalyzer::new(&design, "rep", Default::default()).unwrap();
-        emit.set_model_db_emit(ModelDb::open(&dir).unwrap());
+        let emit_config = AnalysisConfig::default().with_emit_models(&dir);
+        let mut emit = DemandDrivenAnalyzer::with_config(&design, "rep", &emit_config).unwrap();
         let a = emit.analyze(&arrivals).unwrap();
         assert!(emit.model_db_stats().verdicts_stored > 0, "nothing flushed");
 
-        let mut warm = DemandDrivenAnalyzer::new(&design, "rep", Default::default()).unwrap();
-        warm.set_model_db_use(ModelDb::open_read_only(&dir));
+        let warm_config = AnalysisConfig::default().with_use_models(&dir);
+        let mut warm = DemandDrivenAnalyzer::with_config(&design, "rep", &warm_config).unwrap();
         let b = warm.analyze(&arrivals).unwrap();
         assert!(
             warm.model_db_stats().verdicts_loaded > 0,
@@ -1804,16 +1554,15 @@ mod cone_sig_tests {
     fn limited_budget_disables_memo_sharing() {
         let (design, n) = replicated_design(4);
         let arrivals = vec![Time::ZERO; n];
-        let opts = DemandOptions {
-            budget: SolveBudget::default().with_conflicts(1_000_000),
-            ..DemandOptions::default()
-        };
-        let mut an = DemandDrivenAnalyzer::new(&design, "rep", opts).unwrap();
+        let config =
+            AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(1_000_000));
+        let mut an = DemandDrivenAnalyzer::with_config(&design, "rep", &config).unwrap();
         let capped = an.analyze(&arrivals).unwrap();
         assert_eq!(capped.stability.cone_sig_hits, 0);
         assert_eq!(capped.stability.cone_sig_misses, 0);
         // The budget is generous, so the answer still converges.
-        let mut full = DemandDrivenAnalyzer::new(&design, "rep", Default::default()).unwrap();
+        let mut full =
+            DemandDrivenAnalyzer::with_config(&design, "rep", &AnalysisConfig::default()).unwrap();
         assert_eq!(capped.delay, full.analyze(&arrivals).unwrap().delay);
     }
 }
@@ -1826,7 +1575,9 @@ mod infinite_arrival_tests {
     #[test]
     fn pos_inf_arrival_flows_through() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa4.2", Default::default()).unwrap();
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default())
+                .unwrap();
         let mut arrivals = vec![Time::ZERO; 9];
         arrivals[1] = Time::POS_INF; // a0 never arrives
         let result = an.analyze(&arrivals).unwrap();
@@ -1842,7 +1593,9 @@ mod infinite_arrival_tests {
     #[test]
     fn neg_inf_arrival_is_benign() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa4.2", Default::default()).unwrap();
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default())
+                .unwrap();
         let mut arrivals = vec![Time::ZERO; 9];
         arrivals[0] = Time::NEG_INF; // carry-in settled from forever
         let result = an.analyze(&arrivals).unwrap();
@@ -1866,7 +1619,9 @@ mod reuse_tests {
     #[test]
     fn refinement_is_reused_across_arrival_conditions() {
         let design = carry_skip_adder(8, 2, CsaDelays::default());
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa8.2", Default::default()).unwrap();
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default())
+                .unwrap();
         let first = an.analyze(&[Time::ZERO; 17]).unwrap();
         assert!(first.checks > 0);
 
@@ -1946,7 +1701,9 @@ mod dot_tests {
     #[test]
     fn timing_graph_dot_marks_refined_edges() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
-        let mut an = DemandDrivenAnalyzer::new(&design, "csa4.2", Default::default()).unwrap();
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default())
+                .unwrap();
         let _ = an.analyze(&[Time::ZERO; 9]).unwrap();
         let dot = an.timing_graph_dot();
         assert!(dot.starts_with("digraph"));

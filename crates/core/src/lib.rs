@@ -27,7 +27,7 @@
 //! # Example
 //!
 //! ```
-//! use hfta_core::{HierAnalyzer, HierOptions};
+//! use hfta_core::{AnalysisConfig, HierAnalyzer};
 //! use hfta_netlist::gen::{carry_skip_adder, CsaDelays};
 //! use hfta_netlist::Time;
 //!
@@ -35,7 +35,7 @@
 //! // The paper's Section 4 example: a 4-bit adder from two 2-bit
 //! // carry-skip blocks, all inputs arriving at t = 0.
 //! let design = carry_skip_adder(4, 2, CsaDelays::default());
-//! let mut hier = HierAnalyzer::new(&design, "csa4.2", HierOptions::default())?;
+//! let mut hier = HierAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default())?;
 //! let analysis = hier.analyze(&vec![Time::ZERO; 9])?;
 //! // The final carry c4 arrives at 10 — matching flat XBD0 analysis,
 //! // while topological analysis would claim 14.
@@ -54,12 +54,10 @@ pub mod incremental;
 pub mod module_timing;
 pub mod naive;
 
-pub use compose::{
-    analyze_multilevel, analyze_multilevel_with, characterize_recursive, ComposeOptions,
-};
+pub use compose::{analyze_multilevel, characterize_recursive, ComposeOptions};
 pub use deadline::DeadlineToken;
-pub use demand::{DemandAnalysis, DemandDrivenAnalyzer, DemandOptions};
-pub use hier::{propagate, HierAnalysis, HierAnalyzer, HierOptions, HierStats};
+pub use demand::{DemandAnalysis, DemandDrivenAnalyzer};
+pub use hier::{propagate, HierAnalysis, HierAnalyzer, HierStats};
 pub use incremental::{IncrementalAnalyzer, WarmSnapshot};
 pub use module_timing::{ModelSource, ModuleTiming, ParseModelError};
 pub use naive::{find_underapproximation, independent_relaxation_model, Underapproximation};
@@ -71,10 +69,9 @@ pub use hfta_fta::{
     AnalysisConfig, CharacterizeOptions, ModelDbSpec, SchedulerSeat, SolveBudget, TimingModel,
     TimingTuple, Trace, TraceSink, Tracer,
 };
-// The persistent model database analyzers warm-start from (attach one
-// via AnalysisConfig::with_use_models / with_emit_models or the
-// set_model_db_* methods).
+// The persistent model database analyzers warm-start from (name one
+// via AnalysisConfig::with_use_models / with_emit_models).
 pub use hfta_modeldb::{ModelDb, ModelDbStats};
 // The work-stealing pool parallel phases run on: build one, seat it in
-// an AnalysisConfig (or set_scheduler), and analyzers share workers.
+// an AnalysisConfig, and analyzers share workers.
 pub use hfta_sched::{SchedStats, Scheduler};

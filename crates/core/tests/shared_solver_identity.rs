@@ -1,20 +1,23 @@
-//! Bit-identity property suite for shared-solver mode: one incremental
-//! SAT instance per module (domain-restricted queries, cross-cone
-//! learnt sharing, between-query inprocessing) must be observationally
-//! indistinguishable from fresh per-cone solvers. Verdicts, arrival
-//! times, delays, and refinement round/check counts must match exactly
-//! — solver reuse may only change *how fast* an answer arrives, never
-//! *which* answer, and never how the refinement loop walks the design.
+//! Bit-identity property suite for the two stability paths the budget
+//! selects. An unlimited budget shares one incremental SAT instance per
+//! module or signature class (domain-restricted queries, cross-cone
+//! learnt sharing, between-query inprocessing, plus the demand verdict
+//! memo); a limited budget gives every cone a fresh solver. A budget
+//! that never binds (`u64::MAX` conflicts) reaches the per-cone path
+//! without degrading anything, so the two must be observationally
+//! indistinguishable: verdicts, arrival times, delays, and refinement
+//! round/check counts match exactly — solver reuse may only change *how
+//! fast* an answer arrives, never *which* answer, and never how the
+//! refinement loop walks the design.
 //!
-//! Budgeted runs are pinned too: a limited budget disables shared mode
-//! on every path (degraded results must not contaminate shared state),
-//! so the flag must be a no-op there.
+//! Budgets that do bind are pinned too: they never build a variable
+//! domain, i.e. degraded verdicts never touch shared solver state.
 
-use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer, HierOptions};
-use hfta_fta::{CharacterizeOptions, SolveBudget, TimingReport};
+use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer, IncrementalAnalyzer};
+use hfta_fta::{SolveBudget, TimingReport};
 use hfta_netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 use hfta_netlist::partition::cascade_bipartition;
-use hfta_netlist::Time;
+use hfta_netlist::{GateId, Time};
 use hfta_testkit::{from_fn_with_shrink, prop, Rng, Strategy};
 
 /// Random partitionable circuits (≥ 2 gates); shrinking reduces gate
@@ -84,25 +87,25 @@ fn arrivals_strategy(inputs: usize) -> impl Strategy<Value = Vec<Time>> {
     )
 }
 
-fn hier_options(shared: bool) -> HierOptions {
-    HierOptions {
-        characterize: CharacterizeOptions::default().with_shared_solver(shared),
-        ..HierOptions::default()
-    }
+/// The per-cone path without degradation: a limited budget that no
+/// query can exhaust.
+fn never_binds() -> AnalysisConfig {
+    AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(u64::MAX))
 }
 
 // Two-step characterization: the per-module shared instance answers
-// every validity check exactly like a fresh per-cone analyzer, so the
+// every validity check exactly like a per-cone analyzer, so the
 // characterized models — and everything propagated from them — match.
 prop!(cases = 32, fn two_step_shared_matches_per_cone(spec in spec_strategy()) {
     let flat = random_circuit("s", spec);
     let arrivals = vec![Time::ZERO; flat.inputs().len()];
     let design = cascade_bipartition(&flat, 0.5).expect("partitions");
 
-    let mut shared = HierAnalyzer::new(&design, "s_top", hier_options(true)).expect("valid");
+    let mut shared =
+        HierAnalyzer::with_config(&design, "s_top", &AnalysisConfig::default()).expect("valid");
     let a = shared.analyze(&arrivals).expect("analyzes");
-    let mut fresh = HierAnalyzer::new(&design, "s_top", hier_options(false)).expect("valid");
-    let b = fresh.analyze(&arrivals).expect("analyzes");
+    let mut per_cone = HierAnalyzer::with_config(&design, "s_top", &never_binds()).expect("valid");
+    let b = per_cone.analyze(&arrivals).expect("analyzes");
 
     assert_eq!(a.delay, b.delay, "delay diverged");
     assert_eq!(a.output_arrivals, b.output_arrivals, "output arrivals diverged");
@@ -111,12 +114,14 @@ prop!(cases = 32, fn two_step_shared_matches_per_cone(spec in spec_strategy()) {
         a.stats.modules_characterized, b.stats.modules_characterized,
         "characterization count diverged"
     );
+    assert_eq!(b.stats.stability.domains_built, 0, "budgeted run built a domain");
 });
 
 // Demand-driven refinement walks the design one edge probe at a time;
-// the per-class shared engine must return the exact verdict the
-// per-cone oracle would, in the same order — pinned by comparing the
-// full round/check/refinement trajectory, not just the answer.
+// the per-class shared engine (and verdict memo) must return the exact
+// verdict the per-cone oracle would, in the same order — pinned by
+// comparing the full round/check/refinement trajectory, not just the
+// answer.
 prop!(cases = 32, fn demand_shared_matches_per_cone(
     spec in spec_strategy(),
 ) {
@@ -128,33 +133,23 @@ prop!(cases = 32, fn demand_shared_matches_per_cone(
         .map(|_| Time::new(cases.gen_range(-3i64..7)))
         .collect();
 
-    let mut shared = DemandDrivenAnalyzer::new(
-        &design,
-        "s_top",
-        hfta_core::DemandOptions::default(),
-    )
-    .expect("valid");
+    let mut shared = DemandDrivenAnalyzer::with_config(&design, "s_top", &AnalysisConfig::default())
+        .expect("valid");
     let a = shared.analyze(&arrivals).expect("analyzes");
-    let mut fresh = DemandDrivenAnalyzer::new(
-        &design,
-        "s_top",
-        hfta_core::DemandOptions {
-            shared_solver: false,
-            ..Default::default()
-        },
-    )
-    .expect("valid");
-    let b = fresh.analyze(&arrivals).expect("analyzes");
+    let mut per_cone =
+        DemandDrivenAnalyzer::with_config(&design, "s_top", &never_binds()).expect("valid");
+    let b = per_cone.analyze(&arrivals).expect("analyzes");
 
     assert_eq!(a.delay, b.delay, "delay diverged");
     assert_eq!(a.output_arrivals, b.output_arrivals, "output arrivals diverged");
     assert_eq!(a.rounds, b.rounds, "round trajectory diverged");
     assert_eq!(a.checks, b.checks, "check count diverged");
     assert_eq!(a.refinements, b.refinements, "refinement count diverged");
+    assert_eq!(b.stability.domains_built, 0, "budgeted run built a domain");
 });
 
 // Flat report path under random arrival conditions: the whole-module
-// shared instance and per-output fresh analyzers produce the same
+// shared instance and the plain per-output backend produce the same
 // report (arrivals, false-path flags, circuit delays), in whatever
 // query order the report generator uses.
 prop!(cases = 32, fn report_shared_matches_per_cone(spec in spec_strategy()) {
@@ -164,18 +159,61 @@ prop!(cases = 32, fn report_shared_matches_per_cone(spec in spec_strategy()) {
         let arrivals: Vec<Time> = (0..nl.inputs().len())
             .map(|_| Time::new(cases.gen_range(-4i64..9)))
             .collect();
-        let on = AnalysisConfig::default();
-        let off = AnalysisConfig::default().with_shared_solver(false);
-        let (a, _) = TimingReport::generate(&nl, &arrivals, Time::ZERO, &on).expect("analyzes");
-        let (b, _) = TimingReport::generate(&nl, &arrivals, Time::ZERO, &off).expect("analyzes");
+        let shared = AnalysisConfig::default();
+        let (a, _) = TimingReport::generate(&nl, &arrivals, Time::ZERO, &shared).expect("analyzes");
+        let (b, stats) =
+            TimingReport::generate(&nl, &arrivals, Time::ZERO, &never_binds()).expect("analyzes");
         assert_eq!(a, b, "reports diverged under arrivals {arrivals:?}");
+        assert_eq!(stats.domains_built, 0, "budgeted run built a domain");
     }
 });
 
-// Under a limited budget the shared flag must be inert: both settings
-// fall back to per-cone solvers (degraded verdicts never touch shared
-// state), so the budgeted analyses are bit-identical.
-prop!(cases = 24, fn budgeted_runs_ignore_the_shared_flag(
+// The incremental analyzer: one session per path, each analyzing, taking
+// a module edit, and analyzing again. Re-characterization after the
+// edit runs on the same path as the first, so both runs must agree
+// (per-run characterization counts included).
+prop!(cases = 24, fn incremental_shared_matches_per_cone(spec in spec_strategy()) {
+    let flat = random_circuit("s", spec);
+    let design = cascade_bipartition(&flat, 0.5).expect("partitions");
+    let inputs = design.composite("s_top").expect("top").inputs().len();
+    let arrivals = vec![Time::ZERO; inputs];
+    let mut edited = design
+        .modules()
+        .iter()
+        .find_map(|m| design.leaf(&m.name))
+        .expect("a leaf")
+        .clone();
+    let slowed = GateId::from_index(spec.seed as usize % edited.gate_count());
+    let delay = edited.gate(slowed).delay + 2;
+    edited.set_gate_delay(slowed, delay);
+
+    let session = |config: &AnalysisConfig| {
+        let mut an =
+            IncrementalAnalyzer::with_config(design.clone(), "s_top", config).expect("valid");
+        let before = an.analyze(&arrivals).expect("analyzes");
+        an.replace_module(edited.clone()).expect("same ports");
+        let after = an.analyze(&arrivals).expect("analyzes");
+        (before, after)
+    };
+    let (a0, a1) = session(&AnalysisConfig::default());
+    let (b0, b1) = session(&never_binds());
+    for (a, b) in [(&a0, &b0), (&a1, &b1)] {
+        assert_eq!(a.delay, b.delay, "delay diverged");
+        assert_eq!(a.output_arrivals, b.output_arrivals, "output arrivals diverged");
+        assert_eq!(a.net_arrivals, b.net_arrivals, "net arrivals diverged");
+        assert_eq!(
+            a.stats.modules_characterized, b.stats.modules_characterized,
+            "characterization count diverged"
+        );
+        assert_eq!(b.stats.stability.domains_built, 0, "budgeted run built a domain");
+    }
+    assert_eq!(a1.stats.modules_characterized, 1, "the edit re-characterizes one module");
+});
+
+// A budget that binds (1–12 conflicts) degrades verdicts, and a
+// degraded verdict must never reach shared state: on every path the
+// budgeted analysis builds no variable domain at all.
+prop!(cases = 24, fn binding_budget_never_builds_a_domain(
     spec in spec_strategy(),
     conflicts in from_fn_with_shrink(
         |rng: &mut Rng| rng.gen_range(1u64..12),
@@ -186,43 +224,21 @@ prop!(cases = 24, fn budgeted_runs_ignore_the_shared_flag(
     let design = cascade_bipartition(&flat, 0.5).expect("partitions");
     let inputs = design.composite("s_top").expect("top").inputs().len();
     let arrivals = vec![Time::ZERO; inputs];
-    let budget = SolveBudget::default().with_conflicts(conflicts);
+    let config =
+        AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(conflicts));
 
-    let run = |shared: bool| {
-        let mut an = DemandDrivenAnalyzer::new(
-            &design,
-            "s_top",
-            hfta_core::DemandOptions {
-                budget,
-                shared_solver: shared,
-                ..Default::default()
-            },
-        )
-        .expect("valid");
-        an.analyze(&arrivals).expect("analyzes")
-    };
-    let a = run(true);
-    let b = run(false);
-    assert_eq!(a.delay, b.delay, "budgeted delay diverged");
-    assert_eq!(a.output_arrivals, b.output_arrivals, "budgeted arrivals diverged");
-    assert_eq!(a.rounds, b.rounds, "budgeted rounds diverged");
-    assert_eq!(a.checks, b.checks, "budgeted checks diverged");
+    let mut demand = DemandDrivenAnalyzer::with_config(&design, "s_top", &config).expect("valid");
+    let d = demand.analyze(&arrivals).expect("analyzes");
+    assert_eq!(d.stability.domains_built, 0, "demand: {:?}", d.stability);
 
-    // And the budgeted two-step path likewise.
-    let hier = |shared: bool| {
-        let opts = HierOptions {
-            characterize: CharacterizeOptions::default()
-                .with_budget(budget)
-                .with_shared_solver(shared),
-            ..HierOptions::default()
-        };
-        let mut an = HierAnalyzer::new(&design, "s_top", opts).expect("valid");
-        an.analyze(&arrivals).expect("analyzes")
-    };
-    let a = hier(true);
-    let b = hier(false);
-    assert_eq!(a.delay, b.delay, "budgeted two-step delay diverged");
-    assert_eq!(a.output_arrivals, b.output_arrivals, "budgeted two-step arrivals diverged");
+    let mut hier = HierAnalyzer::with_config(&design, "s_top", &config).expect("valid");
+    let h = hier.analyze(&arrivals).expect("analyzes");
+    assert_eq!(h.stats.stability.domains_built, 0, "two-step: {:?}", h.stats.stability);
+
+    let flat_arrivals = vec![Time::ZERO; flat.inputs().len()];
+    let (_, r) = TimingReport::generate(&flat, &flat_arrivals, Time::ZERO, &config)
+        .expect("analyzes");
+    assert_eq!(r.domains_built, 0, "report: {r:?}");
 });
 
 // The arrivals strategy is exercised on the flat path so −∞ pins and
@@ -238,9 +254,9 @@ prop!(cases = 24, fn report_shared_matches_under_random_conditions(
     let mut rng = hfta_testkit::Rng::seed_from_u64(cond_seed);
     let strat = arrivals_strategy(nl.inputs().len());
     let arrivals = strat.generate(&mut rng);
-    let on = AnalysisConfig::default();
-    let off = AnalysisConfig::default().with_shared_solver(false);
-    let (a, _) = TimingReport::generate(&nl, &arrivals, Time::ZERO, &on).expect("analyzes");
-    let (b, _) = TimingReport::generate(&nl, &arrivals, Time::ZERO, &off).expect("analyzes");
+    let shared = AnalysisConfig::default();
+    let (a, _) = TimingReport::generate(&nl, &arrivals, Time::ZERO, &shared).expect("analyzes");
+    let (b, _) =
+        TimingReport::generate(&nl, &arrivals, Time::ZERO, &never_binds()).expect("analyzes");
     assert_eq!(a, b, "reports diverged under arrivals {arrivals:?}");
 });

@@ -164,12 +164,6 @@ impl SatAlg {
         alg
     }
 
-    /// Whether shared-solver (domain-restricted) mode is on.
-    #[must_use]
-    pub fn is_shared(&self) -> bool {
-        self.shared
-    }
-
     /// Number of tautology (SAT) queries issued so far.
     #[must_use]
     pub fn tautology_queries(&self) -> u64 {
@@ -270,9 +264,9 @@ impl BoolAlg for SatAlg {
         if self.shared {
             // Domain restriction stays sound under a budget: `Sat` and
             // `Unsat` answers remain exact, `Unknown` degrades as
-            // usual. (Layers additionally prefer fresh per-cone
-            // solvers for budgeted runs — see `AnalysisConfig` — so
-            // budgeted results stay bit-identical to the baseline.)
+            // usual. The analyses build shared algebras only for
+            // unlimited runs (see `AnalysisConfig`); a serve daemon's
+            // per-request deadline is what reaches this branch.
             self.maybe_inprocess();
             let dom = self.cnf.domain_of(&[a]);
             self.domains_built += 1;

@@ -1,14 +1,21 @@
 //! The unified analysis configuration.
 //!
-//! [`AnalysisConfig`] is the single entry path into every analyzer in
-//! the workspace: flat timing reports
-//! ([`TimingReport::generate`](crate::TimingReport::generate)), the
-//! two-step hierarchical analysis, and the demand-driven refinement
-//! loop (both in `hfta-core`). It subsumes the knobs that used to be
-//! spread across `CharacterizeOptions`, `DemandOptions`, and
-//! `HierOptions` — those structs remain as the per-engine views, each
-//! derivable from a config via `From<&AnalysisConfig>` — and carries
-//! the [`TraceSink`] that turns on structured tracing.
+//! [`AnalysisConfig`] is the one place an analysis setting is declared
+//! and the only way to configure an analyzer: flat timing reports
+//! ([`TimingReport::generate`](crate::TimingReport::generate)), leaf
+//! characterization ([`ModuleTiming`](crate::ModuleTiming)), and the
+//! two-step, demand-driven, incremental and multi-level analyses in
+//! `hfta-core` all take `&AnalysisConfig`. It also carries the
+//! [`TraceSink`] that turns on structured tracing and the
+//! [`ModelDbSpec`] naming any persistent model database.
+//!
+//! The budget alone picks the stability path. An unlimited budget
+//! shares solver work across cones: one incremental SAT instance per
+//! module (characterization, flat reports) or per signature class
+//! (demand-driven refinement, with its verdict memo). A limited budget
+//! gives every cone a fresh solver of its own, so a degraded verdict
+//! never reaches shared state. Both paths return the same verdicts
+//! wherever the budget does not bind.
 //!
 //! The builder is plain `with_*` setters over a [`Default`] that
 //! matches every engine's historical defaults, so
@@ -145,8 +152,9 @@ impl ModelDbSpec {
 ///     .with_source(ModelSource::Functional)
 ///     .with_threads(4)
 ///     .with_budget(SolveBudget::default().with_conflicts(10_000))
-///     .with_cone_sig(true);
+///     .with_max_tuples(2);
 /// assert_eq!(cfg.threads, 4);
+/// assert_eq!(cfg.characterize_options().max_tuples, 2);
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AnalysisConfig {
@@ -169,31 +177,23 @@ pub struct AnalysisConfig {
     /// pool here to share workers across analyzers.
     pub scheduler: SchedulerSeat,
     /// Per-query solver budget; analyses degrade soundly (never
-    /// silently) when it runs out. Unlimited by default.
+    /// silently) when it runs out: a check the budget interrupts keeps
+    /// its last proven (at worst topological) value and is counted in
+    /// `StabilityStats::degraded`. Its deadline also cuts off the whole
+    /// analysis — characterization in the two-step analyzer, the
+    /// refinement loop in the demand-driven one. Unlimited by default.
+    ///
+    /// The budget also picks the stability path (see the [module
+    /// docs](self)): unlimited runs share one incremental SAT instance
+    /// per module or signature class, limited runs give each cone a
+    /// fresh solver.
     pub budget: SolveBudget,
-    /// Share characterization and stability verdicts across
-    /// structurally isomorphic cones.
-    pub cone_sig: bool,
-    /// Keep one persistent stability oracle per refined cone
-    /// (demand-driven analysis only).
-    pub reuse_oracle: bool,
-    /// Shared-solver mode: one incremental SAT instance per
-    /// module/signature class, with each stability query restricted to
-    /// the variable domain of its cone's transitive fanin, cross-cone
-    /// learnt sharing, and between-query inprocessing. On by default;
-    /// only unlimited-budget paths use it (budgeted runs fall back to
-    /// fresh per-cone solvers so degraded results stay bit-identical
-    /// to the baseline). Verdicts are bit-identical either way.
-    pub shared_solver: bool,
     /// Cap on demand-driven refinement rounds (`None` = run to
     /// fixpoint).
     pub max_rounds: Option<usize>,
-    /// Maximum incomparable tuples per characterized output.
-    pub max_tuples: usize,
-    /// Cap on distinct path lengths tracked per (output, input) pair.
-    pub lengths_cap: usize,
-    /// Probe whether inputs are entirely irrelevant to an output.
-    pub try_irrelevant: bool,
+    /// Characterization options: the settings that shape a leaf
+    /// model, and therefore its model-database key.
+    pub characterize: CharacterizeOptions,
     /// Structured trace destination; disabled (free) by default.
     pub trace: TraceSink,
     /// Persistent model database to warm-start from and/or emit to;
@@ -209,13 +209,8 @@ impl Default for AnalysisConfig {
             clamp_threads: true,
             scheduler: SchedulerSeat::none(),
             budget: SolveBudget::UNLIMITED,
-            cone_sig: true,
-            reuse_oracle: true,
-            shared_solver: true,
             max_rounds: None,
-            max_tuples: 4,
-            lengths_cap: 32,
-            try_irrelevant: true,
+            characterize: CharacterizeOptions::default(),
             trace: TraceSink::disabled(),
             model_db: ModelDbSpec::default(),
         }
@@ -266,29 +261,6 @@ impl AnalysisConfig {
         self
     }
 
-    /// Enables or disables cone-signature sharing.
-    #[must_use]
-    pub fn with_cone_sig(mut self, on: bool) -> Self {
-        self.cone_sig = on;
-        self
-    }
-
-    /// Enables or disables the persistent per-cone stability oracle.
-    #[must_use]
-    pub fn with_reuse_oracle(mut self, on: bool) -> Self {
-        self.reuse_oracle = on;
-        self
-    }
-
-    /// Turns shared-solver mode on or off (see
-    /// [`AnalysisConfig::shared_solver`]). Verdicts are bit-identical
-    /// either way; only the work to reach them changes.
-    #[must_use]
-    pub fn with_shared_solver(mut self, on: bool) -> Self {
-        self.shared_solver = on;
-        self
-    }
-
     /// Caps demand-driven refinement rounds.
     #[must_use]
     pub fn with_max_rounds(mut self, max_rounds: Option<usize>) -> Self {
@@ -299,21 +271,7 @@ impl AnalysisConfig {
     /// Sets the maximum incomparable tuples per characterized output.
     #[must_use]
     pub fn with_max_tuples(mut self, max_tuples: usize) -> Self {
-        self.max_tuples = max_tuples;
-        self
-    }
-
-    /// Sets the distinct-path-length cap.
-    #[must_use]
-    pub fn with_lengths_cap(mut self, lengths_cap: usize) -> Self {
-        self.lengths_cap = lengths_cap;
-        self
-    }
-
-    /// Enables or disables irrelevant-input probing.
-    #[must_use]
-    pub fn with_try_irrelevant(mut self, on: bool) -> Self {
-        self.try_irrelevant = on;
+        self.characterize.max_tuples = max_tuples;
         self
     }
 
@@ -348,22 +306,10 @@ impl AnalysisConfig {
         self
     }
 
-    /// The characterization view of this configuration.
+    /// The characterization options (the model-database key).
     #[must_use]
     pub fn characterize_options(&self) -> CharacterizeOptions {
-        CharacterizeOptions::from(self)
-    }
-}
-
-impl From<&AnalysisConfig> for CharacterizeOptions {
-    fn from(cfg: &AnalysisConfig) -> Self {
-        CharacterizeOptions::default()
-            .with_max_tuples(cfg.max_tuples)
-            .with_lengths_cap(cfg.lengths_cap)
-            .with_try_irrelevant(cfg.try_irrelevant)
-            .with_budget(cfg.budget)
-            .with_cone_sig(cfg.cone_sig)
-            .with_shared_solver(cfg.shared_solver)
+        self.characterize
     }
 }
 
@@ -377,8 +323,6 @@ mod tests {
         assert_eq!(cfg.source, ModelSource::Functional);
         assert_eq!(cfg.threads, 1);
         assert!(cfg.budget.is_unlimited());
-        assert!(cfg.cone_sig);
-        assert!(cfg.reuse_oracle);
         assert_eq!(cfg.max_rounds, None);
         assert!(!cfg.trace.is_enabled());
         assert_eq!(cfg.characterize_options(), CharacterizeOptions::default());
@@ -386,13 +330,8 @@ mod tests {
 
     #[test]
     fn builder_threads_clamp_and_views() {
-        let cfg = AnalysisConfig::new()
-            .with_threads(0)
-            .with_max_tuples(2)
-            .with_cone_sig(false);
+        let cfg = AnalysisConfig::new().with_threads(0).with_max_tuples(2);
         assert_eq!(cfg.threads, 1);
-        let opts = cfg.characterize_options();
-        assert_eq!(opts.max_tuples, 2);
-        assert!(!opts.cone_sig);
+        assert_eq!(cfg.characterize_options().max_tuples, 2);
     }
 }

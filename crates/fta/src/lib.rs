@@ -73,7 +73,7 @@ pub use report::{OutputReport, TimingReport};
 pub use required::{
     characterize_module, characterize_module_cached, characterize_module_traced,
     characterize_module_with_stats, topological_delays, CachedCharacterization,
-    CharacterizeOptions, Characterizer, ConeSigCache,
+    CharacterizeOptions, Characterizer, ConeSigCache, LENGTHS_CAP,
 };
 pub use sequential::{SequentialAnalysis, SequentialAnalyzer, SequentialEngine};
 pub use shared::SharedStabilityEngine;

@@ -21,11 +21,10 @@ use std::fmt;
 use hfta_netlist::{Netlist, NetlistError, Time};
 use hfta_trace::Tracer;
 
-use crate::config::ModelSource;
+use crate::config::{AnalysisConfig, ModelSource};
 use crate::model::{TimingModel, TimingTuple};
 use crate::required::{
-    characterize_module_traced, characterize_module_with_stats, topological_delays,
-    CharacterizeOptions, ConeSigCache,
+    characterize_module_traced, characterize_module_with_stats, topological_delays, ConeSigCache,
 };
 use crate::stability::StabilityStats;
 
@@ -39,17 +38,17 @@ pub struct ModuleTiming {
 }
 
 impl ModuleTiming {
-    /// Characterizes `netlist` into a timing abstraction.
+    /// Characterizes `netlist` into a timing abstraction, with the
+    /// model source, characterization options and budget of `config`.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn characterize(
         netlist: &Netlist,
-        source: ModelSource,
-        opts: CharacterizeOptions,
+        config: &AnalysisConfig,
     ) -> Result<ModuleTiming, NetlistError> {
-        ModuleTiming::characterize_with_stats(netlist, source, opts).map(|(m, _)| m)
+        ModuleTiming::characterize_with_stats(netlist, config).map(|(m, _)| m)
     }
 
     /// Like [`ModuleTiming::characterize`], also returning the
@@ -63,11 +62,10 @@ impl ModuleTiming {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn characterize_with_stats(
         netlist: &Netlist,
-        source: ModelSource,
-        opts: CharacterizeOptions,
+        config: &AnalysisConfig,
     ) -> Result<(ModuleTiming, StabilityStats), NetlistError> {
-        let (models, stats) = match source {
-            ModelSource::Functional => characterize_module_with_stats(netlist, opts)?,
+        let (models, stats) = match config.source {
+            ModelSource::Functional => characterize_module_with_stats(netlist, config)?,
             ModelSource::Topological => (
                 netlist
                     .outputs()
@@ -96,8 +94,7 @@ impl ModuleTiming {
 
     /// Like [`ModuleTiming::characterize_with_stats`], sharing
     /// functional characterization work across structurally isomorphic
-    /// cones through `cache` (a no-op for topological models and when
-    /// [`CharacterizeOptions::cone_sig`] is off).
+    /// cones through `cache` (a no-op for topological models).
     ///
     /// The third component names, per output, the module that
     /// originally characterized the shared cone (`None` for fresh
@@ -108,12 +105,11 @@ impl ModuleTiming {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn characterize_cached(
         netlist: &Netlist,
-        source: ModelSource,
-        opts: CharacterizeOptions,
+        config: &AnalysisConfig,
         cache: &mut ConeSigCache,
     ) -> Result<(ModuleTiming, StabilityStats, Vec<Option<String>>), NetlistError> {
         let mut tracer = Tracer::disabled();
-        ModuleTiming::characterize_traced(netlist, source, opts, cache, &mut tracer)
+        ModuleTiming::characterize_traced(netlist, config, cache, &mut tracer)
     }
 
     /// Like [`ModuleTiming::characterize_cached`], recording
@@ -127,18 +123,17 @@ impl ModuleTiming {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn characterize_traced(
         netlist: &Netlist,
-        source: ModelSource,
-        opts: CharacterizeOptions,
+        config: &AnalysisConfig,
         cache: &mut ConeSigCache,
         tracer: &mut Tracer,
     ) -> Result<(ModuleTiming, StabilityStats, Vec<Option<String>>), NetlistError> {
-        if source == ModelSource::Topological {
-            let (timing, stats) = ModuleTiming::characterize_with_stats(netlist, source, opts)?;
+        if config.source == ModelSource::Topological {
+            let (timing, stats) = ModuleTiming::characterize_with_stats(netlist, config)?;
             let owners = vec![None; netlist.outputs().len()];
             return Ok((timing, stats, owners));
         }
         let (models, stats, owners) =
-            characterize_module_traced(netlist, opts, Some(cache), tracer)?;
+            characterize_module_traced(netlist, config, Some(cache), tracer)?;
         let timing = ModuleTiming {
             module: netlist.name().to_string(),
             input_names: netlist
@@ -462,10 +457,12 @@ mod tests {
     #[test]
     fn characterize_functional_vs_topological() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let f =
-            ModuleTiming::characterize(&nl, ModelSource::Functional, Default::default()).unwrap();
-        let topo =
-            ModuleTiming::characterize(&nl, ModelSource::Topological, Default::default()).unwrap();
+        let f = ModuleTiming::characterize(&nl, &AnalysisConfig::default()).unwrap();
+        let topo = ModuleTiming::characterize(
+            &nl,
+            &AnalysisConfig::default().with_source(ModelSource::Topological),
+        )
+        .unwrap();
         // c_out: functional sees the false path (2), topological 6.
         assert_eq!(f.model(2).tuples()[0].delay(0), t(2));
         assert_eq!(topo.model(2).tuples()[0].delay(0), t(6));
@@ -476,8 +473,7 @@ mod tests {
     #[test]
     fn output_stable_times_min_max() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let f =
-            ModuleTiming::characterize(&nl, ModelSource::Functional, Default::default()).unwrap();
+        let f = ModuleTiming::characterize(&nl, &AnalysisConfig::default()).unwrap();
         // The paper's second-block scenario: c_in at 8, others at 0.
         let times = f.output_stable_times(&[t(8), t(0), t(0), t(0), t(0)]);
         assert_eq!(times[2], t(10)); // c4 = 10
@@ -486,8 +482,7 @@ mod tests {
     #[test]
     fn text_round_trip() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let f =
-            ModuleTiming::characterize(&nl, ModelSource::Functional, Default::default()).unwrap();
+        let f = ModuleTiming::characterize(&nl, &AnalysisConfig::default()).unwrap();
         let text = f.to_text();
         let parsed = ModuleTiming::from_text(&text).unwrap();
         assert_eq!(parsed, f);
@@ -550,18 +545,12 @@ mod verify_tests {
     #[test]
     fn honest_model_verifies() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let timing = ModuleTiming::characterize(
-            &nl,
-            ModelSource::Functional,
-            CharacterizeOptions::default(),
-        )
-        .unwrap();
+        let timing = ModuleTiming::characterize(&nl, &AnalysisConfig::default()).unwrap();
         assert!(timing.verify(&nl).unwrap().is_empty());
         // Topological models verify trivially too.
         let topo = ModuleTiming::characterize(
             &nl,
-            ModelSource::Topological,
-            CharacterizeOptions::default(),
+            &AnalysisConfig::default().with_source(ModelSource::Topological),
         )
         .unwrap();
         assert!(topo.verify(&nl).unwrap().is_empty());
@@ -570,12 +559,7 @@ mod verify_tests {
     #[test]
     fn optimistic_model_is_caught() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let honest = ModuleTiming::characterize(
-            &nl,
-            ModelSource::Functional,
-            CharacterizeOptions::default(),
-        )
-        .unwrap();
+        let honest = ModuleTiming::characterize(&nl, &AnalysisConfig::default()).unwrap();
         // Forge a vendor model claiming a0 → c_out is only 5 (true: 8).
         let forged = ModuleTiming::from_parts(
             honest.module().to_string(),
@@ -605,8 +589,7 @@ mod verify_tests {
         let other = carry_skip_block(4, CsaDelays::default());
         let timing = ModuleTiming::characterize(
             &other,
-            ModelSource::Topological,
-            CharacterizeOptions::default(),
+            &AnalysisConfig::default().with_source(ModelSource::Topological),
         )
         .unwrap();
         let violations = timing.verify(&nl).unwrap();

@@ -55,8 +55,8 @@ pub struct TimingReport {
 
 impl TimingReport {
     /// Generates the report under one unified [`AnalysisConfig`]
-    /// (budget and trace sink are honored; the other knobs apply to the
-    /// hierarchical engines). Slacks are computed against `required`
+    /// (budget and trace sink are honored; the other settings apply to
+    /// the hierarchical engines). Slacks are computed against `required`
     /// (pass the clock constraint, or the functional circuit delay for
     /// a zero-worst-slack report). Also returns the stability/solver
     /// work the functional analysis cost.
@@ -85,11 +85,12 @@ impl TimingReport {
         let span = tracer.is_enabled().then(|| tracer.begin("timing_report"));
         let sta = TopoSta::new(netlist)?;
         let topo = sta.arrival_times(pi_arrivals);
-        // Shared-solver mode answers every output's probes from one
-        // domain-restricted incremental instance; arrivals are
-        // bit-identical. Budgeted runs keep the plain backend so
-        // degradations match the baseline exactly.
-        let mut an = if config.shared_solver && config.budget.is_unlimited() {
+        // An unlimited budget answers every output's probes from one
+        // domain-restricted incremental instance; a limited one keeps
+        // the plain backend, so a degraded probe never leaves state
+        // behind for the next output's. Arrivals agree wherever the
+        // budget does not bind.
+        let mut an = if config.budget.is_unlimited() {
             DelayAnalyzer::new_sat_shared(netlist, pi_arrivals)?
         } else {
             DelayAnalyzer::new_sat(netlist, pi_arrivals)?

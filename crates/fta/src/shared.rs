@@ -33,15 +33,13 @@
 //!   support, and subsumption inprocessing compacts the learnt
 //!   database between queries.
 //!
-//! Budget plumbing is unchanged: budgeted queries degrade exactly like
-//! a per-cone oracle's (an `Unknown` is reported, never cached), and
-//! the layers above fall back to per-cone solvers entirely for
-//! limited-budget runs so budgeted results stay bit-identical to the
-//! baseline.
+//! Engines exist only on the unlimited-budget path: the budget alone
+//! picks the stability path (see `AnalysisConfig`), and a limited
+//! budget gives every cone its own [`StabilityOracle`] instead, so a
+//! degraded verdict never reaches a shared instance.
 
 use hfta_netlist::strash::{ConeKey, ConeSig};
 use hfta_netlist::{NetId, Netlist, NetlistError, Time};
-use hfta_sat::SolveBudget;
 
 use crate::boolalg::SatAlg;
 use crate::oracle::StabilityOracle;
@@ -138,11 +136,6 @@ impl SharedStabilityEngine {
         }
         let rep_arrivals = self.key.from_slots(&self.slots);
         self.oracle.query_budgeted(&rep_arrivals, self.cone_out, t)
-    }
-
-    /// Sets the per-query resource budget (unlimited by default).
-    pub fn set_budget(&mut self, budget: SolveBudget) {
-        self.oracle.set_budget(budget);
     }
 
     /// Cumulative work counters across all members, with

@@ -93,21 +93,23 @@ pub struct StabilityStats {
     /// `hfta_netlist::strash`).
     pub cone_sig_hits: u64,
     /// Signature-cache probes that missed and ran fresh analysis
-    /// (seeding the cache). Zero when signature sharing is off.
+    /// (seeding the cache). Zero when no cache is consulted, as in
+    /// demand-driven refinement under a limited budget.
     pub cone_sig_misses: u64,
     /// Per-query variable domains built by a shared solver (see
     /// `hfta_sat::Domain`): each stability query restricted to its
     /// cone's transitive-fanin variables instead of a fresh encoding.
-    /// Zero when shared-solver mode is off.
+    /// Zero under a limited budget, which solves every cone on its own
+    /// solver.
     pub domains_built: u64,
     /// Learnt clauses removed or strengthened by the shared solver's
     /// between-query inprocessing (subsumption + self-subsuming
-    /// resolution). Zero when shared-solver mode is off.
+    /// resolution). Zero under a limited budget.
     pub clauses_subsumed: u64,
     /// Learnt clauses already warm in a shared engine when a new cone
     /// of the same signature class attached to it (cross-cone learnt
-    /// sharing via slot-permuted routing). Zero when shared-solver
-    /// mode is off.
+    /// sharing via slot-permuted routing). Zero under a limited
+    /// budget.
     pub learnts_imported: u64,
     /// Module models served from a persistent on-disk model database
     /// instead of fresh characterization (see `hfta-modeldb`).

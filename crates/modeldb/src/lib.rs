@@ -20,9 +20,9 @@
 //!    gate kinds, delays, connectivity, and port order all match, so
 //!    characterization of the stored netlist and of the target are the
 //!    same computation.
-//! 2. **Characterization options.** `max_tuples`, `lengths_cap`,
-//!    `try_irrelevant`, and the model source are part of the key
-//!    (an options fingerprint in the file name and header). The solve
+//! 2. **Characterization options.** `max_tuples` and the model source
+//!    are part of the key (an options fingerprint in the file name and
+//!    header, which also hashes the fixed path-length cap). The solve
 //!    *budget* is deliberately **not** part of the key — see rule 4.
 //! 3. **Per-output cone signatures.** The record stores every output's
 //!    canonical [`ConeSig`](hfta_netlist::ConeSig); each is recomputed
@@ -51,7 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
-use hfta_fta::{CharacterizeOptions, ModelSource, ModuleTiming, TimingModel};
+use hfta_fta::{CharacterizeOptions, ModelSource, ModuleTiming, TimingModel, LENGTHS_CAP};
 use hfta_netlist::{cone_signature, exact_fingerprint, Netlist, Time};
 
 /// File extension of model records.
@@ -522,11 +522,12 @@ pub fn verdict_file_name(sig: u128) -> String {
 
 /// Fingerprint of the characterization options that shape a model.
 ///
-/// Includes the model source and every option that changes the
-/// characterized tuples (`max_tuples`, `lengths_cap`,
-/// `try_irrelevant`). Excludes the solve budget (degraded models are
-/// never stored, and undegraded results are budget-independent) and
-/// `cone_sig` (signature sharing is bit-identical by construction).
+/// Includes the model source and every value that shapes the
+/// characterized tuples: `max_tuples`, the fixed path-length cap
+/// ([`LENGTHS_CAP`]) and the always-on relaxation to `−∞` (hashed as
+/// `1`, so keys written before both became constants stay valid).
+/// Excludes the solve budget: degraded models are never stored, and
+/// undegraded results are budget-independent.
 #[must_use]
 pub fn options_fingerprint(source: ModelSource, opts: &CharacterizeOptions) -> u64 {
     let mut h = Fnv::new();
@@ -535,8 +536,8 @@ pub fn options_fingerprint(source: ModelSource, opts: &CharacterizeOptions) -> u
         ModelSource::Topological => 2,
     });
     h.push(opts.max_tuples as u64);
-    h.push(opts.lengths_cap as u64);
-    h.push(u64::from(opts.try_irrelevant));
+    h.push(LENGTHS_CAP as u64);
+    h.push(1);
     h.finish()
 }
 
@@ -901,6 +902,7 @@ impl Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hfta_fta::AnalysisConfig;
     use hfta_netlist::gen::{carry_skip_block, CsaDelays};
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -915,8 +917,7 @@ mod tests {
     }
 
     fn characterized(nl: &Netlist) -> ModuleTiming {
-        ModuleTiming::characterize(nl, ModelSource::Functional, CharacterizeOptions::default())
-            .unwrap()
+        ModuleTiming::characterize(nl, &AnalysisConfig::default()).unwrap()
     }
 
     #[test]
@@ -1063,16 +1064,30 @@ mod tests {
         let mut db = ModelDb::open(&dir).unwrap();
         db.store(&nl, ModelSource::Functional, &opts, &timing, false);
         // Different max_tuples → different key → miss.
-        let other = CharacterizeOptions::default().with_max_tuples(2);
+        let other = CharacterizeOptions { max_tuples: 2 };
         assert_eq!(db.probe(&nl, ModelSource::Functional, &other), None);
         // Different source → miss.
         assert_eq!(db.probe(&nl, ModelSource::Topological, &opts), None);
-        // A different *budget* is NOT part of the key: stored models
-        // are exact, so any budget may use them.
-        let budgeted = CharacterizeOptions::default()
-            .with_budget(hfta_fta::SolveBudget::default().with_conflicts(1));
-        assert!(db.probe(&nl, ModelSource::Functional, &budgeted).is_some());
+        // The solve budget is not part of the key (it is not even an
+        // option): stored models are exact, so any budget may use them.
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The options fingerprint names every stored record, so a changed
+    /// key would silently turn every existing database into misses.
+    /// These are the keys databases were written under before the
+    /// path-length cap and the `−∞` relaxation became constants.
+    #[test]
+    fn default_options_fingerprints_are_pinned() {
+        let opts = CharacterizeOptions::default();
+        assert_eq!(
+            options_fingerprint(ModelSource::Functional, &opts),
+            0xabc2_c6a9_5d39_4da1
+        );
+        assert_eq!(
+            options_fingerprint(ModelSource::Topological, &opts),
+            0x7dd7_514b_303d_7ae2
+        );
     }
 
     #[test]

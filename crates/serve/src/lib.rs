@@ -97,13 +97,14 @@ mod tests {
     /// sound upper bound on the flat functional delay.
     #[test]
     fn wrapped_flat_report_matches_hier_analysis() {
-        use hfta_core::{HierAnalyzer, HierOptions};
+        use hfta_core::HierAnalyzer;
 
         let flat = carry_skip_adder_flat(4, 2, CsaDelays::default()).unwrap();
         let exact = hfta_fta::functional_circuit_delay(&flat).unwrap();
         let inputs = flat.inputs().len();
         let (design, top) = wrap_flat(flat);
-        let mut hier = HierAnalyzer::new(&design, &top, HierOptions::default()).unwrap();
+        let mut hier =
+            HierAnalyzer::with_config(&design, &top, &AnalysisConfig::default()).unwrap();
         let want = hier.analyze(&vec![Time::ZERO; inputs]).unwrap().delay;
         assert!(want >= exact, "Theorem 1: conservative");
 

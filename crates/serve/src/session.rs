@@ -70,16 +70,15 @@ pub(crate) struct ModuleOracle {
 }
 
 impl ModuleOracle {
-    /// Builds the oracle; with `shared` the backend runs in
-    /// shared-solver mode (one incremental instance for the whole
-    /// module, each probe domain-restricted to its output's transitive
-    /// fanin — bit-identical answers, see
-    /// [`StabilityOracle::new_sat_shared`]). Sessions pass `shared`
-    /// when their base budget is unlimited; budgeted sessions keep the
-    /// plain backend so degradations match the baseline exactly.
-    fn new(leaf: &Netlist, shared: bool) -> Result<ModuleOracle, NetlistError> {
+    /// Builds the oracle. Under an unlimited session budget the backend
+    /// shares one incremental instance across the whole module, each
+    /// probe domain-restricted to its output's transitive fanin
+    /// ([`StabilityOracle::new_sat_shared`]); a budgeted session keeps
+    /// the plain backend, so a degraded probe leaves no shared state
+    /// behind. Answers agree wherever the budget does not bind.
+    fn new(leaf: &Netlist, budget: SolveBudget) -> Result<ModuleOracle, NetlistError> {
         let zeros = vec![Time::ZERO; leaf.inputs().len()];
-        let oracle = if shared {
+        let oracle = if budget.is_unlimited() {
             StabilityOracle::new_sat_shared(leaf.clone(), &zeros)?
         } else {
             StabilityOracle::new_sat(leaf.clone(), &zeros)?
@@ -472,9 +471,6 @@ pub struct ServeSession {
     /// Deadline applied to requests that don't carry their own.
     default_deadline_ms: Option<u64>,
     oracles: HashMap<String, ModuleOracle>,
-    /// Whether per-module oracles use shared-solver mode (from
-    /// [`AnalysisConfig::shared_solver`]).
-    shared_solver: bool,
     /// Arrivals-keyed response cache: response fields (everything after
     /// the echoed id) of previously answered queries. Only filled and
     /// consulted for unlimited-budget, deadline-free requests — those
@@ -526,7 +522,6 @@ impl ServeSession {
             base_budget: config.budget,
             default_deadline_ms: None,
             oracles: HashMap::new(),
-            shared_solver: config.shared_solver,
             cache: Arc::new(ResponseCache::default()),
             view: None,
             conn: Arc::new(ConnCounters::default()),
@@ -894,8 +889,7 @@ impl ServeSession {
             // A stale oracle (the module was ECO-edited while the
             // oracle sat idle) is silently rebuilt.
             Some(oracle) if oracle.hash == hash => Ok(oracle),
-            _ => ModuleOracle::new(leaf, self.shared_solver && self.base_budget.is_unlimited())
-                .map_err(|e| e.to_string()),
+            _ => ModuleOracle::new(leaf, self.base_budget).map_err(|e| e.to_string()),
         }
     }
 
@@ -1250,7 +1244,8 @@ mod tests {
         let gid = block.driver(c_out).unwrap();
         block.set_gate_delay(gid, 9);
         edited.replace_leaf(block).unwrap();
-        let mut cold = IncrementalAnalyzer::new(edited, "csa4.2", Default::default()).unwrap();
+        let mut cold =
+            IncrementalAnalyzer::with_config(edited, "csa4.2", &AnalysisConfig::default()).unwrap();
         let want = cold.analyze(&[Time::ZERO; 9]).unwrap().delay;
         let resp = line(&mut s, r#"{"id":5,"kind":"report"}"#);
         assert!(

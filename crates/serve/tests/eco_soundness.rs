@@ -4,7 +4,7 @@
 //! the edited module, retiring only its oracle — may change *how much
 //! work* an answer costs, never *which* answer arrives.
 
-use hfta_core::{HierAnalyzer, HierOptions};
+use hfta_core::HierAnalyzer;
 use hfta_fta::AnalysisConfig;
 use hfta_netlist::gen::{modular_design, GateMix, ModularDesignSpec};
 use hfta_netlist::{Design, GateId, Time};
@@ -51,7 +51,7 @@ fn edit_strategy() -> impl Strategy<Value = (usize, usize, u32)> {
 /// JSON encoding the daemon uses (so ±∞ compare exactly too).
 fn assert_matches_cold(session: &mut ServeSession, cold: &Design, top: &str, context: &str) {
     let composite = cold.composite(top).expect("top is composite");
-    let mut fresh = HierAnalyzer::new(cold, top, HierOptions::default()).unwrap();
+    let mut fresh = HierAnalyzer::with_config(cold, top, &AnalysisConfig::default()).unwrap();
     let analysis = fresh
         .analyze(&vec![Time::ZERO; composite.inputs().len()])
         .unwrap();

@@ -7,8 +7,7 @@
 
 use hfta::netlist::gen::{carry_skip_adder, carry_skip_adder_flat, CsaDelays};
 use hfta::{
-    CharacterizeOptions, DelayAnalyzer, HierAnalyzer, HierOptions, ModelSource, ModuleTiming, Time,
-    TimingModel,
+    AnalysisConfig, DelayAnalyzer, HierAnalyzer, ModelSource, ModuleTiming, Time, TimingModel,
 };
 
 fn t(v: i64) -> Time {
@@ -46,11 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---------------------------------------------------------------
     // The timing models of the 2-bit block (paper Section 4).
     // ---------------------------------------------------------------
-    let timing = ModuleTiming::characterize(
-        block,
-        ModelSource::Functional,
-        CharacterizeOptions::default(),
-    )?;
+    let timing = ModuleTiming::characterize(block, &AnalysisConfig::default())?;
     println!("== timing models of the 2-bit carry-skip block ==");
     println!(
         "   (inputs ordered {} — compare the paper's Section 4)",
@@ -74,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the 4-bit cascade with all inputs at t = 0.
     // ---------------------------------------------------------------
     println!("== Figure 4: hierarchical analysis of the 4-bit cascade ==");
-    let mut hier = HierAnalyzer::new(&design, "csa4.2", HierOptions::default())?;
+    let mut hier = HierAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default())?;
     let analysis = hier.analyze(&[t(0); 9])?;
     let top = design.composite("csa4.2").expect("generator provides it");
     let tmp = top.find_net("c2").expect("intermediate carry");
@@ -103,8 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let functional_slack = t_cout.input_slack(&arrivals, stable, 0);
     let topo_model = ModuleTiming::characterize(
         block,
-        ModelSource::Topological,
-        CharacterizeOptions::default(),
+        &AnalysisConfig::default().with_source(ModelSource::Topological),
     )?;
     let topo_slack = topo_model.model(2).input_slack(&arrivals, stable, 0);
     println!("  functional slack(c_in)  = {functional_slack}  (c_in may be delayed 1 more unit)");
@@ -127,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let bits = blocks * 2;
         let name = format!("csa{bits}.2");
         let design = carry_skip_adder(bits, 2, CsaDelays::default());
-        let mut hier = HierAnalyzer::new(&design, &name, HierOptions::default())?;
+        let mut hier = HierAnalyzer::with_config(&design, &name, &AnalysisConfig::default())?;
         let analysis = hier.analyze(&vec![t(0); 2 * bits + 1])?;
         let top = design.composite(&name).expect("exists");
         let carry = top.find_net(&format!("c{bits}")).expect("exists");

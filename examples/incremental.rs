@@ -8,11 +8,12 @@
 //! Run with: `cargo run --example incremental`
 
 use hfta::netlist::gen::{carry_skip_adder, carry_skip_block, CsaDelays};
-use hfta::{HierOptions, IncrementalAnalyzer, Time};
+use hfta::{AnalysisConfig, IncrementalAnalyzer, Time};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = carry_skip_adder(16, 2, CsaDelays::default());
-    let mut session = IncrementalAnalyzer::new(design, "csa16.2", HierOptions::default())?;
+    let mut session =
+        IncrementalAnalyzer::with_config(design, "csa16.2", &AnalysisConfig::default())?;
 
     // Initial analysis: the single distinct block is characterized once
     // and shared by all 8 instances.

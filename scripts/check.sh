@@ -37,15 +37,19 @@ echo "== fast property pass (HFTA_PROP_CASES=16) =="
 HFTA_PROP_CASES=16 cargo test -q --offline --workspace
 
 echo "== ablation smoke (HFTA_ABLATION_SMOKE=1) =="
-# End-to-end sanity of the bench harness + oracle ablation on a tiny
-# workload; full numbers come from the release ablation run.
+# End-to-end sanity of the bench harness on a tiny workload: the
+# stability-oracle, cone-signature (asserting nonzero signature-cache
+# hits) and shared-solver groups; full numbers come from the release
+# ablation run.
 HFTA_ABLATION_SMOKE=1 HFTA_BENCH_WARMUP=0 HFTA_BENCH_ITERS=1 \
     cargo run -q --offline -p hfta-bench --bin ablation
 
 echo "== parallel smoke + gate (HFTA_PARALLEL_SMOKE=1) =="
 # Parallel medians must not regress past serial; the parallel bench
 # also asserts bit-identical delays, including under a forced 4-worker
-# pool on machines with fewer cores.
+# pool on machines with fewer cores. trajectory_gate then checks every
+# gated pair its doc comment lists (parallel, warm start, serve, and
+# flat shared-solver XBD0 against its per-cone baseline).
 GATE_JSON="$(mktemp -t hfta_gate_XXXXXX.json)"
 trap 'rm -f "$GATE_JSON"' EXIT
 HFTA_BENCH_JSON="$GATE_JSON" HFTA_BENCH_WARMUP=0 HFTA_BENCH_ITERS=1 HFTA_ABLATION_SMOKE=1 \

@@ -1,18 +1,21 @@
 //! `hfta` — command-line hierarchical functional timing analysis.
 //!
 //! ```text
-//! hfta report <file.bench|file.hnl> [--module NAME] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--no-shared-solver] [--stats] [--trace] [--trace-json FILE]
-//! hfta hier <file.hnl> --top NAME [--algo two-step|demand] [--threads N] [--no-thread-clamp] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--no-cone-sig] [--no-shared-solver] [--use-models DIR] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]
-//! hfta serve <file> [--top NAME] [--socket PATH] [--threads N] [--deadline-ms MS] [--budget-conflicts N] [--max-line BYTES] [--no-shared-solver] [--use-models DIR] [--no-write-through] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]
-//! hfta characterize <file> [--module NAME] [--topological] [-o MODEL.hfta] [--emit-model DIR] [--use-models DIR]
+//! hfta report <file> [--module NAME] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--stats] [--trace] [--trace-json FILE]
+//! hfta hier <file.hnl> --top NAME [--algo two-step|demand] [--threads N] [--no-thread-clamp] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--use-models DIR] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]
+//! hfta serve <file> [--top NAME] [--module NAME] [--socket PATH] [--threads N] [--deadline-ms MS] [--budget-conflicts N] [--max-line BYTES] [--use-models DIR] [--no-write-through] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]
+//! hfta characterize <file> [--module NAME] [--topological] [-o MODEL.hfta] [--emit-model DIR] [--use-models DIR] [--stats]
 //! hfta models <DIR>
-//! hfta sim <file> --from BITS --to BITS
+//! hfta sim <file> --from BITS --to BITS [--module NAME]
 //! hfta check <file> [--module NAME]
 //! hfta dot <file> [--module NAME] [-o GRAPH.dot]
 //! hfta verify <file> --model MODEL.hfta [--module NAME]
 //! hfta flatten <file.hnl> --top NAME [-o FLAT.bench]
-//! hfta convert <file> -o OUT.{bench|blif}
+//! hfta convert <file> -o OUT.{bench|blif} [--module NAME]
 //! ```
+//!
+//! Each subcommand accepts exactly the flags listed for it; any other
+//! flag is an error naming the flag and the subcommand.
 //!
 //! `.bench` files hold a single flat module; `.hnl` files hold
 //! hierarchical designs (see the `hfta_netlist::hnl` docs). Unlisted
@@ -26,24 +29,24 @@
 //! answer — conservative, never wrong — so the tool still exits 0 with
 //! a complete (if less sharp) report.
 //!
-//! `hier` shares work across structurally identical logic cones by
-//! default (hash-consed cone signatures): two-step characterization is
-//! reused across renamed module copies, and demand-driven stability
-//! verdicts across isomorphic cones. `--no-cone-sig` turns the sharing
-//! off; `--stats` shows its effect as `cone signatures: H hits, M
-//! misses` plus (two-step) the modules aliased to a structural twin.
+//! `hier` shares work across structurally identical logic cones
+//! (hash-consed cone signatures): two-step characterization is reused
+//! across renamed module copies, and demand-driven stability verdicts
+//! across isomorphic cones. `--stats` shows the effect as `cone
+//! signatures: H hits, M misses` plus (two-step) the modules aliased to
+//! a structural twin.
 //!
-//! Unlimited-budget stability queries run by default in *shared-solver*
-//! mode: one incremental SAT instance per module answers every cone's
-//! queries, restricted to the cone's transitive-fanin variable domain,
-//! so learnt clauses transfer across cones and queries (see
-//! DESIGN.md, "Why domain-restricted sharing is sound"). Results are
-//! bit-identical either way; `--no-shared-solver` (or `--shared-solver`
-//! to spell the default) selects fresh per-cone solvers instead, and
-//! `--stats` reports the sharing as `shared solver: D domains built, S
-//! clauses subsumed, L learnts imported`. Budgeted runs always use
-//! per-cone solvers so degraded verdicts never contaminate shared
-//! state.
+//! The budget alone picks how stability queries are solved. Without
+//! one, a single incremental SAT instance per module (or signature
+//! class) answers every cone's queries, each restricted to the cone's
+//! transitive-fanin variable domain, so learnt clauses transfer across
+//! cones and queries (see DESIGN.md, "Why domain-restricted sharing is
+//! sound"); `--stats` reports this as `shared solver: D domains built,
+//! S clauses subsumed, L learnts imported`. With `--budget-conflicts`
+//! or `--budget-ms`, every cone gets a fresh solver of its own and the
+//! demand verdict memo stays off, so a degraded verdict never
+//! contaminates shared state. Verdicts agree wherever the budget does
+//! not bind.
 //!
 //! `--use-models DIR` warm-starts an analysis from a persistent model
 //! database: characterized models (and demand-driven stability
@@ -89,8 +92,8 @@ use hfta::netlist::event_sim::simulate_transition;
 use hfta::netlist::stats::{to_dot, NetlistStats};
 use hfta::netlist::{bench_format, blif, hnl};
 use hfta::{
-    AnalysisConfig, CharacterizeOptions, DemandDrivenAnalyzer, Design, HierAnalyzer, ModelDb,
-    ModelSource, ModuleTiming, Netlist, SolveBudget, Time, TraceSink,
+    AnalysisConfig, DemandDrivenAnalyzer, Design, HierAnalyzer, ModelDb, ModelSource, ModuleTiming,
+    Netlist, SolveBudget, Time, TraceSink,
 };
 
 fn main() -> ExitCode {
@@ -105,73 +108,183 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let Some((command, rest)) = args.split_first() else {
+    let Some((name, rest)) = args.split_first() else {
         return Err(usage());
     };
-    match command.as_str() {
-        "report" => cmd_report(rest),
-        "hier" => cmd_hier(rest),
-        "serve" => cmd_serve(rest),
-        "characterize" => cmd_characterize(rest),
-        "models" => cmd_models(rest),
-        "sim" => cmd_sim(rest),
-        "check" => cmd_check(rest),
-        "dot" => cmd_dot(rest),
-        "verify" => cmd_verify(rest),
-        "flatten" => cmd_flatten(rest),
-        "convert" => cmd_convert(rest),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
+    }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`\n{}", usage()))?;
+    let opts = parse_opts(command, rest)?;
+    (command.run)(&opts)
+}
+
+/// One subcommand: its name, its positional arguments, the flags it
+/// accepts (written as they appear in the usage line: `--flag VALUE`
+/// takes a value, `--flag` alone does not), and its handler. Both
+/// [`usage`] and [`parse_opts`] read this table, so a flag is accepted
+/// exactly when it is documented.
+struct Command {
+    name: &'static str,
+    args: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Opts) -> Result<(), String>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "report",
+        args: "<file>",
+        flags: &[
+            "[--module NAME]",
+            "[--arrival PIN=T]...",
+            "[--budget-conflicts N]",
+            "[--budget-ms MS]",
+            "[--stats]",
+            "[--trace]",
+            "[--trace-json FILE]",
+        ],
+        run: cmd_report,
+    },
+    Command {
+        name: "hier",
+        args: "<file.hnl>",
+        flags: &[
+            "--top NAME",
+            "[--algo two-step|demand]",
+            "[--threads N]",
+            "[--no-thread-clamp]",
+            "[--arrival PIN=T]...",
+            "[--budget-conflicts N]",
+            "[--budget-ms MS]",
+            "[--use-models DIR]",
+            "[--emit-models DIR]",
+            "[--model-limit N]",
+            "[--stats]",
+            "[--trace]",
+            "[--trace-json FILE]",
+        ],
+        run: cmd_hier,
+    },
+    Command {
+        name: "serve",
+        args: "<file>",
+        flags: &[
+            "[--top NAME]",
+            "[--module NAME]",
+            "[--socket PATH]",
+            "[--threads N]",
+            "[--deadline-ms MS]",
+            "[--budget-conflicts N]",
+            "[--max-line BYTES]",
+            "[--use-models DIR]",
+            "[--no-write-through]",
+            "[--emit-models DIR]",
+            "[--model-limit N]",
+            "[--stats]",
+            "[--trace]",
+            "[--trace-json FILE]",
+        ],
+        run: cmd_serve,
+    },
+    Command {
+        name: "characterize",
+        args: "<file>",
+        flags: &[
+            "[--module NAME]",
+            "[--topological]",
+            "[-o MODEL.hfta]",
+            "[--emit-model DIR]",
+            "[--use-models DIR]",
+            "[--stats]",
+        ],
+        run: cmd_characterize,
+    },
+    Command {
+        name: "models",
+        args: "<DIR>",
+        flags: &[],
+        run: cmd_models,
+    },
+    Command {
+        name: "sim",
+        args: "<file>",
+        flags: &["--from BITS", "--to BITS", "[--module NAME]"],
+        run: cmd_sim,
+    },
+    Command {
+        name: "check",
+        args: "<file>",
+        flags: &["[--module NAME]"],
+        run: cmd_check,
+    },
+    Command {
+        name: "dot",
+        args: "<file>",
+        flags: &["[--module NAME]", "[-o GRAPH.dot]"],
+        run: cmd_dot,
+    },
+    Command {
+        name: "verify",
+        args: "<file>",
+        flags: &["--model MODEL.hfta", "[--module NAME]"],
+        run: cmd_verify,
+    },
+    Command {
+        name: "flatten",
+        args: "<file.hnl>",
+        flags: &["--top NAME", "[-o FLAT.bench]"],
+        run: cmd_flatten,
+    },
+    Command {
+        name: "convert",
+        args: "<file>",
+        flags: &["-o OUT.{bench|blif}", "[--module NAME]"],
+        run: cmd_convert,
+    },
+];
+
+impl Command {
+    fn usage(&self) -> String {
+        let mut line = format!("hfta {} {}", self.name, self.args);
+        for flag in self.flags {
+            line.push(' ');
+            line.push_str(flag);
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        line
+    }
+
+    /// Whether the subcommand accepts `flag`, and if so whether the
+    /// flag takes a value.
+    fn accepts(&self, flag: &str) -> Option<bool> {
+        self.flags.iter().find_map(|spec| {
+            let spec = spec.trim_start_matches('[');
+            let spec = spec.split(']').next().unwrap_or(spec);
+            let mut words = spec.split_whitespace();
+            (words.next() == Some(flag)).then(|| words.next().is_some())
+        })
     }
 }
 
 fn usage() -> String {
-    "usage:\n  \
-     hfta report <file> [--module NAME] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--no-shared-solver] [--stats] [--trace] [--trace-json FILE]\n  \
-     hfta hier <file.hnl> --top NAME [--algo two-step|demand] [--threads N] [--no-thread-clamp] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--no-cone-sig] [--no-shared-solver] [--use-models DIR] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]\n  \
-     hfta serve <file> [--top NAME] [--socket PATH] [--threads N] [--deadline-ms MS] [--budget-conflicts N] [--max-line BYTES] [--no-shared-solver] [--use-models DIR] [--no-write-through] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]\n  \
-     hfta characterize <file> [--module NAME] [--topological] [-o MODEL.hfta] [--emit-model DIR] [--use-models DIR]\n  \
-     hfta models <DIR>\n  \
-     hfta sim <file> --from BITS --to BITS\n  \
-     hfta check <file> [--module NAME]\n  \
-     hfta dot <file> [--module NAME] [-o GRAPH.dot]\n  \
-     hfta verify <file> --model MODEL.hfta [--module NAME]\n  \
-     hfta flatten <file.hnl> --top NAME [-o FLAT.bench]\n  \
-     hfta convert <file> -o OUT.{bench|blif}"
-        .to_string()
+    let mut text = String::from("usage:");
+    for command in COMMANDS {
+        text.push_str("\n  ");
+        text.push_str(&command.usage());
+    }
+    text
 }
 
-/// Minimal flag parser: positionals + `--key value` + `--flag`.
+/// Parsed command line: positionals + `--key value` + `--flag`.
 struct Opts {
     positionals: Vec<String>,
     values: HashMap<String, Vec<String>>,
     flags: Vec<String>,
 }
-
-const VALUE_FLAGS: &[&str] = &[
-    "--module",
-    "--top",
-    "--algo",
-    "--threads",
-    "--arrival",
-    "-o",
-    "--from",
-    "--to",
-    "--model",
-    "--budget-conflicts",
-    "--budget-ms",
-    "--trace-json",
-    "--use-models",
-    "--emit-models",
-    "--emit-model",
-    "--model-limit",
-    "--socket",
-    "--deadline-ms",
-    "--max-line",
-];
 
 /// How the user asked to observe the analysis: a shared sink (disabled
 /// unless some trace output was requested), an optional JSONL path
@@ -221,14 +334,6 @@ impl TraceSetup {
     }
 }
 
-/// Resolves the `--shared-solver` / `--no-shared-solver` pair. Shared
-/// mode is the default; the positive flag exists so scripts can spell
-/// the default explicitly. When both are given the negative wins (it
-/// is the conservative choice).
-fn shared_solver_from(opts: &Opts) -> bool {
-    !opts.has_flag("--no-shared-solver")
-}
-
 /// Builds the analysis budget from `--budget-conflicts N` (per-query
 /// SAT conflict cap) and `--budget-ms MS` (wall-clock deadline for the
 /// whole analysis, measured from now). Unlimited when neither is given.
@@ -268,7 +373,9 @@ fn apply_model_db(mut config: AnalysisConfig, opts: &Opts) -> Result<AnalysisCon
     Ok(config)
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Splits `args` into positionals, flag values and bare flags,
+/// rejecting any flag `command` does not list.
+fn parse_opts(command: &Command, args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         positionals: Vec::new(),
         values: HashMap::new(),
@@ -276,15 +383,25 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            let v = it
-                .next()
-                .ok_or_else(|| format!("flag `{a}` needs a value"))?;
-            opts.values.entry(a.clone()).or_default().push(v.clone());
-        } else if a.starts_with('-') {
-            opts.flags.push(a.clone());
-        } else {
+        if !a.starts_with('-') {
             opts.positionals.push(a.clone());
+            continue;
+        }
+        match command.accepts(a) {
+            Some(true) => {
+                let v = it
+                    .next()
+                    .ok_or_else(|| format!("flag `{a}` needs a value"))?;
+                opts.values.entry(a.clone()).or_default().push(v.clone());
+            }
+            Some(false) => opts.flags.push(a.clone()),
+            None => {
+                return Err(format!(
+                    "`hfta {}` has no flag `{a}`\nusage: {}",
+                    command.name,
+                    command.usage()
+                ))
+            }
         }
     }
     Ok(opts)
@@ -376,12 +493,11 @@ fn parse_arrival(spec: &str) -> Result<(String, Time), String> {
     Ok((pin.to_string(), Time::new(t)))
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn cmd_report(opts: &Opts) -> Result<(), String> {
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default) = load(path)?;
-    let nl = pick_leaf(&design, &opts, default.as_deref())?;
-    let arrivals = arrivals_for(nl, &opts)?;
+    let nl = pick_leaf(&design, opts, default.as_deref())?;
+    let arrivals = arrivals_for(nl, opts)?;
 
     println!(
         "module {} — {} gates, {} inputs, {} outputs",
@@ -392,10 +508,9 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     );
     // First pass determines the functional circuit delay; the report
     // computes slacks against it (zero worst slack).
-    let tr = trace_setup(&opts);
+    let tr = trace_setup(opts);
     let config = AnalysisConfig::default()
-        .with_budget(budget_from(&opts)?)
-        .with_shared_solver(shared_solver_from(&opts))
+        .with_budget(budget_from(opts)?)
         .with_trace(tr.sink.clone());
     let (probe, probe_stats) =
         TimingReport::generate(nl, &arrivals, Time::ZERO, &config).map_err(|e| e.to_string())?;
@@ -427,8 +542,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_hier(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn cmd_hier(opts: &Opts) -> Result<(), String> {
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default_top) = load(path)?;
     let top = opts
@@ -451,14 +565,12 @@ fn cmd_hier(args: &[String]) -> Result<(), String> {
     }
     let algo = opts.value("--algo").unwrap_or("demand");
     let want_stats = opts.has_flag("--stats");
-    let tr = trace_setup(&opts);
+    let tr = trace_setup(opts);
     let mut config = apply_model_db(
         AnalysisConfig::default()
-            .with_budget(budget_from(&opts)?)
-            .with_cone_sig(!opts.has_flag("--no-cone-sig"))
-            .with_shared_solver(shared_solver_from(&opts))
+            .with_budget(budget_from(opts)?)
             .with_trace(tr.sink.clone()),
-        &opts,
+        opts,
     )?;
     if let Some(threads) = opts.value("--threads") {
         let threads: usize = threads
@@ -531,11 +643,10 @@ fn cmd_hier(args: &[String]) -> Result<(), String> {
 
 /// `hfta serve`: load + characterize once, then answer timing queries
 /// from the warm caches until EOF or a `shutdown` request.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(opts: &Opts) -> Result<(), String> {
     use hfta::sched::Scheduler;
     use hfta::serve::{serve_lines, serve_unix_socket, wrap_flat, Action, ServeSession};
 
-    let opts = parse_opts(args)?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (loaded, default_top) = load(path)?;
     let top = opts
@@ -562,13 +673,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .max(1),
         None => 1,
     };
-    let tr = trace_setup(&opts);
+    let tr = trace_setup(opts);
     let mut config = apply_model_db(
         AnalysisConfig::default()
-            .with_budget(budget_from(&opts)?)
-            .with_shared_solver(shared_solver_from(&opts))
+            .with_budget(budget_from(opts)?)
             .with_trace(tr.sink.clone()),
-        &opts,
+        opts,
     )?;
     if threads > 1 {
         config = config.with_threads(threads);
@@ -664,8 +774,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_characterize(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn cmd_characterize(opts: &Opts) -> Result<(), String> {
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default) = load(path)?;
     let source = if opts.has_flag("--topological") {
@@ -674,11 +783,11 @@ fn cmd_characterize(args: &[String]) -> Result<(), String> {
         ModelSource::Functional
     };
     if let Some(dir) = opts.value("--emit-model") {
-        return emit_models(&design, &opts, dir, source);
+        return emit_models(&design, opts, dir, source);
     }
-    let nl = pick_leaf(&design, &opts, default.as_deref())?;
-    let timing = ModuleTiming::characterize(nl, source, CharacterizeOptions::default())
-        .map_err(|e| e.to_string())?;
+    let nl = pick_leaf(&design, opts, default.as_deref())?;
+    let config = AnalysisConfig::default().with_source(source);
+    let timing = ModuleTiming::characterize(nl, &config).map_err(|e| e.to_string())?;
     let text = timing.to_text();
     match opts.value("-o") {
         Some(out) => {
@@ -698,7 +807,8 @@ fn cmd_characterize(args: &[String]) -> Result<(), String> {
 fn emit_models(design: &Design, opts: &Opts, dir: &str, source: ModelSource) -> Result<(), String> {
     use hfta::netlist::ModuleBody;
 
-    let copts = CharacterizeOptions::default();
+    let config = AnalysisConfig::default().with_source(source);
+    let copts = config.characterize_options();
     let mut emit = ModelDb::open(dir).map_err(|e| format!("{dir}: {e}"))?;
     let mut probe = opts.value("--use-models").map(ModelDb::open_read_only);
     let selected = opts.value("--module");
@@ -720,7 +830,7 @@ fn emit_models(design: &Design, opts: &Opts, dir: &str, source: ModelSource) -> 
             }
             None => {
                 characterized += 1;
-                ModuleTiming::characterize(nl, source, copts).map_err(|e| e.to_string())?
+                ModuleTiming::characterize(nl, &config).map_err(|e| e.to_string())?
             }
         };
         emit.store(nl, source, &copts, &timing, false);
@@ -744,8 +854,7 @@ fn emit_models(design: &Design, opts: &Opts, dir: &str, source: ModelSource) -> 
 /// Audits a model database directory: one line per record with the
 /// module name and entry count, or the validation error that makes the
 /// record unusable.
-fn cmd_models(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn cmd_models(opts: &Opts) -> Result<(), String> {
     let dir = opts.positionals.first().ok_or_else(usage)?;
     let db = ModelDb::open_read_only(dir);
     let records = db.audit().map_err(|e| format!("{dir}: {e}"))?;
@@ -771,11 +880,10 @@ fn cmd_models(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sim(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn cmd_sim(opts: &Opts) -> Result<(), String> {
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default) = load(path)?;
-    let nl = pick_leaf(&design, &opts, default.as_deref())?;
+    let nl = pick_leaf(&design, opts, default.as_deref())?;
     let from = parse_bits(opts.value("--from").ok_or("missing --from BITS")?, nl)?;
     let to = parse_bits(opts.value("--to").ok_or("missing --to BITS")?, nl)?;
     let arrivals = vec![Time::ZERO; nl.inputs().len()];
@@ -813,12 +921,11 @@ fn parse_bits(bits: &str, nl: &Netlist) -> Result<Vec<bool>, String> {
         .collect()
 }
 
-fn cmd_check(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn cmd_check(opts: &Opts) -> Result<(), String> {
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default) = load(path)?;
     design.validate().map_err(|e| e.to_string())?;
-    let nl = pick_leaf(&design, &opts, default.as_deref())?;
+    let nl = pick_leaf(&design, opts, default.as_deref())?;
     nl.validate().map_err(|e| e.to_string())?;
     let stats = NetlistStats::collect(nl).map_err(|e| e.to_string())?;
     println!("{stats}");
@@ -826,11 +933,10 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_dot(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn cmd_dot(opts: &Opts) -> Result<(), String> {
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default) = load(path)?;
-    let nl = pick_leaf(&design, &opts, default.as_deref())?;
+    let nl = pick_leaf(&design, opts, default.as_deref())?;
     let dot = to_dot(nl);
     match opts.value("-o") {
         Some(out) => {
@@ -842,12 +948,11 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn cmd_verify(opts: &Opts) -> Result<(), String> {
     let path = opts.positionals.first().ok_or_else(usage)?;
     let model_path = opts.value("--model").ok_or("missing --model MODEL.hfta")?;
     let (design, default) = load(path)?;
-    let nl = pick_leaf(&design, &opts, default.as_deref())?;
+    let nl = pick_leaf(&design, opts, default.as_deref())?;
     let text = std::fs::read_to_string(model_path).map_err(|e| format!("{model_path}: {e}"))?;
     let timing = ModuleTiming::from_text(&text).map_err(|e| e.to_string())?;
     let violations = timing.verify(nl).map_err(|e| e.to_string())?;
@@ -862,8 +967,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_flatten(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn cmd_flatten(opts: &Opts) -> Result<(), String> {
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default_top) = load(path)?;
     let top = opts
@@ -883,12 +987,11 @@ fn cmd_flatten(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn cmd_convert(opts: &Opts) -> Result<(), String> {
     let path = opts.positionals.first().ok_or_else(usage)?;
     let out = opts.value("-o").ok_or("missing -o OUT.{bench|blif}")?;
     let (design, default) = load(path)?;
-    let nl = pick_leaf(&design, &opts, default.as_deref())?;
+    let nl = pick_leaf(&design, opts, default.as_deref())?;
     let text = if out.ends_with(".blif") {
         blif::write(nl)
     } else if out.ends_with(".bench") {

@@ -23,7 +23,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use hfta::{HierAnalyzer, HierOptions, Time};
+//! use hfta::{AnalysisConfig, HierAnalyzer, Time};
 //! use hfta::netlist::gen::{carry_skip_adder, CsaDelays};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,7 +32,7 @@
 //!
 //! // Hierarchical functional analysis: characterize the block once,
 //! // propagate timing models through the cascade.
-//! let mut hier = HierAnalyzer::new(&design, "csa4.2", HierOptions::default())?;
+//! let mut hier = HierAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default())?;
 //! let analysis = hier.analyze(&vec![Time::ZERO; 9])?;
 //!
 //! // The final carry matches flat analysis (10), beating the
@@ -53,10 +53,9 @@ pub use hfta_sched as sched;
 pub use hfta_serve as serve;
 
 pub use hfta_core::{
-    AnalysisConfig, CharacterizeOptions, DemandAnalysis, DemandDrivenAnalyzer, DemandOptions,
-    HierAnalysis, HierAnalyzer, HierOptions, IncrementalAnalyzer, ModelDb, ModelDbSpec,
-    ModelDbStats, ModelSource, ModuleTiming, TimingModel, TimingTuple, Trace, TraceSink, Tracer,
-    WarmSnapshot,
+    AnalysisConfig, CharacterizeOptions, DemandAnalysis, DemandDrivenAnalyzer, HierAnalysis,
+    HierAnalyzer, IncrementalAnalyzer, ModelDb, ModelDbSpec, ModelDbStats, ModelSource,
+    ModuleTiming, TimingModel, TimingTuple, Trace, TraceSink, Tracer, WarmSnapshot,
 };
 pub use hfta_fta::{functional_circuit_delay, DelayAnalyzer, StabilityAnalyzer, TopoSta};
 pub use hfta_netlist::{Composite, Design, GateKind, NetId, Netlist, NetlistError, Time};

@@ -169,7 +169,7 @@ top top
 ";
 
 #[test]
-fn cone_sig_sharing_surfaces_in_stats_and_can_be_disabled() {
+fn cone_sig_sharing_surfaces_in_stats() {
     let path = write_temp("twins.hnl", HNL_TWINS);
     let (ok, on, _) = run(&[
         "hier",
@@ -184,24 +184,49 @@ fn cone_sig_sharing_surfaces_in_stats_and_can_be_disabled() {
     assert!(on.contains("cone signatures:"), "{on}");
     assert!(on.contains("estimated delay: 8"), "{on}");
 
-    let (ok, off, _) = run(&[
-        "hier",
-        path.to_str().unwrap(),
-        "--algo",
-        "two-step",
-        "--no-cone-sig",
-        "--stats",
-    ]);
-    assert!(ok, "{off}");
-    assert!(off.contains("0 modules aliased"), "{off}");
-    assert!(!off.contains("aliased module:"), "{off}");
-    assert!(off.contains("estimated delay: 8"), "{off}");
-
-    // The demand-driven path accepts the toggle too, with the same
-    // answer either way.
-    let (ok, demand, _) = run(&["hier", path.to_str().unwrap(), "--no-cone-sig"]);
+    // The demand-driven path shares verdicts and gets the same answer.
+    let (ok, demand, _) = run(&["hier", path.to_str().unwrap()]);
     assert!(ok, "{demand}");
     assert!(demand.contains("estimated delay: 8"), "{demand}");
+}
+
+/// Every subcommand accepts exactly the flags its usage line lists: a
+/// removed switch or a typo is an error naming the flag and the
+/// subcommand, never silently ignored.
+#[test]
+fn unknown_flags_are_rejected() {
+    let corpus = |name: &str| {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/corpus")
+            .join(name)
+            .to_str()
+            .expect("utf-8 path")
+            .to_string()
+    };
+    let (c17, pair) = (corpus("c17.bench"), corpus("csa_pair.hnl"));
+    let rejects = |flag: &str, args: &[&str]| {
+        let (ok, stdout, stderr) = run(args);
+        assert!(!ok, "{args:?} must fail: {stdout}");
+        let subcommand = format!("`hfta {}`", args[0]);
+        assert!(
+            stderr.contains(&format!("`{flag}`")) && stderr.contains(&subcommand),
+            "{args:?}: {stderr}"
+        );
+    };
+    rejects("--no-such-flag", &["report", &c17, "--no-such-flag"]);
+    rejects("--bogus", &["hier", &pair, "--algo", "demand", "--bogus"]);
+    rejects("--thread", &["hier", &pair, "--thread", "4"]);
+    // Removed sharing switches: the budget picks the stability path, so
+    // every subcommand rejects them.
+    for removed in ["no-shared-solver", "shared-solver", "no-cone-sig"] {
+        let flag = format!("--{removed}");
+        rejects(&flag, &["report", &c17, &flag]);
+        rejects(&flag, &["hier", &pair, &flag]);
+        rejects(&flag, &["serve", &pair, &flag]);
+    }
+    // The flags still listed for a subcommand keep working.
+    let (ok, _, stderr) = run(&["hier", &pair, "--threads", "2", "--stats"]);
+    assert!(ok, "{stderr}");
 }
 
 #[test]

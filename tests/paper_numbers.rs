@@ -3,8 +3,8 @@
 
 use hfta::netlist::gen::{carry_skip_adder, carry_skip_adder_flat, carry_skip_block, CsaDelays};
 use hfta::{
-    CharacterizeOptions, DelayAnalyzer, HierAnalyzer, HierOptions, ModelSource, ModuleTiming, Time,
-    TimingTuple, TopoSta,
+    AnalysisConfig, DelayAnalyzer, HierAnalyzer, ModelSource, ModuleTiming, Time, TimingTuple,
+    TopoSta,
 };
 
 fn t(v: i64) -> Time {
@@ -33,12 +33,8 @@ const NI: i64 = i64::MIN + 1; // shorthand for −∞ in the tables below
 #[test]
 fn section4_timing_models() {
     let block = carry_skip_block(2, CsaDelays::default());
-    let timing = ModuleTiming::characterize(
-        &block,
-        ModelSource::Functional,
-        CharacterizeOptions::default(),
-    )
-    .expect("characterizes");
+    let timing =
+        ModuleTiming::characterize(&block, &AnalysisConfig::default()).expect("characterizes");
     assert_eq!(
         timing.model(0).tuples(),
         &[tuple(&[2, 4, 4, NI, NI])],
@@ -72,7 +68,8 @@ fn section4_topological_cin_cout_is_6() {
 #[test]
 fn section4_cascade_arrivals() {
     let design = carry_skip_adder(4, 2, CsaDelays::default());
-    let mut hier = HierAnalyzer::new(&design, "csa4.2", HierOptions::default()).expect("valid");
+    let mut hier =
+        HierAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default()).expect("valid");
     let analysis = hier.analyze(&[t(0); 9]).expect("analyzes");
     let top = design.composite("csa4.2").expect("exists");
     assert_eq!(
@@ -99,7 +96,8 @@ fn section4_parametric_formula_to_n8() {
         let bits = 2 * blocks;
         let name = format!("csa{bits}.2");
         let design = carry_skip_adder(bits, 2, CsaDelays::default());
-        let mut hier = HierAnalyzer::new(&design, &name, HierOptions::default()).expect("valid");
+        let mut hier =
+            HierAnalyzer::with_config(&design, &name, &AnalysisConfig::default()).expect("valid");
         let analysis = hier.analyze(&vec![t(0); 2 * bits + 1]).expect("analyzes");
         let top = design.composite(&name).expect("exists");
         let carry = analysis.net_arrivals[top.find_net(&format!("c{bits}")).unwrap().index()];
@@ -127,12 +125,8 @@ fn figure5_slacks() {
     let block = carry_skip_block(2, CsaDelays::default());
     let arrivals = vec![t(5), t(0), t(0), t(0), t(0)];
 
-    let functional = ModuleTiming::characterize(
-        &block,
-        ModelSource::Functional,
-        CharacterizeOptions::default(),
-    )
-    .expect("characterizes");
+    let functional =
+        ModuleTiming::characterize(&block, &AnalysisConfig::default()).expect("characterizes");
     let t_cout = functional.model(2);
     assert_eq!(t_cout.stable_time(&arrivals), t(8));
 
@@ -143,8 +137,7 @@ fn figure5_slacks() {
 
     let topological = ModuleTiming::characterize(
         &block,
-        ModelSource::Topological,
-        CharacterizeOptions::default(),
+        &AnalysisConfig::default().with_source(ModelSource::Topological),
     )
     .expect("characterizes");
     assert_eq!(topological.model(2).input_slack(&arrivals, t(8), 0), t(-3));

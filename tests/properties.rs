@@ -4,7 +4,8 @@ use hfta::netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 use hfta::netlist::partition::cascade_bipartition;
 use hfta::netlist::{cone_signature, sim};
 use hfta::{
-    DelayAnalyzer, DemandDrivenAnalyzer, GateKind, Netlist, StabilityAnalyzer, Time, TopoSta,
+    AnalysisConfig, DelayAnalyzer, DemandDrivenAnalyzer, GateKind, Netlist, StabilityAnalyzer,
+    Time, TopoSta,
 };
 use hfta_testkit::{from_fn_with_shrink, prop, Rng, Strategy};
 
@@ -244,20 +245,20 @@ prop!(cases = 48, fn cone_signature_distinguishes_modified_cones(spec in spec_st
 // fresh characterization, for the original cone and any structural
 // twin of it.
 prop!(cases = 16, fn signature_shared_characterization_is_bit_identical(spec in spec_strategy()) {
-    use hfta::fta::{characterize_module, CharacterizeOptions, ConeSigCache};
+    use hfta::fta::{characterize_module, ConeSigCache};
     let nl = random_circuit("p", spec);
     let out = nl.outputs()[0];
     let (cone, _) = nl.cone(out);
     let (twin, _) = shuffled_copy(&cone, spec.seed ^ 0xc2b2_ae35);
-    let opts = CharacterizeOptions::default();
-    let fresh_cone = characterize_module(&cone, opts).expect("characterizes");
-    let fresh_twin = characterize_module(&twin, opts).expect("characterizes");
+    let config = AnalysisConfig::default();
+    let fresh_cone = characterize_module(&cone, &config).expect("characterizes");
+    let fresh_twin = characterize_module(&twin, &config).expect("characterizes");
 
     let mut cache = ConeSigCache::new();
     let (shared_cone, _, _) =
-        hfta::fta::characterize_module_cached(&cone, opts, &mut cache).expect("characterizes");
+        hfta::fta::characterize_module_cached(&cone, &config, &mut cache).expect("characterizes");
     let (shared_twin, _, _) =
-        hfta::fta::characterize_module_cached(&twin, opts, &mut cache).expect("characterizes");
+        hfta::fta::characterize_module_cached(&twin, &config, &mut cache).expect("characterizes");
     assert_eq!(shared_cone, fresh_cone, "cache changed the original's models");
     assert_eq!(shared_twin, fresh_twin, "sharing changed the twin's models");
 });
@@ -275,7 +276,7 @@ prop!(cases = 64, fn demand_driven_conservative(spec in spec_strategy()) {
     let topo = sta.circuit_delay(&arrivals);
 
     let design = cascade_bipartition(&flat, 0.5).expect("partitions");
-    let mut dd = DemandDrivenAnalyzer::new(&design, "p_top", Default::default())
+    let mut dd = DemandDrivenAnalyzer::with_config(&design, "p_top", &AnalysisConfig::default())
         .expect("valid");
     let est = dd.analyze(&arrivals).expect("analyzes").delay;
     assert!(est >= exact, "optimistic: {est} < {exact}");
@@ -289,7 +290,8 @@ prop!(cases = 32, fn model_db_round_trip_is_bit_identical(spec in spec_strategy(
     let nl = random_circuit("p", spec);
     let source = hfta::ModelSource::Functional;
     let opts = hfta::CharacterizeOptions::default();
-    let fresh = hfta::ModuleTiming::characterize(&nl, source, opts).expect("acyclic");
+    let fresh =
+        hfta::ModuleTiming::characterize(&nl, &AnalysisConfig::default()).expect("acyclic");
 
     let dir = std::env::temp_dir().join(format!(
         "hfta-prop-modeldb-{}-{:x}",
@@ -314,7 +316,7 @@ prop!(cases = 32, fn model_db_round_trip_is_bit_identical(spec in spec_strategy(
 // bit-identical to the cold run that seeded it, with zero
 // characterizations.
 prop!(cases = 16, fn warm_start_analysis_is_bit_identical(spec in spec_strategy()) {
-    use hfta::{AnalysisConfig, HierAnalyzer};
+    use hfta::HierAnalyzer;
 
     let flat = random_circuit("p", spec);
     if flat.gate_count() < 2 {

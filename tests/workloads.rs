@@ -5,7 +5,7 @@ use hfta::netlist::gen::{
     array_multiplier, carry_lookahead_adder, carry_select_adder, parity_tree, CsaDelays,
 };
 use hfta::netlist::partition::cascade_bipartition_min_cut;
-use hfta::{DelayAnalyzer, DemandDrivenAnalyzer, Time, TopoSta};
+use hfta::{AnalysisConfig, DelayAnalyzer, DemandDrivenAnalyzer, Time, TopoSta};
 
 fn t(v: i64) -> Time {
     Time::new(v)
@@ -72,7 +72,8 @@ fn multiplier_partitioned_hierarchically() {
     let (functional, topological) = delays(&nl);
     assert!(functional <= topological);
     let design = cascade_bipartition_min_cut(&nl, 0.3, 0.7).expect("partitions");
-    let mut dd = DemandDrivenAnalyzer::new(&design, "mul3_top", Default::default()).expect("valid");
+    let mut dd = DemandDrivenAnalyzer::with_config(&design, "mul3_top", &AnalysisConfig::default())
+        .expect("valid");
     let est = dd
         .analyze(&vec![t(0); nl.inputs().len()])
         .expect("analyzes")
@@ -89,7 +90,8 @@ fn carry_select_hierarchical_accuracy() {
     let design = cascade_bipartition_min_cut(&nl, 0.3, 0.7).expect("partitions");
     let arrivals = vec![t(0); nl.inputs().len()];
     let mut dd =
-        DemandDrivenAnalyzer::new(&design, "csel8.4_top", Default::default()).expect("valid");
+        DemandDrivenAnalyzer::with_config(&design, "csel8.4_top", &AnalysisConfig::default())
+            .expect("valid");
     let est = dd.analyze(&arrivals).expect("analyzes").delay;
     let (functional, topological) = delays(&nl);
     assert!(est >= functional && est <= topological);

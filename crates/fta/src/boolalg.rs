@@ -8,6 +8,7 @@
 //! the exact required-time engine).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use hfta_bdd::{Bdd, BddManager};
 use hfta_sat::{CnfBuilder, Lit, SolveBudget};
@@ -114,6 +115,30 @@ pub trait BoolAlg {
     }
 }
 
+/// Hasher of the AND cache's keys (two literal codes packed in a `u64`):
+/// one multiply per key and a rotate that brings the well-mixed high
+/// product bits down to the bucket index. The keys are literals the
+/// encoder made, not outside input, so SipHash's flood resistance buys
+/// nothing here.
+#[derive(Default)]
+struct LitPairHasher(u64);
+
+impl Hasher for LitPairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// SAT-backed Boolean algebra: functions are Tseitin-encoded literals in
 /// a growing [`CnfBuilder`]; tautology is decided by refutation.
 ///
@@ -122,8 +147,10 @@ pub trait BoolAlg {
 #[derive(Debug, Default)]
 pub struct SatAlg {
     cnf: CnfBuilder,
-    inputs: HashMap<usize, Lit>,
-    and_cache: HashMap<(Lit, Lit), Lit>,
+    /// The literal of each primary input, by input position, once made.
+    inputs: Vec<Option<Lit>>,
+    /// `AND(a, b)` by the literal codes of `a < b`, packed high and low.
+    and_cache: HashMap<u64, Lit, BuildHasherDefault<LitPairHasher>>,
     tautology_queries: u64,
     /// Shared-solver mode: answer each query under the variable
     /// domain of its transitive support instead of letting the solver
@@ -203,11 +230,14 @@ impl BoolAlg for SatAlg {
     }
 
     fn input(&mut self, i: usize) -> Lit {
-        if let Some(&l) = self.inputs.get(&i) {
+        if let Some(&Some(l)) = self.inputs.get(i) {
             return l;
         }
         let l = self.cnf.new_lit();
-        self.inputs.insert(i, l);
+        if self.inputs.len() <= i {
+            self.inputs.resize(i + 1, None);
+        }
+        self.inputs[i] = Some(l);
         l
     }
 
@@ -227,7 +257,8 @@ impl BoolAlg for SatAlg {
         if b == t {
             return a;
         }
-        let key = if a < b { (a, b) } else { (b, a) };
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        let key = (lo.code() as u64) << 32 | hi.code() as u64;
         if let Some(&z) = self.and_cache.get(&key) {
             return z;
         }
@@ -304,7 +335,7 @@ impl BoolAlg for SatAlg {
             // below, exactly as a fresh per-cone solver leaves
             // never-encoded inputs unconstrained).
             let mut roots = vec![a];
-            roots.extend((0..num_inputs).filter_map(|i| self.inputs.get(&i).copied()));
+            roots.extend(self.inputs.iter().take(num_inputs).flatten());
             let dom = self.cnf.domain_of(&roots);
             self.domains_built += 1;
             self.cnf.solve_domain(&[!a], &dom)
@@ -318,8 +349,10 @@ impl BoolAlg for SatAlg {
                     .map(|i| {
                         // Inputs never queried so far are unconstrained.
                         self.inputs
-                            .get(&i)
-                            .and_then(|&l| self.cnf.lit_model(l))
+                            .get(i)
+                            .copied()
+                            .flatten()
+                            .and_then(|l| self.cnf.lit_model(l))
                             .unwrap_or(false)
                     })
                     .collect(),

@@ -36,8 +36,6 @@
 //!   learnt clauses, the operation caches, the settled-function memo —
 //!   alive across arbitrarily many arrival conditions.
 
-use std::collections::HashMap;
-
 use hfta_netlist::{GateId, GateKind, NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
 
@@ -220,6 +218,9 @@ impl StabilityStats {
     }
 }
 
+/// One net's `(t, (S0, S1))` memo entries.
+type TimedPairs<R> = Vec<(Time, (R, R))>;
+
 /// The netlist-agnostic stability recursion: Boolean backend, memo
 /// tables, arrival-condition bounds, and counters. The netlist is
 /// passed into every call so the engine can be owned either by a
@@ -231,6 +232,10 @@ impl StabilityStats {
 /// bound vectors); the backend — with its learnt clauses and operation
 /// caches — and the settled-function memo survive, which is what makes
 /// repeated probes cheap.
+///
+/// Both memos are indexed by net, not hashed: the `(net, t)` memo keeps
+/// a short list of `(t, pair)` entries per net, and rebinding clears
+/// only the nets listed in `memo_nets`.
 #[derive(Debug)]
 pub(crate) struct Engine<A: BoolAlg> {
     alg: A,
@@ -244,10 +249,14 @@ pub(crate) struct Engine<A: BoolAlg> {
     topo_arrival: Vec<Time>,
     /// Earliest conceivable stabilization per net (lower-bound prune).
     earliest: Vec<Time>,
-    memo: HashMap<(NetId, Time), (A::Repr, A::Repr)>,
+    /// `(S0, S1)` per net and query time, built under the current
+    /// arrival condition.
+    memo: Vec<TimedPairs<A::Repr>>,
+    /// The nets with `memo` entries, in first-build order.
+    memo_nets: Vec<NetId>,
     /// Time-independent settled function per net (used when
     /// `t ≥ topo_arrival`); valid under every arrival condition.
-    func_memo: HashMap<NetId, A::Repr>,
+    func_memo: Vec<Option<A::Repr>>,
     /// Per-query resource budget handed to the backend (unlimited by
     /// default, in which case the budgeted paths are bit-identical to
     /// the plain ones).
@@ -278,8 +287,9 @@ impl<A: BoolAlg> Engine<A> {
             topo_gates,
             topo_arrival: Vec::new(),
             earliest: Vec::new(),
-            memo: HashMap::new(),
-            func_memo: HashMap::new(),
+            memo: vec![Vec::new(); netlist.net_count()],
+            memo_nets: Vec::new(),
+            func_memo: vec![None; netlist.net_count()],
             budget: SolveBudget::UNLIMITED,
             stats: StabilityStats::default(),
         };
@@ -300,7 +310,9 @@ impl<A: BoolAlg> Engine<A> {
         if self.arrivals == pi_arrivals {
             return;
         }
-        self.memo.clear();
+        for net in self.memo_nets.drain(..) {
+            self.memo[net.index()].clear();
+        }
         self.bind(netlist, pi_arrivals);
     }
 
@@ -310,8 +322,10 @@ impl<A: BoolAlg> Engine<A> {
         // Topological arrival: max-propagation (the stability upper
         // bound). Earliest conceivable stabilization: min-propagation,
         // with constants stable from the beginning of time.
-        self.topo_arrival = vec![Time::NEG_INF; netlist.net_count()];
-        self.earliest = vec![Time::POS_INF; netlist.net_count()];
+        self.topo_arrival.clear();
+        self.topo_arrival.resize(netlist.net_count(), Time::NEG_INF);
+        self.earliest.clear();
+        self.earliest.resize(netlist.net_count(), Time::POS_INF);
         for (k, &pi) in netlist.inputs().iter().enumerate() {
             self.topo_arrival[pi.index()] = pi_arrivals[k];
             self.earliest[pi.index()] = pi_arrivals[k];
@@ -462,7 +476,7 @@ impl<A: BoolAlg> Engine<A> {
             let b = self.alg.bot();
             return (b, b);
         }
-        if let Some(&pair) = self.memo.get(&(net, t)) {
+        if let Some(&(_, pair)) = self.memo[net.index()].iter().find(|&&(at, _)| at == t) {
             self.stats.memo_hits += 1;
             self.stats.encodings_avoided += 1;
             return pair;
@@ -478,7 +492,7 @@ impl<A: BoolAlg> Engine<A> {
                 (b, b)
             }
         } else if let Some(g) = netlist.driver(net) {
-            let gate = netlist.gate(g).clone();
+            let gate = netlist.gate(g);
             let td = t - Time::from(gate.delay);
             self.gate_s01(netlist, gate.kind, &gate.inputs, td)
         } else {
@@ -486,7 +500,11 @@ impl<A: BoolAlg> Engine<A> {
             let b = self.alg.bot();
             (b, b)
         };
-        self.memo.insert((net, t), pair);
+        let entries = &mut self.memo[net.index()];
+        if entries.is_empty() {
+            self.memo_nets.push(net);
+        }
+        entries.push((t, pair));
         pair
     }
 
@@ -516,9 +534,7 @@ impl<A: BoolAlg> Engine<A> {
                 (s1, s0)
             }
             GateKind::And | GateKind::Nand => {
-                let pairs: Vec<_> = inputs.iter().map(|&n| self.s01(netlist, n, td)).collect();
-                let ones: Vec<_> = pairs.iter().map(|&(_, s1)| s1).collect();
-                let zeros: Vec<_> = pairs.iter().map(|&(s0, _)| s0).collect();
+                let (zeros, ones) = self.input_s01s(netlist, inputs, td);
                 let s1 = self.alg.and_many(&ones);
                 let s0 = self.alg.or_many(&zeros);
                 if kind == GateKind::Nand {
@@ -528,9 +544,7 @@ impl<A: BoolAlg> Engine<A> {
                 }
             }
             GateKind::Or | GateKind::Nor => {
-                let pairs: Vec<_> = inputs.iter().map(|&n| self.s01(netlist, n, td)).collect();
-                let ones: Vec<_> = pairs.iter().map(|&(_, s1)| s1).collect();
-                let zeros: Vec<_> = pairs.iter().map(|&(s0, _)| s0).collect();
+                let (zeros, ones) = self.input_s01s(netlist, inputs, td);
                 let s1 = self.alg.or_many(&ones);
                 let s0 = self.alg.and_many(&zeros);
                 if kind == GateKind::Nor {
@@ -577,17 +591,34 @@ impl<A: BoolAlg> Engine<A> {
         }
     }
 
+    /// `S0` and `S1` of each of `inputs` at `td`, built in input order.
+    fn input_s01s(
+        &mut self,
+        netlist: &Netlist,
+        inputs: &[NetId],
+        td: Time,
+    ) -> (Vec<A::Repr>, Vec<A::Repr>) {
+        let mut zeros = Vec::with_capacity(inputs.len());
+        let mut ones = Vec::with_capacity(inputs.len());
+        for &n in inputs {
+            let (s0, s1) = self.s01(netlist, n, td);
+            zeros.push(s0);
+            ones.push(s1);
+        }
+        (zeros, ones)
+    }
+
     /// The (time-independent) Boolean function of `net` in terms of the
     /// primary inputs — the value it settles to.
     fn settled_function(&mut self, netlist: &Netlist, net: NetId) -> A::Repr {
-        if let Some(&f) = self.func_memo.get(&net) {
+        if let Some(f) = self.func_memo[net.index()] {
             self.stats.encodings_avoided += 1;
             return f;
         }
         let f = if let Some(k) = self.pi_position[net.index()] {
             self.alg.input(k)
         } else if let Some(g) = netlist.driver(net) {
-            let gate = netlist.gate(g).clone();
+            let gate = netlist.gate(g);
             let ins: Vec<A::Repr> = gate
                 .inputs
                 .iter()
@@ -633,7 +664,7 @@ impl<A: BoolAlg> Engine<A> {
             // Floating nets settle to an arbitrary constant; pick 0.
             self.alg.bot()
         };
-        self.func_memo.insert(net, f);
+        self.func_memo[net.index()] = Some(f);
         f
     }
 }

@@ -1,0 +1,80 @@
+//! Search fingerprints: exact solver and encoder counters for fixed
+//! workloads, under zero arrivals.
+//!
+//! Answers are the contract (DESIGN.md); these counters are not. They
+//! pin the *search*, so a refactor of the solver's or the encoder's
+//! memory layout can show that it repeats every Tseitin clause,
+//! decision, propagation, conflict and inprocessing step. A change that
+//! alters the search on purpose updates the pins and says why in
+//! CHANGES.md.
+//!
+//! Column order of each pin: `sat_queries`, `solver_conflicts`,
+//! `solver_propagations`, `learnt_clauses`, `nodes_built`, `memo_hits`,
+//! `domains_built`, `clauses_subsumed`.
+
+use hfta_fta::{AnalysisConfig, Characterizer, DelayAnalyzer, StabilityStats};
+use hfta_netlist::gen::{carry_skip_block, random_circuit, CsaDelays, RandomCircuitSpec};
+use hfta_netlist::{Netlist, Time};
+
+fn counters(s: &StabilityStats) -> [u64; 8] {
+    [
+        s.sat_queries,
+        s.solver_conflicts,
+        s.solver_propagations,
+        s.learnt_clauses,
+        s.nodes_built,
+        s.memo_hits,
+        s.domains_built,
+        s.clauses_subsumed,
+    ]
+}
+
+fn c432_like() -> Netlist {
+    random_circuit("c432_like", RandomCircuitSpec::iscas_like(160, 432))
+}
+
+fn arrivals(an: &mut DelayAnalyzer<'_, hfta_fta::SatAlg>) -> Vec<i64> {
+    an.output_arrivals()
+        .iter()
+        .map(|t| t.finite().expect("finite arrival"))
+        .collect()
+}
+
+const C432_ARRIVALS: [i64; 14] = [2, 5, 5, 19, 20, 21, 23, 31, 31, 32, 32, 33, 32, 32];
+
+#[test]
+fn shared_solver_flat_delay() {
+    let nl = c432_like();
+    let zeros = vec![Time::ZERO; nl.inputs().len()];
+    let mut an = DelayAnalyzer::new_sat_shared(&nl, &zeros).expect("acyclic");
+    assert_eq!(arrivals(&mut an), C432_ARRIVALS);
+    assert_eq!(
+        counters(&an.stats()),
+        [56, 584, 131_614, 517, 1_228, 998, 56, 139]
+    );
+}
+
+#[test]
+fn per_cone_flat_delay() {
+    let nl = c432_like();
+    let zeros = vec![Time::ZERO; nl.inputs().len()];
+    let mut an = DelayAnalyzer::new_sat(&nl, &zeros).expect("acyclic");
+    assert_eq!(arrivals(&mut an), C432_ARRIVALS);
+    assert_eq!(
+        counters(&an.stats()),
+        [56, 623, 264_898, 607, 1_228, 998, 0, 0]
+    );
+}
+
+#[test]
+fn characterize_carry_skip_block() {
+    let nl = carry_skip_block(4, CsaDelays::default());
+    let mut ch = Characterizer::new(&nl, &AnalysisConfig::default());
+    for &o in nl.outputs() {
+        ch.output_model(o).expect("acyclic");
+    }
+    assert_eq!(
+        counters(&ch.stability_stats()),
+        [133, 10, 3_612, 9, 747, 0, 133, 0]
+    );
+}

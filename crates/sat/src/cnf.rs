@@ -32,10 +32,8 @@ pub struct CnfBuilder {
     /// leaves (inputs, constants).
     dep_span: Vec<(u32, u32)>,
     dep_arena: Vec<Var>,
-    /// Stamp-based visited marks for `domain_of`'s DFS (reused across
-    /// calls without clearing).
-    visit_stamp: Vec<u32>,
-    stamp: u32,
+    /// Scratch for `emit_and`'s long clause.
+    clause_buf: Vec<Lit>,
     /// Set when a non-definitional constraint (`add_clause`,
     /// `assert_lit`, `emit_equal`, `emit_implies`) was added while
     /// tracking — such constraints void the domain soundness contract.
@@ -103,30 +101,21 @@ impl CnfBuilder {
             !self.non_definitional,
             "non-definitional constraints void the domain soundness contract"
         );
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.visit_stamp.iter_mut().for_each(|s| *s = 0);
-            self.stamp = 1;
-        }
-        if self.visit_stamp.len() < self.solver.num_vars() {
-            self.visit_stamp.resize(self.solver.num_vars(), 0);
-        }
-        let mut vars: Vec<Var> = Vec::new();
+        // The domain's own membership set marks the DFS's visits, so
+        // the variables come out deduplicated in discovery order.
+        let mut domain = Domain::with_capacity(self.solver.num_vars());
         let mut stack: Vec<Var> = roots.iter().map(|l| l.var()).collect();
         if let Some(t) = self.const_true {
             stack.push(t.var());
         }
         while let Some(v) = stack.pop() {
-            let vi = v.index();
-            if self.visit_stamp[vi] == self.stamp {
+            if !domain.insert(v) {
                 continue;
             }
-            self.visit_stamp[vi] = self.stamp;
-            vars.push(v);
-            let (start, len) = self.dep_span.get(vi).copied().unwrap_or((0, 0));
+            let (start, len) = self.dep_span.get(v.index()).copied().unwrap_or((0, 0));
             stack.extend_from_slice(&self.dep_arena[start as usize..(start + len) as usize]);
         }
-        Domain::from_vars(vars)
+        domain
     }
 
     /// Allocates a fresh variable.
@@ -177,9 +166,10 @@ impl CnfBuilder {
                     self.solver.add_clause(&[!z, i]);
                 }
                 // all inputs -> z
-                let mut clause: Vec<Lit> = inputs.iter().map(|&i| !i).collect();
-                clause.push(z);
-                self.solver.add_clause(&clause);
+                self.clause_buf.clear();
+                self.clause_buf.extend(inputs.iter().map(|&i| !i));
+                self.clause_buf.push(z);
+                self.solver.add_clause(&self.clause_buf);
                 self.record_def(z, inputs);
                 z
             }
@@ -495,7 +485,7 @@ mod tests {
                         // an assigned variable is a level-0 unit.
                         let solver = tracked.solver();
                         for v in (0..solver.num_vars()).map(Var::from_index) {
-                            if !dom.contains(v) && solver.assign[v.index()] == LBool::Undef {
+                            if !dom.contains(v) && solver.var_value(v) == LBool::Undef {
                                 assert_eq!(
                                     solver.value(v),
                                     None,

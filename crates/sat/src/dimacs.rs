@@ -18,7 +18,8 @@ use crate::{Lit, Solver, Var};
 /// Errors from [`parse`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ParseDimacsError {
-    /// The `p cnf` header line is missing or malformed.
+    /// The `p cnf` header line is missing, malformed, repeated, or
+    /// declares more variables than a literal can encode (2^31).
     BadHeader {
         /// 1-based line number.
         line: usize,
@@ -59,9 +60,17 @@ impl Error for ParseDimacsError {}
 
 /// Parses DIMACS CNF text into a fresh [`Solver`].
 ///
+/// Variables are created as clauses reference them, so memory follows
+/// the highest variable the clauses name rather than the header's
+/// declared count: afterwards [`Solver::num_vars`] is one past the
+/// highest variable any clause names (variable `k` of the text is
+/// `Var::from_index(k - 1)`), which may be below the declared count.
+///
 /// # Errors
 ///
-/// Returns a [`ParseDimacsError`] on malformed input.
+/// Returns a [`ParseDimacsError`] on malformed input: a missing,
+/// malformed or second header, a header declaring more than 2^31
+/// variables, a bad literal, or a variable beyond the declared count.
 pub fn parse(text: &str) -> Result<Solver, ParseDimacsError> {
     let mut solver = Solver::new();
     let mut declared_vars: Option<usize> = None;
@@ -75,17 +84,13 @@ pub fn parse(text: &str) -> Result<Solver, ParseDimacsError> {
         if line.starts_with('p') {
             let mut it = line.split_whitespace();
             let _p = it.next();
-            if it.next() != Some("cnf") {
-                return Err(ParseDimacsError::BadHeader { line: lineno });
+            let nv = match (declared_vars, it.next(), it.next()) {
+                (None, Some("cnf"), Some(count)) => count.parse::<usize>().ok(),
+                _ => None,
             }
-            let nv: usize = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or(ParseDimacsError::BadHeader { line: lineno })?;
+            .filter(|&nv| nv <= Var::LIMIT)
+            .ok_or(ParseDimacsError::BadHeader { line: lineno })?;
             let _nc = it.next();
-            for _ in 0..nv {
-                solver.new_var();
-            }
             declared_vars = Some(nv);
             continue;
         }
@@ -106,8 +111,10 @@ pub fn parse(text: &str) -> Result<Solver, ParseDimacsError> {
                         var: v,
                     });
                 }
-                let var = Var::from_index(var_index);
-                clause.push(var.lit(v > 0));
+                while solver.num_vars() <= var_index {
+                    solver.new_var();
+                }
+                clause.push(Var::from_index(var_index).lit(v > 0));
             }
         }
     }
@@ -192,6 +199,38 @@ mod tests {
         assert!(matches!(
             parse("p cnf 1 1\n2 0\n"),
             Err(ParseDimacsError::VariableOutOfRange { line: 2, var: 2 })
+        ));
+    }
+
+    #[test]
+    fn second_header_rejected() {
+        assert!(matches!(
+            parse("p cnf 2 0\np cnf 3 0\n"),
+            Err(ParseDimacsError::BadHeader { line: 2 })
+        ));
+    }
+
+    #[test]
+    fn header_beyond_the_literal_encoding_rejected() {
+        assert!(matches!(
+            parse("p cnf 2147483649 0\n"),
+            Err(ParseDimacsError::BadHeader { line: 1 })
+        ));
+        // The largest count a literal can encode is accepted.
+        assert!(parse("p cnf 2147483648 0\n").is_ok());
+    }
+
+    /// A header's count alone allocates nothing: variables appear as
+    /// clauses name them.
+    #[test]
+    fn variables_follow_the_clauses_not_the_header() {
+        assert_eq!(parse("p cnf 3000000 0\n").unwrap().num_vars(), 0);
+        let mut s = parse("p cnf 3000000 1\n-7 2 0\n").unwrap();
+        assert_eq!(s.num_vars(), 7);
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert!(matches!(
+            parse("p cnf 5 1\n6 0\n"),
+            Err(ParseDimacsError::VariableOutOfRange { line: 2, var: 6 })
         ));
     }
 

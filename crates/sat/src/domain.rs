@@ -76,6 +76,14 @@ impl VarSet {
         self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
     }
 
+    /// An empty set with room for variables `0..n` without regrowing.
+    #[must_use]
+    pub(crate) fn with_capacity(n: usize) -> VarSet {
+        VarSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
     /// Removes every element but keeps the allocation.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -96,14 +104,28 @@ impl Domain {
     /// preserving first-occurrence order.
     #[must_use]
     pub fn from_vars(vars: Vec<Var>) -> Domain {
-        let mut set = VarSet::new();
-        let mut uniq = Vec::with_capacity(vars.len());
+        let mut domain = Domain::with_capacity(0);
         for v in vars {
-            if set.insert(v) {
-                uniq.push(v);
-            }
+            domain.insert(v);
         }
-        Domain { vars: uniq, set }
+        domain
+    }
+
+    /// An empty domain with room for variables `0..n`.
+    pub(crate) fn with_capacity(n: usize) -> Domain {
+        Domain {
+            vars: Vec::new(),
+            set: VarSet::with_capacity(n),
+        }
+    }
+
+    /// Appends `v` unless already present; returns whether it was new.
+    pub(crate) fn insert(&mut self, v: Var) -> bool {
+        let fresh = self.set.insert(v);
+        if fresh {
+            self.vars.push(v);
+        }
+        fresh
     }
 
     /// The domain's variables, deduplicated, in insertion order.

@@ -6,6 +6,9 @@
 //! encoded to CNF and handed to [`Solver`]. The solver is a
 //! self-contained conflict-driven clause-learning implementation:
 //!
+//! * one flat clause arena (literals inline, arena offsets as clause
+//!   references, compacted once deleted clauses hold half of it) and
+//!   literal-indexed values, so a literal's value is a single load,
 //! * two-literal watching for unit propagation, with binary clauses
 //!   propagated from their watchers alone,
 //! * first-UIP conflict analysis with recursive clause minimization,

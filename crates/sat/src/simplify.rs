@@ -16,13 +16,16 @@
 //!   one removal per clause per pass, because two removals justified
 //!   against the *original* clause need not be jointly sound).
 //!
-//! The pass works over a flat literal arena with per-literal
-//! occurrence lists and 64-bit variable signatures (a subset test
-//! prefilter that is sign-insensitive, so it also covers the flipped
-//! literal of self-subsuming resolution). Original (problem) clauses
-//! are never touched, reason clauses of current level-0 assignments
-//! are skipped, and every derived clause is implied by the formula —
-//! so inprocessing never changes any future verdict, only the work to
+//! The pass copies the candidates' literals into one flat buffer and
+//! indexes it with flat per-literal occurrence lists (one offsets array
+//! plus one entry array, no per-literal allocation) and 64-bit variable
+//! signatures (a subset test prefilter that is sign-insensitive, so it
+//! also covers the flipped literal of self-subsuming resolution). A
+//! subset test marks the candidate's literals and counts the marked
+//! literals of the other clause. Original (problem) clauses are never
+//! touched, reason clauses of current level-0 assignments are skipped,
+//! and every derived clause is implied by the formula — so
+//! inprocessing never changes any future verdict, only the work to
 //! reach it. Counters land in
 //! [`SolverStats::clauses_subsumed`](crate::SolverStats) and
 //! [`SolverStats::clauses_strengthened`](crate::SolverStats).
@@ -30,12 +33,12 @@
 use crate::solver::{LBool, Solver};
 use crate::{Lit, Var};
 
-/// One learnt clause's slice of the flat arena.
+/// One learnt clause's slice of the flat literal buffer.
 struct Entry {
     start: usize,
     len: usize,
-    /// Index into `Solver::clauses`.
-    cidx: u32,
+    /// The clause's offset in the solver's clause arena.
+    cref: u32,
     /// OR of `1 << (var % 64)` over the literals: `C ⊆ D` implies
     /// `sig(C) & !sig(D) == 0`. Variable-based, so the test also
     /// prefilters the one-flipped-literal case.
@@ -44,12 +47,56 @@ struct Entry {
     /// Literal to remove (self-subsuming resolution), at most one per
     /// pass.
     remove: Option<Lit>,
-    /// Whether level-0-false literals were stripped on arena entry.
+    /// Whether level-0-false literals were stripped on buffer entry.
     unit_stripped: bool,
+}
+
+impl Entry {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
 }
 
 fn var_sig(v: Var) -> u64 {
     1u64 << (v.index() % 64)
+}
+
+/// Per-literal occurrence lists over the candidates, flattened: the
+/// entries of literal code `k` are `entries[start[k]..start[k + 1]]`,
+/// in ascending entry order.
+struct Occurrences {
+    start: Vec<u32>,
+    entries: Vec<u32>,
+}
+
+impl Occurrences {
+    fn build(num_vars: usize, buf: &[Lit], candidates: &[Entry]) -> Occurrences {
+        // Count per literal, then turn the counts into running ends and
+        // fill back to front, so each list ends up in ascending order.
+        let mut start = vec![0u32; 2 * num_vars + 1];
+        for &l in buf {
+            start[l.code()] += 1;
+        }
+        let mut end = 0u32;
+        for s in &mut start[..2 * num_vars] {
+            end += *s;
+            *s = end;
+        }
+        start[2 * num_vars] = end;
+        let mut entries = vec![0u32; end as usize];
+        for (ei, e) in candidates.iter().enumerate().rev() {
+            let ei = u32::try_from(ei).expect("entry count overflow");
+            for &l in &buf[e.range()] {
+                start[l.code()] -= 1;
+                entries[start[l.code()] as usize] = ei;
+            }
+        }
+        Occurrences { start, entries }
+    }
+
+    fn of(&self, l: Lit) -> &[u32] {
+        &self.entries[self.start[l.code()] as usize..self.start[l.code() + 1] as usize]
+    }
 }
 
 impl Solver {
@@ -80,83 +127,84 @@ impl Solver {
         let mut subsumed = 0u64;
         let mut strengthened = 0u64;
 
-        // Phase 1: collect candidates into the flat arena. Skip
+        // Phase 1: collect candidates into the flat buffer. Skip
         // non-learnt, deleted, and locked clauses (a clause that is the
-        // reason of an assigned watch variable may be dereferenced by a
-        // later conflict analysis). Clauses satisfied at level 0 are
-        // deleted outright; level-0-false literals are stripped.
-        let mut arena: Vec<Lit> = Vec::new();
+        // reason of an assigned watch literal's variable may be
+        // dereferenced by a later conflict analysis). Clauses satisfied
+        // at level 0 are deleted outright; level-0-false literals are
+        // stripped.
+        let mut buf: Vec<Lit> = Vec::new();
         let mut entries: Vec<Entry> = Vec::new();
-        for cidx in 0..self.clauses.len() {
-            let c = &self.clauses[cidx];
-            let idx = u32::try_from(cidx).expect("clause count overflow");
-            if !c.learnt || c.deleted || c.lits.len() < 2 {
+        let crefs: Vec<u32> = self
+            .clause_offsets()
+            .filter(|&c| self.is_learnt(c) && !self.is_deleted(c))
+            .collect();
+        for cref in crefs {
+            if self.lits(cref).take(2).any(|l| self.is_locked(cref, l)) {
                 continue;
             }
-            let locked = c.lits.iter().take(2).any(|l| {
-                let v = l.var().index();
-                self.reason[v] == Some(idx) && self.assign[v] != LBool::Undef
-            });
-            if locked {
-                continue;
-            }
-            if c.lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
-                self.delete_clause(idx);
+            if self.lits(cref).any(|l| self.lit_value(l) == LBool::True) {
+                self.delete_clause(cref);
                 subsumed += 1;
                 continue;
             }
-            let start = arena.len();
+            let start = buf.len();
             let mut sig = 0u64;
             let mut stripped = false;
-            for &l in &c.lits {
+            for l in self.lits(cref) {
                 if self.lit_value(l) == LBool::False {
                     stripped = true;
                 } else {
-                    arena.push(l);
+                    buf.push(l);
                     sig |= var_sig(l.var());
                 }
             }
             entries.push(Entry {
                 start,
-                len: arena.len() - start,
-                cidx: idx,
+                len: buf.len() - start,
+                cref,
                 sig,
                 dead: false,
                 remove: None,
                 unit_stripped: stripped,
             });
         }
-
-        // Occurrence lists over the arena, indexed by literal code.
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); 2 * self.num_vars()];
-        for (ei, e) in entries.iter().enumerate() {
-            for &l in &arena[e.start..e.start + e.len] {
-                occ[l.code()].push(u32::try_from(ei).expect("entry count overflow"));
-            }
-        }
+        let occ = Occurrences::build(self.num_vars(), &buf, &entries);
 
         // Phase 2: scan in ascending-length order (short clauses
-        // subsume long ones; ties broken by arena order for
-        // determinism). All checks run against the original arena
-        // content — mutations are applied in phase 3.
+        // subsume long ones; ties broken by buffer order for
+        // determinism). All checks run against the original buffer
+        // content — mutations are applied in phase 3. `C ⊆ D` is tested
+        // by marking C's literals and counting D's marked ones: no
+        // clause holds a literal twice, so the count reaches |C| only
+        // when every literal of C is in D.
         let mut order: Vec<u32> = (0..entries.len() as u32).collect();
         order.sort_by_key(|&i| (entries[i as usize].len, i));
-        let clause_of = |e: &Entry| e.start..e.start + e.len;
+        let mut marked = vec![false; 2 * self.num_vars()];
+        let marks_in = |marked: &[bool], d: &Entry, skip: Option<Lit>| {
+            buf[d.range()]
+                .iter()
+                .filter(|&&q| marked[q.code()] && Some(q) != skip)
+                .count()
+        };
         for &ci in &order {
             let ci = ci as usize;
             if entries[ci].dead {
                 continue;
             }
-            let (c_start, c_len, c_sig) = (entries[ci].start, entries[ci].len, entries[ci].sig);
-            let c_lits = c_start..c_start + c_len;
+            let (c_len, c_sig) = (entries[ci].len, entries[ci].sig);
+            let c_lits = &buf[entries[ci].range()];
+            for &l in c_lits {
+                marked[l.code()] = true;
+            }
             // Pick the literal with the fewest occurrences to scan.
-            let pivot = arena[c_lits.clone()]
+            let pivot = c_lits
                 .iter()
                 .copied()
-                .min_by_key(|l| occ[l.code()].len())
+                .min_by_key(|&l| occ.of(l).len())
                 .expect("non-empty clause");
             // Forward subsumption: C ⊆ D deletes D.
-            for &di in &occ[pivot.code()] {
+            for &di in occ.of(pivot) {
                 let di = di as usize;
                 if di == ci || entries[di].dead {
                     continue;
@@ -165,16 +213,14 @@ impl Solver {
                 if d.len < c_len || c_sig & !d.sig != 0 {
                     continue;
                 }
-                let d_slice = &arena[clause_of(d)];
-                if arena[c_lits.clone()].iter().all(|l| d_slice.contains(l)) {
+                if marks_in(&marked, d, None) == c_len {
                     entries[di].dead = true;
                 }
             }
             // Self-subsuming resolution: C = A ∨ l, D ⊇ A ∨ ¬l → D
             // loses ¬l. One removal per D per pass.
-            for li in c_lits.clone() {
-                let l = arena[li];
-                for &di in &occ[(!l).code()] {
+            for &l in c_lits {
+                for &di in occ.of(!l) {
                     let di = di as usize;
                     if di == ci || entries[di].dead || entries[di].remove.is_some() {
                         continue;
@@ -183,14 +229,13 @@ impl Solver {
                     if d.len < c_len || c_sig & !d.sig != 0 {
                         continue;
                     }
-                    let d_slice = &arena[clause_of(d)];
-                    let rest_subset = arena[c_lits.clone()]
-                        .iter()
-                        .all(|&q| q == l || d_slice.contains(&q));
-                    if rest_subset {
+                    if marks_in(&marked, d, Some(l)) == c_len - 1 {
                         entries[di].remove = Some(!l);
                     }
                 }
+            }
+            for &l in c_lits {
+                marked[l.code()] = false;
             }
         }
 
@@ -198,27 +243,25 @@ impl Solver {
         // replacements (delete old + attach new), then unit
         // propagation for any strengthened-to-unit clause.
         let mut units: Vec<Lit> = Vec::new();
+        let mut new_lits: Vec<Lit> = Vec::new();
         for e in &entries {
             if e.dead {
-                self.delete_clause(e.cidx);
+                self.delete_clause(e.cref);
                 subsumed += 1;
                 continue;
             }
             if e.remove.is_none() && !e.unit_stripped {
                 continue;
             }
-            let new_lits: Vec<Lit> = arena[e.start..e.start + e.len]
-                .iter()
-                .copied()
-                .filter(|&l| Some(l) != e.remove)
-                .collect();
-            self.delete_clause(e.cidx);
+            new_lits.clear();
+            new_lits.extend(buf[e.range()].iter().filter(|&&l| Some(l) != e.remove));
+            self.delete_clause(e.cref);
             strengthened += 1;
-            match new_lits.len() {
-                0 => self.ok = false,
-                1 => units.push(new_lits[0]),
+            match new_lits[..] {
+                [] => self.ok = false,
+                [unit] => units.push(unit),
                 _ => {
-                    self.attach_clause(new_lits, true);
+                    self.attach_clause(&new_lits, true);
                 }
             }
         }
@@ -234,6 +277,7 @@ impl Solver {
         if self.ok && self.propagate(None).is_some() {
             self.ok = false;
         }
+        self.collect_garbage();
         self.stats.clauses_subsumed += subsumed;
         self.stats.clauses_strengthened += strengthened;
         (subsumed, strengthened)
@@ -257,7 +301,7 @@ mod tests {
     /// Force-learn a clause by attaching it as learnt directly
     /// (`attach_clause` maintains the learnt counter).
     fn learn(solver: &mut Solver, codes: &[i32]) {
-        solver.attach_clause(lits(codes), true);
+        solver.attach_clause(&lits(codes), true);
     }
 
     #[test]

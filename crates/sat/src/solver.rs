@@ -1,6 +1,7 @@
 use std::time::Instant;
 
 use crate::domain::Domain;
+use crate::types::{LitMap, VarMap};
 use crate::{Lit, Var};
 
 /// Result of a satisfiability query.
@@ -247,18 +248,27 @@ pub(crate) enum LBool {
     Undef,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct Clause {
-    pub(crate) lits: Vec<Lit>,
-    pub(crate) learnt: bool,
-    pub(crate) activity: f64,
-    pub(crate) deleted: bool,
-}
+/// Words of a clause's header in [`Solver::arena`]: the length and
+/// flags word, then the `f64` activity as two words. The literals
+/// follow inline.
+const HEADER: usize = 3;
+/// Header flag of a learnt clause.
+const LEARNT: u32 = 1;
+/// Header flag of a deleted clause.
+const DELETED: u32 = 2;
+/// The header's length field starts above the two flags.
+const LEN_SHIFT: u32 = 2;
+/// Offset of the permanently deleted sentinel clause, the arena's
+/// first record. Compaction points the surviving watchers of deleted
+/// clauses here, so `propagate` still drops them when it next visits
+/// them.
+const SENTINEL: u32 = 0;
 
 /// Tag bit of [`Watcher::clause`] marking a binary clause.
 const BINARY: u32 = 1 << 31;
 
-/// One entry of a literal's watch list. A binary clause's watcher has
+/// One entry of a literal's watch list: the watched clause's arena
+/// offset plus a blocker literal. A binary clause's watcher has
 /// [`BINARY`] set in `clause` and holds the clause's other literal in
 /// `blocker`, so propagating it never touches the clause itself.
 #[derive(Clone, Copy, Debug)]
@@ -272,7 +282,8 @@ impl Watcher {
         self.clause & BINARY != 0
     }
 
-    fn index(self) -> u32 {
+    /// The watched clause's arena offset.
+    fn offset(self) -> u32 {
         self.clause & !BINARY
     }
 }
@@ -283,24 +294,34 @@ impl Watcher {
 /// be added incrementally between [`Solver::solve`] calls, and
 /// [`Solver::solve_with`] solves under temporary assumptions — the
 /// workhorse of repeated stability queries in the timing engine.
+///
+/// Every clause lives in one flat arena: a three-word header (length
+/// and learnt/deleted flags, then the `f64` activity) followed by its
+/// literals. A clause is referred to by its arena offset.
 #[derive(Debug)]
 pub struct Solver {
-    pub(crate) clauses: Vec<Clause>,
-    watches: Vec<Vec<Watcher>>,
-    pub(crate) assign: Vec<LBool>,
-    phase: Vec<bool>,
-    pub(crate) reason: Vec<Option<u32>>,
-    level: Vec<u32>,
+    /// Clause headers and literals, back to back; the record at
+    /// [`SENTINEL`] is a deleted clause that is never compacted away.
+    arena: Vec<u32>,
+    /// Words held by deleted clauses not yet compacted away.
+    wasted: usize,
+    watches: LitMap<Vec<Watcher>>,
+    /// Value of every literal: assigning a variable writes both of its
+    /// literals, so reading one is a single load.
+    values: LitMap<LBool>,
+    phase: VarMap<bool>,
+    reason: VarMap<Option<u32>>,
+    level: VarMap<u32>,
     trail: Vec<Lit>,
     pub(crate) trail_lim: Vec<usize>,
     qhead: usize,
-    activity: Vec<f64>,
+    activity: VarMap<f64>,
     var_inc: f64,
     cla_inc: f64,
     heap: VarHeap,
-    seen: Vec<bool>,
+    seen: VarMap<bool>,
     pub(crate) ok: bool,
-    model: Vec<LBool>,
+    model: LitMap<LBool>,
     pub(crate) stats: SolverStats,
     max_learnts: usize,
     max_learnts_base: usize,
@@ -310,6 +331,8 @@ pub struct Solver {
     /// domain solve's [`Domain`] (see [`Solver::solve_domain`]). A
     /// plain solve refills it from every variable first.
     heap_scoped: bool,
+    /// Scratch for `add_clause`'s sort and filter.
+    add_buf: Vec<Lit>,
 }
 
 impl Solver {
@@ -317,42 +340,48 @@ impl Solver {
     #[must_use]
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
-            watches: Vec::new(),
-            assign: Vec::new(),
-            phase: Vec::new(),
-            reason: Vec::new(),
-            level: Vec::new(),
+            arena: vec![DELETED, 0, 0],
+            wasted: 0,
+            watches: LitMap::default(),
+            values: LitMap::default(),
+            phase: VarMap::default(),
+            reason: VarMap::default(),
+            level: VarMap::default(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            activity: Vec::new(),
+            activity: VarMap::default(),
             var_inc: 1.0,
             cla_inc: 1.0,
             heap: VarHeap::default(),
-            seen: Vec::new(),
+            seen: VarMap::default(),
             ok: true,
-            model: Vec::new(),
+            model: LitMap::default(),
             stats: SolverStats::default(),
             max_learnts: 4000,
             max_learnts_base: 4000,
             record_episodes: false,
             episodes: Vec::new(),
             heap_scoped: false,
+            add_buf: Vec::new(),
         }
     }
 
     /// Allocates a fresh variable.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 2^31 variables (see [`Var::from_index`]).
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assign.len());
-        self.assign.push(LBool::Undef);
+        let v = Var::from_index(self.phase.len());
+        self.values.push_var(LBool::Undef);
         self.phase.push(false);
         self.reason.push(None);
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.watches.push_var(Vec::new());
+        self.heap.push_var();
         self.heap.insert(v, &self.activity);
         v
     }
@@ -360,13 +389,15 @@ impl Solver {
     /// Number of allocated variables.
     #[must_use]
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.phase.len()
     }
 
     /// Number of clauses (problem + learnt, excluding deleted).
     #[must_use]
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
+        self.clause_offsets()
+            .filter(|&c| !self.is_deleted(c))
+            .count()
     }
 
     /// Work counters.
@@ -419,109 +450,200 @@ impl Solver {
         if !self.ok {
             return;
         }
-        let mut ls: Vec<Lit> = lits.to_vec();
-        for &l in &ls {
+        for &l in lits {
             assert!(l.var().index() < self.num_vars(), "unallocated variable");
         }
+        let mut ls = std::mem::take(&mut self.add_buf);
+        ls.clear();
+        ls.extend_from_slice(lits);
         ls.sort_unstable();
         ls.dedup();
-        // Tautology or satisfied/falsified at level 0?
-        let mut filtered = Vec::with_capacity(ls.len());
-        for &l in &ls {
-            if ls.binary_search(&!l).is_ok() {
-                return; // tautology: contains l and !l
-            }
-            match self.lit_value(l) {
-                LBool::True => return, // satisfied at level 0
-                LBool::False => {}     // drop falsified literal
-                LBool::Undef => filtered.push(l),
-            }
-        }
-        match filtered.len() {
-            0 => {
-                self.ok = false;
-            }
-            1 => {
-                self.unchecked_enqueue(filtered[0], None);
-                if self.propagate(None).is_some() {
-                    self.ok = false;
+        // A tautology holds some l and !l, adjacent once sorted; a
+        // clause with a literal true at level 0 is already satisfied.
+        let dropped = ls.windows(2).any(|w| w[0].var() == w[1].var())
+            || ls.iter().any(|&l| self.lit_value(l) == LBool::True);
+        if !dropped {
+            // Literals false at level 0 can never satisfy the clause.
+            ls.retain(|&l| self.lit_value(l) == LBool::Undef);
+            match ls[..] {
+                [] => self.ok = false,
+                [unit] => {
+                    self.unchecked_enqueue(unit, None);
+                    if self.propagate(None).is_some() {
+                        self.ok = false;
+                    }
+                }
+                _ => {
+                    self.attach_clause(&ls, false);
                 }
             }
-            _ => {
-                self.attach_clause(filtered, false);
-            }
         }
+        self.add_buf = ls;
     }
 
-    pub(crate) fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    /// Appends a clause of at least two literals to the arena, watches
+    /// its first two literals and returns its offset.
+    pub(crate) fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> u32 {
         debug_assert!(lits.len() >= 2);
-        let idx = u32::try_from(self.clauses.len())
+        let offset = u32::try_from(self.arena.len())
             .ok()
-            .filter(|&i| i < BINARY)
-            .expect("clause count overflow");
-        let tag = if lits.len() == 2 { idx | BINARY } else { idx };
-        let w0 = Watcher {
+            .filter(|&c| (c as usize) + HEADER + lits.len() <= BINARY as usize)
+            .expect("clause arena overflow");
+        let len = u32::try_from(lits.len()).expect("clause length overflow");
+        let tag = if lits.len() == 2 {
+            offset | BINARY
+        } else {
+            offset
+        };
+        self.watches[!lits[0]].push(Watcher {
             clause: tag,
             blocker: lits[1],
-        };
-        let w1 = Watcher {
+        });
+        self.watches[!lits[1]].push(Watcher {
             clause: tag,
             blocker: lits[0],
-        };
-        self.watches[(!lits[0]).code()].push(w0);
-        self.watches[(!lits[1]).code()].push(w1);
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            activity: 0.0,
-            deleted: false,
         });
+        self.arena
+            .extend([len << LEN_SHIFT | if learnt { LEARNT } else { 0 }, 0, 0]);
+        self.arena.extend(lits.iter().map(|l| l.0));
         if learnt {
             self.stats.learnt_clauses += 1;
         }
-        idx
+        offset
     }
 
-    /// Deletes a clause and frees its literals. A binary clause's two
-    /// watchers are unhooked at once, because propagation never reads
-    /// a binary clause's `deleted` flag; longer clauses' watchers are
+    /// Marks a clause deleted; its words are reclaimed by the next
+    /// compaction (see [`Solver::collect_garbage`]). A binary clause's
+    /// two watchers are unhooked at once, because propagation never
+    /// reads a binary clause's header; longer clauses' watchers are
     /// purged lazily in `propagate`.
-    pub(crate) fn delete_clause(&mut self, idx: u32) {
-        let c = &mut self.clauses[idx as usize];
-        debug_assert!(!c.deleted, "clause deleted twice");
-        c.deleted = true;
-        if c.learnt {
+    pub(crate) fn delete_clause(&mut self, c: u32) {
+        debug_assert!(!self.is_deleted(c), "clause deleted twice");
+        let at = c as usize;
+        self.arena[at] |= DELETED;
+        if self.arena[at] & LEARNT != 0 {
             self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
         }
-        let lits = std::mem::take(&mut c.lits);
-        if let [a, b] = lits[..] {
-            for l in [a, b] {
-                let ws = &mut self.watches[(!l).code()];
-                if let Some(at) = ws.iter().position(|w| w.clause == idx | BINARY) {
+        self.wasted += HEADER + self.clause_len(c);
+        if self.clause_len(c) == 2 {
+            for l in [self.lit(c, 0), self.lit(c, 1)] {
+                let ws = &mut self.watches[!l];
+                if let Some(at) = ws.iter().position(|w| w.clause == c | BINARY) {
                     ws.swap_remove(at);
                 }
             }
         }
     }
 
-    pub(crate) fn lit_value(&self, l: Lit) -> LBool {
-        match self.assign[l.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if l.is_positive() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-            LBool::False => {
-                if l.is_positive() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
+    /// Compacts the arena once deleted clauses hold more than half of
+    /// it: the live clauses are copied out in order, and every watcher
+    /// and reason is relocated. A deleted clause's surviving watchers
+    /// move to the sentinel, so each watch list keeps its length and
+    /// order and the search is unchanged.
+    pub(crate) fn collect_garbage(&mut self) {
+        if 2 * self.wasted > self.arena.len() {
+            self.compact();
+        }
+    }
+
+    fn compact(&mut self) {
+        let mut fresh = Vec::with_capacity(self.arena.len() - self.wasted);
+        fresh.extend_from_slice(&self.arena[..HEADER]);
+        // Each old header's first activity word becomes its clause's
+        // forwarding address: the new offset, or the sentinel.
+        let mut c = HEADER;
+        while c < self.arena.len() {
+            let end = self.record_end(c);
+            let forward = if self.arena[c] & DELETED != 0 {
+                SENTINEL
+            } else {
+                let to = u32::try_from(fresh.len()).expect("offset fits");
+                fresh.extend_from_slice(&self.arena[c..end]);
+                to
+            };
+            self.arena[c + 1] = forward;
+            c = end;
+        }
+        let old = std::mem::replace(&mut self.arena, fresh);
+        let forward = |c: u32| old[c as usize + 1];
+        for w in self.watches.iter_mut().flatten() {
+            if w.offset() != SENTINEL {
+                w.clause = forward(w.offset()) | (w.clause & BINARY);
             }
         }
+        for r in self.reason.iter_mut().flatten() {
+            *r = forward(*r);
+            debug_assert_ne!(*r, SENTINEL, "a reason clause was deleted");
+        }
+        self.wasted = 0;
+    }
+
+    /// Offsets of every clause record in the arena, live or deleted,
+    /// in arena order (which is creation order), sentinel first.
+    pub(crate) fn clause_offsets(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut c = 0usize;
+        std::iter::from_fn(move || {
+            let at = c;
+            c = (at < self.arena.len()).then(|| self.record_end(at))?;
+            Some(at as u32)
+        })
+    }
+
+    /// The offset just past the clause record at offset `c`.
+    fn record_end(&self, c: usize) -> usize {
+        c + HEADER + (self.arena[c] >> LEN_SHIFT) as usize
+    }
+
+    pub(crate) fn clause_len(&self, c: u32) -> usize {
+        (self.arena[c as usize] >> LEN_SHIFT) as usize
+    }
+
+    pub(crate) fn is_deleted(&self, c: u32) -> bool {
+        self.arena[c as usize] & DELETED != 0
+    }
+
+    pub(crate) fn is_learnt(&self, c: u32) -> bool {
+        self.arena[c as usize] & LEARNT != 0
+    }
+
+    /// The literals of the clause at offset `c`.
+    pub(crate) fn lits(&self, c: u32) -> impl ExactSizeIterator<Item = Lit> + '_ {
+        let start = c as usize + HEADER;
+        self.arena[start..start + self.clause_len(c)]
+            .iter()
+            .map(|&code| Lit(code))
+    }
+
+    /// Literal `k` of the clause at offset `c`.
+    pub(crate) fn lit(&self, c: u32, k: usize) -> Lit {
+        Lit(self.arena[c as usize + HEADER + k])
+    }
+
+    fn clause_activity(&self, c: u32) -> f64 {
+        let at = c as usize;
+        f64::from_bits(u64::from(self.arena[at + 1]) | u64::from(self.arena[at + 2]) << 32)
+    }
+
+    fn set_clause_activity(&mut self, c: u32, a: f64) {
+        let bits = a.to_bits();
+        let at = c as usize;
+        self.arena[at + 1] = bits as u32;
+        self.arena[at + 2] = (bits >> 32) as u32;
+    }
+
+    /// Whether the clause at `c` is the reason of `l`'s variable while
+    /// that variable is assigned, so conflict analysis may still read
+    /// it and it must not be deleted.
+    pub(crate) fn is_locked(&self, c: u32, l: Lit) -> bool {
+        self.reason[l.var()] == Some(c) && self.var_value(l.var()) != LBool::Undef
+    }
+
+    pub(crate) fn lit_value(&self, l: Lit) -> LBool {
+        self.values[l]
+    }
+
+    pub(crate) fn var_value(&self, v: Var) -> LBool {
+        self.values[v.positive()]
     }
 
     fn decision_level(&self) -> u32 {
@@ -530,19 +652,16 @@ impl Solver {
 
     pub(crate) fn unchecked_enqueue(&mut self, l: Lit, from: Option<u32>) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
-        let v = l.var().index();
-        self.assign[v] = if l.is_positive() {
-            LBool::True
-        } else {
-            LBool::False
-        };
+        let v = l.var();
+        self.values[l] = LBool::True;
+        self.values[!l] = LBool::False;
         self.phase[v] = l.is_positive();
         self.reason[v] = from;
         self.level[v] = self.decision_level();
         self.trail.push(l);
     }
 
-    /// Unit propagation; returns the index of a conflicting clause.
+    /// Unit propagation; returns the offset of a conflicting clause.
     ///
     /// Above decision level 0, an implication onto a variable outside
     /// `domain` is held back: the variable stays unassigned and the
@@ -555,12 +674,13 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
             let mut i = 0;
-            let mut watch_list = std::mem::take(&mut self.watches[p.code()]);
+            let mut watch_list = std::mem::take(&mut self.watches[p]);
             let mut conflict = None;
             'watchers: while i < watch_list.len() {
                 let w = watch_list[i];
-                let other = self.lit_value(w.blocker);
+                let other = self.values[w.blocker];
                 if other == LBool::True {
                     i += 1;
                     continue;
@@ -568,39 +688,40 @@ impl Solver {
                 if w.is_binary() {
                     // The blocker is the clause's other literal.
                     if other == LBool::False {
-                        conflict = Some(w.index());
+                        conflict = Some(w.offset());
                         self.qhead = self.trail.len();
                         break;
                     }
                     if scope.is_none_or(|d| d.contains(w.blocker.var())) {
-                        self.unchecked_enqueue(w.blocker, Some(w.index()));
+                        self.unchecked_enqueue(w.blocker, Some(w.offset()));
                     }
                     i += 1;
                     continue;
                 }
-                let cidx = w.clause as usize;
-                if self.clauses[cidx].deleted {
+                let c = w.clause as usize;
+                let hdr = self.arena[c];
+                if hdr & DELETED != 0 {
                     watch_list.swap_remove(i);
                     continue;
                 }
                 // Normalize: the false literal !p goes to position 1.
-                let false_lit = !p;
-                if self.clauses[cidx].lits[0] == false_lit {
-                    self.clauses[cidx].lits.swap(0, 1);
+                let at = c + HEADER;
+                if self.arena[at] == false_lit.0 {
+                    self.arena.swap(at, at + 1);
                 }
-                debug_assert_eq!(self.clauses[cidx].lits[1], false_lit);
-                let first = self.clauses[cidx].lits[0];
-                if first != w.blocker && self.lit_value(first) == LBool::True {
+                debug_assert_eq!(self.arena[at + 1], false_lit.0);
+                let first = Lit(self.arena[at]);
+                if first != w.blocker && self.values[first] == LBool::True {
                     watch_list[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..self.clauses[cidx].lits.len() {
-                    let lk = self.clauses[cidx].lits[k];
-                    if self.lit_value(lk) != LBool::False {
-                        self.clauses[cidx].lits.swap(1, k);
-                        self.watches[(!lk).code()].push(Watcher {
+                for k in at + 2..at + (hdr >> LEN_SHIFT) as usize {
+                    let lk = Lit(self.arena[k]);
+                    if self.values[lk] != LBool::False {
+                        self.arena.swap(at + 1, k);
+                        self.watches[!lk].push(Watcher {
                             clause: w.clause,
                             blocker: first,
                         });
@@ -609,7 +730,7 @@ impl Solver {
                     }
                 }
                 // No new watch: clause is unit or conflicting.
-                if self.lit_value(first) == LBool::False {
+                if self.values[first] == LBool::False {
                     conflict = Some(w.clause);
                     self.qhead = self.trail.len();
                     break;
@@ -621,8 +742,8 @@ impl Solver {
             }
             // Put the (possibly shrunk) watch list back, preserving any
             // watchers added to it during this propagation step.
-            let added = std::mem::replace(&mut self.watches[p.code()], watch_list);
-            self.watches[p.code()].extend(added);
+            let added = std::mem::replace(&mut self.watches[p], watch_list);
+            self.watches[p].extend(added);
             if conflict.is_some() {
                 return conflict;
             }
@@ -630,16 +751,28 @@ impl Solver {
         None
     }
 
+    /// Backtracks to `level`, returning the unassigned variables to the
+    /// decision heap in reverse trail order.
     fn cancel_until(&mut self, level: u32) {
+        self.backtrack(level, true);
+    }
+
+    /// Backtracks to `level`. With `requeue` off the unassigned
+    /// variables stay out of the decision heap, which is only sound
+    /// when the next solve rebuilds the heap (see `fill_heap`).
+    fn backtrack(&mut self, level: u32, requeue: bool) {
         if self.decision_level() <= level {
             return;
         }
         let lim = self.trail_lim[level as usize];
         for k in (lim..self.trail.len()).rev() {
-            let v = self.trail[k].var();
-            self.assign[v.index()] = LBool::Undef;
-            self.reason[v.index()] = None;
-            self.heap.insert(v, &self.activity);
+            let l = self.trail[k];
+            self.values[l] = LBool::Undef;
+            self.values[!l] = LBool::Undef;
+            self.reason[l.var()] = None;
+            if requeue {
+                self.heap.insert(l.var(), &self.activity);
+            }
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level as usize);
@@ -652,8 +785,8 @@ impl Solver {
     /// holds unless the previous solve was scoped (backtracking
     /// reinserts exactly the variables it unassigns).
     fn fill_heap(&mut self, domain: Option<&Domain>) {
-        let assign = &self.assign;
-        let unassigned = |v: &Var| assign[v.index()] == LBool::Undef;
+        let values = &self.values;
+        let unassigned = |v: &Var| values[v.positive()] == LBool::Undef;
         match domain {
             Some(d) => {
                 self.stats.domain_solves += 1;
@@ -662,7 +795,7 @@ impl Solver {
                 self.heap_scoped = true;
             }
             None if self.heap_scoped => {
-                let vars = (0..assign.len()).map(Var::from_index).filter(unassigned);
+                let vars = (0..self.num_vars()).map(Var::from_index).filter(unassigned);
                 self.heap.rebuild(vars, &self.activity);
                 self.heap_scoped = false;
             }
@@ -671,9 +804,9 @@ impl Solver {
     }
 
     fn var_bump(&mut self, v: Var) {
-        self.activity[v.index()] += self.var_inc;
-        if self.activity[v.index()] > 1e100 {
-            for a in &mut self.activity {
+        self.activity[v] += self.var_inc;
+        if self.activity[v] > 1e100 {
+            for a in self.activity.iter_mut() {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
@@ -682,12 +815,15 @@ impl Solver {
     }
 
     fn cla_bump(&mut self, c: u32) {
-        let cl = &mut self.clauses[c as usize];
-        cl.activity += self.cla_inc;
-        if cl.activity > 1e20 {
+        let a = self.clause_activity(c) + self.cla_inc;
+        self.set_clause_activity(c, a);
+        if a > 1e20 {
             let scale = 1e-20;
-            for cl in &mut self.clauses {
-                cl.activity *= scale;
+            let mut at = 0;
+            while at < self.arena.len() {
+                let cl = at as u32;
+                self.set_clause_activity(cl, self.clause_activity(cl) * scale);
+                at = self.record_end(at);
             }
             self.cla_inc *= scale;
         }
@@ -704,22 +840,22 @@ impl Solver {
         let mut index = self.trail.len();
         let current = self.decision_level();
         loop {
-            let c = confl as usize;
-            if self.clauses[c].learnt {
+            if self.is_learnt(confl) {
                 self.cla_bump(confl);
             }
             // Every literal but the one this reason implied (a binary
             // reason may hold it in either position).
-            for k in 0..self.clauses[c].lits.len() {
-                let q = self.clauses[c].lits[k];
+            let start = confl as usize + HEADER;
+            for k in start..start + self.clause_len(confl) {
+                let q = Lit(self.arena[k]);
                 if Some(q) == p {
                     continue;
                 }
                 let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                    self.seen[v.index()] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.var_bump(v);
-                    if self.level[v.index()] >= current {
+                    if self.level[v] >= current {
                         counter += 1;
                     } else {
                         learnt.push(q);
@@ -729,19 +865,19 @@ impl Solver {
             // Select the next literal on the trail to resolve on.
             loop {
                 index -= 1;
-                if self.seen[self.trail[index].var().index()] {
+                if self.seen[self.trail[index].var()] {
                     break;
                 }
             }
             let pl = self.trail[index];
-            self.seen[pl.var().index()] = false;
+            self.seen[pl.var()] = false;
             counter -= 1;
             if counter == 0 {
                 p = Some(pl);
                 break;
             }
             p = Some(pl);
-            confl = self.reason[pl.var().index()].expect("non-decision has a reason");
+            confl = self.reason[pl.var()].expect("non-decision has a reason");
         }
         learnt[0] = !p.expect("UIP found");
 
@@ -752,22 +888,11 @@ impl Solver {
             .enumerate()
             .map(|(i, &l)| i == 0 || !self.lit_redundant(l))
             .collect();
-        let mut minimized = Vec::with_capacity(learnt.len());
-        for (i, &l) in learnt.iter().enumerate() {
-            if keep[i] {
-                minimized.push(l);
-            }
+        for &l in &learnt {
+            self.seen[l.var()] = false;
         }
-        for &l in &minimized {
-            self.seen[l.var().index()] = false;
-        }
-        // `seen` for removed literals must be cleared too.
-        for (i, &l) in learnt.iter().enumerate() {
-            if !keep[i] {
-                self.seen[l.var().index()] = false;
-            }
-        }
-        let mut learnt = minimized;
+        let mut keep = keep.into_iter();
+        learnt.retain(|_| keep.next().expect("one flag per literal"));
 
         // Find the backjump level: second-highest level in the clause.
         let bt_level = if learnt.len() == 1 {
@@ -775,12 +900,12 @@ impl Solver {
         } else {
             let mut max_i = 1;
             for i in 2..learnt.len() {
-                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
+                if self.level[learnt[i].var()] > self.level[learnt[max_i].var()] {
                     max_i = i;
                 }
             }
             learnt.swap(1, max_i);
-            self.level[learnt[1].var().index()]
+            self.level[learnt[1].var()]
         };
         (learnt, bt_level)
     }
@@ -788,19 +913,17 @@ impl Solver {
     /// A learnt literal is redundant if its reason's other literals are
     /// all already in the learnt clause (marked `seen`) or at level 0.
     fn lit_redundant(&self, l: Lit) -> bool {
-        let v = l.var().index();
+        let v = l.var();
         let Some(r) = self.reason[v] else {
             return false;
         };
-        self.clauses[r as usize].lits.iter().all(|&q| {
-            let qv = q.var().index();
-            qv == v || self.seen[qv] || self.level[qv] == 0
-        })
+        self.lits(r)
+            .all(|q| q.var() == v || self.seen[q.var()] || self.level[q.var()] == 0)
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assign[v.index()] == LBool::Undef {
+            if self.var_value(v) == LBool::Undef {
                 return Some(v);
             }
         }
@@ -808,30 +931,22 @@ impl Solver {
     }
 
     fn reduce_db(&mut self) {
-        let mut learnt_idx: Vec<u32> = (0..self.clauses.len())
-            .filter(|&i| {
-                let c = &self.clauses[i];
-                c.learnt && !c.deleted && c.lits.len() > 2
-            })
-            .map(|i| u32::try_from(i).expect("index fits"))
+        let mut learnts: Vec<u32> = self
+            .clause_offsets()
+            .filter(|&c| self.is_learnt(c) && !self.is_deleted(c) && self.clause_len(c) > 2)
             .collect();
-        learnt_idx.sort_by(|&a, &b| {
-            self.clauses[a as usize]
-                .activity
-                .partial_cmp(&self.clauses[b as usize].activity)
+        learnts.sort_by(|&a, &b| {
+            self.clause_activity(a)
+                .partial_cmp(&self.clause_activity(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let to_delete = learnt_idx.len() / 2;
-        for &idx in &learnt_idx[..to_delete] {
-            let locked = {
-                let c = &self.clauses[idx as usize];
-                let v = c.lits[0].var().index();
-                self.reason[v] == Some(idx) && self.assign[v] != LBool::Undef
-            };
-            if !locked {
-                self.delete_clause(idx);
+        let to_delete = learnts.len() / 2;
+        for &c in &learnts[..to_delete] {
+            if !self.is_locked(c, self.lit(c, 0)) {
+                self.delete_clause(c);
             }
         }
+        self.collect_garbage();
     }
 
     /// Solves the current formula.
@@ -966,9 +1081,11 @@ impl Solver {
             }
         };
         if result == BudgetedSatResult::Sat {
-            self.model.clone_from(&self.assign);
+            self.model.clone_from(&self.values);
         }
-        self.cancel_until(0);
+        // A domain solve leaves the heap scoped, so the next solve
+        // rebuilds it from scratch: requeueing the trail would be waste.
+        self.backtrack(0, domain.is_none());
         result
     }
 
@@ -1037,9 +1154,9 @@ impl Solver {
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(asserting, None);
                 } else {
-                    let idx = self.attach_clause(learnt, true);
-                    self.cla_bump(idx);
-                    self.unchecked_enqueue(asserting, Some(idx));
+                    let c = self.attach_clause(&learnt, true);
+                    self.cla_bump(c);
+                    self.unchecked_enqueue(asserting, Some(c));
                 }
                 self.var_inc /= 0.95;
                 self.cla_inc /= 0.999;
@@ -1076,7 +1193,7 @@ impl Solver {
                 };
                 self.stats.decisions += 1;
                 self.trail_lim.push(self.trail.len());
-                self.unchecked_enqueue(v.lit(self.phase[v.index()]), None);
+                self.unchecked_enqueue(v.lit(self.phase[v]), None);
             }
         }
     }
@@ -1086,7 +1203,7 @@ impl Solver {
     /// created afterwards.
     #[must_use]
     pub fn value(&self, v: Var) -> Option<bool> {
-        match self.model.get(v.index()) {
+        match self.model.get(v.positive()) {
             Some(LBool::True) => Some(true),
             Some(LBool::False) => Some(false),
             _ => None,
@@ -1123,20 +1240,22 @@ fn luby(mut i: u64) -> u64 {
 struct VarHeap {
     heap: Vec<Var>,
     /// Position of each variable in `heap`; `ABSENT` when not queued.
-    pos: Vec<u32>,
+    pos: VarMap<u32>,
 }
 
 const ABSENT: u32 = u32::MAX;
 
 impl VarHeap {
-    fn contains(&self, v: Var) -> bool {
-        self.pos.get(v.index()).is_some_and(|&p| p != ABSENT)
+    /// Makes room for the next variable (not yet queued).
+    fn push_var(&mut self) {
+        self.pos.push(ABSENT);
     }
 
-    fn insert(&mut self, v: Var, act: &[f64]) {
-        if self.pos.len() <= v.index() {
-            self.pos.resize(v.index() + 1, ABSENT);
-        }
+    fn contains(&self, v: Var) -> bool {
+        self.pos[v] != ABSENT
+    }
+
+    fn insert(&mut self, v: Var, act: &VarMap<f64>) {
         if self.contains(v) {
             return;
         }
@@ -1145,15 +1264,15 @@ impl VarHeap {
     }
 
     fn push_back(&mut self, v: Var) {
-        self.pos[v.index()] = u32::try_from(self.heap.len()).expect("heap size overflow");
+        self.pos[v] = u32::try_from(self.heap.len()).expect("heap size overflow");
         self.heap.push(v);
     }
 
     /// Replaces the contents with `vars` (each at most once), in
     /// O(current size + new size).
-    fn rebuild(&mut self, vars: impl Iterator<Item = Var>, act: &[f64]) {
+    fn rebuild(&mut self, vars: impl Iterator<Item = Var>, act: &VarMap<f64>) {
         for v in self.heap.drain(..) {
-            self.pos[v.index()] = ABSENT;
+            self.pos[v] = ABSENT;
         }
         for v in vars {
             debug_assert!(!self.contains(v), "duplicate heap variable");
@@ -1164,28 +1283,28 @@ impl VarHeap {
         }
     }
 
-    fn update(&mut self, v: Var, act: &[f64]) {
+    fn update(&mut self, v: Var, act: &VarMap<f64>) {
         if self.contains(v) {
-            self.sift_up(self.pos[v.index()] as usize, act);
+            self.sift_up(self.pos[v] as usize, act);
         }
     }
 
-    fn pop(&mut self, act: &[f64]) -> Option<Var> {
+    fn pop(&mut self, act: &VarMap<f64>) -> Option<Var> {
         let top = *self.heap.first()?;
         let last = self.heap.pop().expect("non-empty");
-        self.pos[top.index()] = ABSENT;
+        self.pos[top] = ABSENT;
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.pos[last.index()] = 0;
+            self.pos[last] = 0;
             self.sift_down(0, act);
         }
         Some(top)
     }
 
-    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+    fn sift_up(&mut self, mut i: usize, act: &VarMap<f64>) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if act[self.heap[i].index()] <= act[self.heap[parent].index()] {
+            if act[self.heap[i]] <= act[self.heap[parent]] {
                 break;
             }
             self.swap(i, parent);
@@ -1193,15 +1312,15 @@ impl VarHeap {
         }
     }
 
-    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+    fn sift_down(&mut self, mut i: usize, act: &VarMap<f64>) {
         loop {
             let l = 2 * i + 1;
             let r = 2 * i + 2;
             let mut best = i;
-            if l < self.heap.len() && act[self.heap[l].index()] > act[self.heap[best].index()] {
+            if l < self.heap.len() && act[self.heap[l]] > act[self.heap[best]] {
                 best = l;
             }
-            if r < self.heap.len() && act[self.heap[r].index()] > act[self.heap[best].index()] {
+            if r < self.heap.len() && act[self.heap[r]] > act[self.heap[best]] {
                 best = r;
             }
             if best == i {
@@ -1214,8 +1333,8 @@ impl VarHeap {
 
     fn swap(&mut self, a: usize, b: usize) {
         self.heap.swap(a, b);
-        self.pos[self.heap[a].index()] = a as u32;
-        self.pos[self.heap[b].index()] = b as u32;
+        self.pos[self.heap[a]] = a as u32;
+        self.pos[self.heap[b]] = b as u32;
     }
 }
 
@@ -1578,10 +1697,11 @@ mod tests {
         assert!(s.stats().conflicts >= 29_000, "{:?}", s.stats());
     }
 
-    /// Clause deletion frees the literals at once: a long-lived solver
-    /// must not keep every learnt clause it ever made.
+    /// Deleted clauses' words are reclaimed: once they would hold more
+    /// than half the arena it is compacted, so a long-lived solver does
+    /// not keep every learnt clause it ever made.
     #[test]
-    fn deleted_clauses_hold_no_literals() {
+    fn deleted_clauses_hold_at_most_half_the_arena() {
         let (n, m) = (10usize, 9usize);
         let mut s = Solver::new();
         let p: Vec<Vec<Var>> = (0..n)
@@ -1599,13 +1719,31 @@ mod tests {
                 }
             }
         }
+        let problem_clauses = s.num_clauses();
         // Two and a half times the base learnt cap: several reductions.
         let budget = SolveBudget::default().with_conflicts(10_000);
         assert!(s.solve_budgeted(&[], &budget).known().is_none());
         s.inprocess();
-        let deleted: Vec<&Clause> = s.clauses.iter().filter(|c| c.deleted).collect();
-        assert!(deleted.len() >= 4_000, "only {} deletions", deleted.len());
-        assert!(deleted.iter().all(|c| c.lits.capacity() == 0));
+        let deleted_words: usize = s
+            .clause_offsets()
+            .filter(|&c| c != SENTINEL && s.is_deleted(c))
+            .map(|c| HEADER + s.clause_len(c))
+            .sum();
+        assert_eq!(deleted_words, s.wasted);
+        assert!(
+            2 * deleted_words <= s.arena.len(),
+            "{deleted_words} deleted words in an arena of {}",
+            s.arena.len()
+        );
+        // Nearly every conflict learnt a clause; at least 4,000 of
+        // them were deleted and their words reclaimed.
+        let records = s.clause_offsets().count();
+        assert!(
+            records + 4_000 <= problem_clauses + s.stats().conflicts as usize,
+            "only {} of {} learnt clauses reclaimed",
+            (problem_clauses + s.stats().conflicts as usize).saturating_sub(records),
+            s.stats().conflicts
+        );
     }
 
     /// Binary clauses are propagated from their watchers alone, so
@@ -1615,14 +1753,26 @@ mod tests {
         let mut s = Solver::new();
         let v = lits(&mut s, 3);
         let (a, b) = (v[0].positive(), v[1].positive());
-        s.attach_clause(vec![a, b], true);
-        let dup = s.attach_clause(vec![b, a], true);
-        s.attach_clause(vec![!a, v[2].positive()], true);
+        s.attach_clause(&[a, b], true);
+        let dup = s.attach_clause(&[b, a], true);
+        s.attach_clause(&[!a, v[2].positive()], true);
         assert_eq!(s.inprocess(), (1, 0));
-        assert!(s.clauses[dup as usize].deleted);
-        let live = |w: &Watcher| !s.clauses[w.index() as usize].deleted;
-        assert!(s.watches.iter().flatten().all(live));
-        assert_eq!(s.watches.iter().map(Vec::len).sum::<usize>(), 4);
+        assert!(s.is_deleted(dup));
+        let all_live = |s: &Solver| {
+            s.watches
+                .iter()
+                .flatten()
+                .all(|w| !s.is_deleted(w.offset()))
+        };
+        let count = |s: &Solver| s.watches.iter().map(Vec::len).sum::<usize>();
+        assert!(all_live(&s));
+        assert_eq!(count(&s), 4);
+        // Compacting the arena moves the survivors without reviving
+        // the deleted clause's watchers.
+        s.compact();
+        assert_eq!(s.num_clauses(), 2);
+        assert!(all_live(&s));
+        assert_eq!(count(&s), 4);
         // Both directions of the surviving binaries still propagate.
         assert_eq!(s.solve_with(&[!a, !b]), SatResult::Unsat);
         assert_eq!(s.solve_with(&[!b, !v[2].positive()]), SatResult::Unsat);
@@ -1713,6 +1863,210 @@ mod stress_tests {
                 }
             }
         }
+    }
+
+    /// Whether `l` holds in the assignment whose bit `i` is variable
+    /// `i`'s value.
+    fn holds(bits: u32, l: Lit) -> bool {
+        (bits >> l.var().index() & 1 == 1) == l.is_positive()
+    }
+
+    /// Checks the arena's structural invariants: every watcher names a
+    /// clause record, a binary watcher a live binary clause, a long
+    /// watcher of a live clause one of its two watched literals; the
+    /// reason of every assigned variable is a live clause implying it.
+    /// With no garbage pending (right after a compaction) every watcher
+    /// names a live clause or the sentinel.
+    fn check_arena(s: &Solver) {
+        let records: std::collections::HashSet<u32> = s.clause_offsets().collect();
+        for (code, ws) in s.watches.iter().enumerate() {
+            let watched = !Lit::from_code(code);
+            for w in ws {
+                let c = w.offset();
+                assert!(records.contains(&c), "watcher names no clause: {c}");
+                if w.is_binary() {
+                    assert!(!s.is_deleted(c), "binary watcher of a deleted clause");
+                    let lits: Vec<Lit> = s.lits(c).collect();
+                    assert_eq!(lits.len(), 2);
+                    assert!(lits.contains(&watched) && lits.contains(&w.blocker));
+                } else if s.is_deleted(c) {
+                    assert!(
+                        c == SENTINEL || s.wasted > 0,
+                        "watcher of a compacted clause"
+                    );
+                } else {
+                    assert!(s.clause_len(c) > 2);
+                    assert!(s.lit(c, 0) == watched || s.lit(c, 1) == watched);
+                }
+            }
+        }
+        for v in (0..s.num_vars()).map(Var::from_index) {
+            if let (Some(r), true) = (s.reason[v], s.var_value(v) != LBool::Undef) {
+                assert!(records.contains(&r) && !s.is_deleted(r), "dead reason");
+                let implied = v.lit(s.var_value(v) == LBool::True);
+                assert!(s.lits(r).any(|l| l == implied));
+            }
+        }
+    }
+
+    /// With the learnt-clause base cap lowered to 2, `reduce_db`,
+    /// `inprocess` and arena compaction run many times over a long mix
+    /// of plain, domain and budgeted solves with clauses added in
+    /// between, on random 12-variable formulas. Every verdict must
+    /// match enumeration, every model must satisfy every clause, and
+    /// the arena must stay well-formed. Besides the low cap the test
+    /// scrambles saved phases, reduces between queries and forces extra
+    /// compactions, all through private fields and methods.
+    #[test]
+    fn arena_survives_reduction_inprocessing_and_compaction() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let (mut natural, mut forced, mut decided) = (0u32, 0u32, 0u32);
+        for _round in 0..40 {
+            // Variables 0..6 (under a random renaming) carry three
+            // parity constraints that contradict each other, 6..12 are
+            // selectors.
+            let nv = 12;
+            let mut s = Solver::new();
+            s.max_learnts_base = 2;
+            let mut vars: Vec<Var> = (0..nv).map(|_| s.new_var()).collect();
+            for i in (1..nv).rev() {
+                vars.swap(i, next(i as u64 + 1) as usize);
+            }
+            let selectors = &vars[6..];
+            let mut gate: Vec<Lit> = Vec::new();
+            while gate.len() < 3 {
+                let l = selectors[next(6) as usize].negative();
+                if !gate.contains(&l) {
+                    gate.push(l);
+                }
+            }
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            // Every model of `clauses`, by enumeration.
+            let mut models: Vec<u32> = (0u32..1 << nv).collect();
+            for step in 0..600u32 {
+                // With x = vars[0..6]: x0⊕x1⊕x2⊕x3 = 0, x2⊕x3⊕x4⊕x5 = 0
+                // and x0⊕x1⊕x4⊕x5 = 1 sum to 0 = 1, but only when the
+                // three gate selectors hold:
+                // assuming them costs conflicts, and the learnt clauses,
+                // long because they name the selectors, are soon
+                // reduced away and relearnt. Random 3-clauses join now
+                // and then.
+                let mut fresh: Vec<Vec<Lit>> = Vec::new();
+                if step == 0 {
+                    for (xs, parity) in [([0, 1, 2, 3], 0), ([2, 3, 4, 5], 0), ([0, 1, 4, 5], 1)] {
+                        for signs in 0u32..16 {
+                            if signs.count_ones() % 2 != parity {
+                                let mut c: Vec<Lit> = (0..4)
+                                    .map(|k| vars[xs[k]].lit(signs >> k & 1 == 0))
+                                    .collect();
+                                c.extend_from_slice(&gate);
+                                fresh.push(c);
+                            }
+                        }
+                    }
+                } else if next(40) == 0 {
+                    let mut c: Vec<Lit> = Vec::new();
+                    while c.len() < 3 {
+                        let l = vars[next(nv as u64) as usize].lit(next(2) == 0);
+                        if !c.iter().any(|q| q.var() == l.var()) {
+                            c.push(l);
+                        }
+                    }
+                    fresh.push(c);
+                }
+                for c in fresh {
+                    let kept: Vec<u32> = models
+                        .iter()
+                        .copied()
+                        .filter(|&m| c.iter().any(|&l| holds(m, l)))
+                        .collect();
+                    if kept.is_empty() && next(16) != 0 {
+                        continue;
+                    }
+                    s.add_clause(&c);
+                    clauses.push(c);
+                    models = kept;
+                }
+                let mut assumptions: Vec<Lit> = Vec::new();
+                for _ in 0..next(7) {
+                    let l = selectors[next(6) as usize].positive();
+                    if !assumptions.contains(&l) {
+                        assumptions.push(l);
+                    }
+                }
+                for _ in 0..next(3) {
+                    let l = vars[next(nv as u64) as usize].lit(next(2) == 0);
+                    if !assumptions.iter().any(|q| q.var() == l.var()) {
+                        assumptions.push(l);
+                    }
+                }
+                // A domain holding every clause and assumption variable
+                // is definition-closed, so its verdicts are exact; it
+                // is shuffled to vary the decision heap's build order.
+                let mut dom_vars: Vec<Var> = clauses
+                    .iter()
+                    .flatten()
+                    .chain(&assumptions)
+                    .map(|l| l.var())
+                    .collect();
+                for i in (1..dom_vars.len()).rev() {
+                    dom_vars.swap(i, next(i as u64 + 1) as usize);
+                }
+                let dom = Domain::from_vars(dom_vars);
+                let budget = SolveBudget::default().with_conflicts(next(6));
+                // Scrambled saved phases send each search somewhere new,
+                // so conflicts (and learnt clauses to reduce) keep coming.
+                for v in &vars {
+                    s.phase[*v] = next(2) == 0;
+                }
+                let wasted = s.wasted;
+                let verdict = match step % 4 {
+                    0 => Some(s.solve_with(&assumptions)),
+                    1 => Some(s.solve_domain(&assumptions, &dom)),
+                    2 => s.solve_budgeted(&assumptions, &budget).known(),
+                    _ => s.solve_domain_budgeted(&assumptions, &budget, &dom).known(),
+                };
+                if let Some(verdict) = verdict {
+                    decided += 1;
+                    let expect = models
+                        .iter()
+                        .any(|&m| assumptions.iter().all(|&l| holds(m, l)));
+                    assert_eq!(verdict == SatResult::Sat, expect, "step {step}");
+                    if verdict == SatResult::Sat {
+                        let holds = |l: &Lit| s.lit_model(*l) == Some(true);
+                        assert!(assumptions.iter().all(holds));
+                        assert!(clauses.iter().all(|c| c.iter().any(holds)));
+                    }
+                }
+                if step % 5 == 4 {
+                    s.inprocess();
+                } else if next(2) == 0 {
+                    // Between-query reductions too, so learnt clauses
+                    // are forgotten and relearnt.
+                    s.reduce_db();
+                }
+                if s.wasted < wasted {
+                    natural += 1;
+                }
+                if s.wasted > 0 && next(40) == 0 {
+                    s.compact();
+                    forced += 1;
+                }
+                check_arena(&s);
+            }
+        }
+        assert!(decided > 10_000, "only {decided} decided solves");
+        assert!(
+            natural >= 40,
+            "only {natural} compactions by the half-garbage rule"
+        );
+        assert!(forced >= 100, "only {forced} forced compactions");
     }
 
     /// XOR chains force long implication sequences through learning.

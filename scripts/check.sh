@@ -18,6 +18,12 @@ fi
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
+echo "== benchmark build (perfbench) =="
+# perfbench is a package of its own, outside the workspace: build it so
+# an API change that breaks the benchmark fails here, not in a benchmark
+# run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== test (offline) =="
 cargo test -q --offline --workspace
 

@@ -87,38 +87,49 @@ pub struct DemandAnalysis {
     pub stability: StabilityStats,
 }
 
-/// Per-(module, output) refinement state.
+/// Per-(module, output) refinement state: what the timing graph reads,
+/// plus the cone view once refinement has probed this output.
 #[derive(Debug)]
 struct OutputState {
+    /// Topological weight per module input: the longest path to this
+    /// output (`−∞` = no path). Refinement starts here, and
+    /// [`DemandDrivenAnalyzer::reset_refinement`] rewinds to it.
+    topo: Vec<Time>,
+    /// Current edge weights per module input (`−∞` = no influence).
+    weights: Vec<Time>,
+    /// Cursor into the view's length lists per input (index of the
+    /// current weight).
+    cursor: Vec<usize>,
+    /// Edges proven accurate (no further probes).
+    marked: Vec<bool>,
+    /// Built the first time one of this output's edges is critical;
+    /// outputs that never become critical never pay for extraction.
+    view: Option<ConeView>,
+    /// Counters booked outside the solvers: verdict-memo hits and
+    /// misses, and degraded probes.
+    probe_stats: StabilityStats,
+}
+
+/// The fanin cone of one module output, as refinement probes it.
+#[derive(Debug)]
+struct ConeView {
     /// The single-output cone of this module output.
     cone: Netlist,
     /// For each module input: its position among the cone's inputs, or
     /// `None` if the input does not reach this output.
     cone_pos: Vec<Option<usize>>,
-    /// Current edge weights per module input (`−∞` = no influence).
-    weights: Vec<Time>,
-    /// Distinct path lengths per module input, descending.
+    /// Distinct path lengths per module input, descending (the head is
+    /// the topological weight).
     lists: Vec<Vec<Time>>,
-    /// Cursor into `lists` per input (index of the current weight).
-    cursor: Vec<usize>,
-    /// Edges proven accurate (no further probes).
-    marked: Vec<bool>,
     /// Canonical structural signature and input correspondence of the
-    /// cone. Computed on the cone's first refinement (cones that never
-    /// become critical never pay for hashing); `sig_done` distinguishes
-    /// "not yet computed" from "computed, cone is cyclic/unhashable".
+    /// cone, computed on the first probe under an unlimited budget.
     sig: Option<ConeKey>,
-    sig_done: bool,
     /// Persistent stability oracle for this cone, lazily created on
-    /// its first probe outside a signature class (limited budget, or a
-    /// cone without a signature).
+    /// its first probe outside a signature class (limited budget).
     oracle: Option<StabilityOracle<SatAlg>>,
     /// Whether this cone identity has registered with its class's
     /// [`SharedStabilityEngine`].
     engine_attached: bool,
-    /// Counters booked outside the solvers: verdict-memo hits and
-    /// misses, and degraded probes.
-    probe_stats: StabilityStats,
 }
 
 /// Outcome of one cone's probes within a refinement round.
@@ -157,6 +168,9 @@ pub struct DemandDrivenAnalyzer<'a> {
     /// Per instance (by position in `top.instances()`): its module
     /// index.
     inst_module: Vec<usize>,
+    /// Leaf netlists, index-aligned with `modules` (cone views are
+    /// extracted from them on demand).
+    leaves: Vec<&'a Netlist>,
     /// Per distinct module: refinement state per output index. Each
     /// slot is `Some` except while its cone is checked out to a worker
     /// inside [`DemandDrivenAnalyzer::refine_round`] (persistent
@@ -198,6 +212,10 @@ pub struct DemandDrivenAnalyzer<'a> {
 /// Invariant message for the `Option<OutputState>` slots.
 const STATE_PRESENT: &str = "cone state present (only checked out inside refine_round)";
 
+/// Invariant message for probes: `refine_round` builds a view before
+/// it probes an output's edges.
+const VIEW_BUILT: &str = "cone view built before the first probe";
+
 fn micros_since(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
@@ -227,6 +245,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         let mut module_names: Vec<String> = Vec::new();
         let mut module_index: HashMap<String, usize> = HashMap::new();
         let mut modules: Vec<Vec<Option<OutputState>>> = Vec::new();
+        let mut leaves = Vec::new();
         let mut inst_module = Vec::with_capacity(top.instances().len());
         for inst in top.instances() {
             if let Some(&mi) = module_index.get(&inst.module) {
@@ -239,14 +258,20 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                     what: "leaf module (demand-driven analysis requires depth-1 hierarchy)",
                     name: inst.module.clone(),
                 })?;
-            let mut states = Vec::with_capacity(leaf.outputs().len());
-            for &out in leaf.outputs() {
-                states.push(Some(OutputState::new(leaf, out)?));
-            }
+            // One topological sort per leaf and one longest-path pass per
+            // output give every topological weight; cones are extracted
+            // only when refinement probes them.
+            let sta = TopoSta::new(leaf)?;
+            let states = leaf
+                .outputs()
+                .iter()
+                .map(|&out| Some(OutputState::new(leaf, &sta.longest_to(out))))
+                .collect();
             let mi = modules.len();
             module_index.insert(inst.module.clone(), mi);
             module_names.push(inst.module.clone());
             modules.push(states);
+            leaves.push(leaf);
             inst_module.push(mi);
         }
         let (db_use, db_emit) = open_model_dbs(&config.model_db)?;
@@ -256,6 +281,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             module_names,
             module_index,
             inst_module,
+            leaves,
             modules,
             verdict_memo: HashMap::new(),
             class_engines: HashMap::new(),
@@ -314,7 +340,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         let mut rounds = 0u64;
         let arrivals = loop {
             let graph_t0 = Instant::now();
-            let (arrivals, _) = self.forward(pi_arrivals);
+            let arrivals = self.forward(pi_arrivals);
             let required = self.backward(&arrivals);
             let critical = self.critical_edges(&arrivals, &required);
             self.wall.propagate_micros += micros_since(graph_t0);
@@ -430,7 +456,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         let mut total = StabilityStats::default();
         for states in &self.modules {
             for st in states.iter().flatten() {
-                if let Some(oracle) = &st.oracle {
+                if let Some(oracle) = st.view.as_ref().and_then(|v| v.oracle.as_ref()) {
                     total.merge(&oracle.stats());
                 }
                 total.merge(&st.probe_stats);
@@ -443,14 +469,15 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         total
     }
 
-    /// The current weight of a module edge (for inspection/tests).
+    /// The current weight of a module edge (for inspection/tests), or
+    /// `None` for an unknown module, output or input.
     #[must_use]
     pub fn edge_weight(&self, module: &str, out_idx: usize, in_idx: usize) -> Option<Time> {
         self.module_index
             .get(module)
             .and_then(|&mi| self.modules[mi].get(out_idx))
             .and_then(|s| s.as_ref())
-            .map(|s| s.weights[in_idx])
+            .and_then(|s| s.weights.get(in_idx).copied())
     }
 
     /// A human-readable summary of what refinement did: for every
@@ -471,8 +498,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         for (name, mi) in names {
             for (o, st) in self.modules[mi].iter().enumerate() {
                 let st = st.as_ref().expect(STATE_PRESENT);
-                for (j, &w) in st.weights.iter().enumerate() {
-                    let topo = st.lists[j].first().copied().unwrap_or(Time::NEG_INF);
+                for (j, (&w, &topo)) in st.weights.iter().zip(&st.topo).enumerate() {
                     if w < topo {
                         let _ = writeln!(
                             s,
@@ -513,27 +539,25 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         v
     }
 
-    /// Forward arrival propagation over the timing graph. Also returns
-    /// per-instance input arrival snapshots (unused by callers today
-    /// but cheap).
-    fn forward(&self, pi_arrivals: &[Time]) -> (Vec<Time>, Vec<Vec<Time>>) {
+    /// Forward arrival propagation over the timing graph. Instances are
+    /// visited in topological order, so an instance's input arrivals
+    /// are final before its outputs are written.
+    fn forward(&self, pi_arrivals: &[Time]) -> Vec<Time> {
         let mut arrivals = vec![Time::NEG_INF; self.top.net_count()];
         for (k, &pi) in self.top.inputs().iter().enumerate() {
             arrivals[pi.index()] = pi_arrivals[k];
         }
-        let mut snapshots = vec![Vec::new(); self.top.instances().len()];
         for &idx in &self.order {
             let inst = &self.top.instances()[idx];
             let states = &self.modules[self.inst_module[idx]];
-            let in_arr: Vec<Time> = inst.inputs.iter().map(|n| arrivals[n.index()]).collect();
             for (o, &out_net) in inst.outputs.iter().enumerate() {
                 let st = states[o].as_ref().expect(STATE_PRESENT);
                 let mut worst = Time::NEG_INF;
-                for (j, &a) in in_arr.iter().enumerate() {
-                    let w = st.weights[j];
+                for (&in_net, &w) in inst.inputs.iter().zip(&st.weights) {
                     if w == Time::NEG_INF {
                         continue;
                     }
+                    let a = arrivals[in_net.index()];
                     let term = if a == Time::POS_INF {
                         Time::POS_INF
                     } else {
@@ -543,9 +567,8 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 }
                 arrivals[out_net.index()] = worst;
             }
-            snapshots[idx] = in_arr;
         }
-        (arrivals, snapshots)
+        arrivals
     }
 
     /// Backward required-time propagation: the latest output arrival is
@@ -682,12 +705,18 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         }
         let pool = self.scheduler_for_round(tracer);
         // Check the probed cones out of their slots, in ascending
-        // (module, output) order.
+        // (module, output) order, building the view of any cone probed
+        // for the first time. The build is infallible, so no slot is
+        // left empty.
         group_order.sort_unstable();
         let mut work: Vec<(usize, usize, OutputState, Vec<usize>)> =
             Vec::with_capacity(group_order.len());
         for &(mi, o) in &group_order {
-            let st = self.modules[mi][o].take().expect(STATE_PRESENT);
+            let mut st = self.modules[mi][o].take().expect(STATE_PRESENT);
+            if st.view.is_none() {
+                let leaf = self.leaves[mi];
+                st.view = Some(ConeView::new(leaf, leaf.outputs()[o], &st.topo));
+            }
             let edges = group_edges.remove(&(mi, o)).expect("grouped above");
             work.push((mi, o, st, edges));
         }
@@ -715,11 +744,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         let mut class_of: HashMap<u128, usize> = HashMap::new();
         let mut classes: Vec<ClassTask> = Vec::new();
         for (mi, o, mut st, edges) in work {
-            let sig = if memo_on {
-                st.ensure_sig().map(|k| k.sig.0)
-            } else {
-                None
-            };
+            let sig = memo_on.then(|| st.view.as_mut().expect(VIEW_BUILT).ensure_sig().sig.0);
             if let Some(ci) = sig.and_then(|s| class_of.get(&s).copied()) {
                 classes[ci].work.push((mi, o, st, edges));
                 continue;
@@ -816,19 +841,17 @@ impl<'a> DemandDrivenAnalyzer<'a> {
 
     /// Rewinds every edge to its topological weight and clears shared
     /// verdicts and counters, as if the analyzer were freshly built —
-    /// but keeps the expensive long-lived state: per-cone oracles and
-    /// per-class shared engines (learnt clauses included), cone
-    /// signatures, and the worker pool. Benchmarks use this to measure
-    /// steady-state refinement without paying construction on every
-    /// iteration.
+    /// but keeps the expensive long-lived state: cone views, per-cone
+    /// oracles and per-class shared engines (learnt clauses included),
+    /// cone signatures, and the worker pool. Benchmarks use this to
+    /// measure steady-state refinement without paying construction on
+    /// every iteration.
     pub fn reset_refinement(&mut self) {
         for states in &mut self.modules {
             for st in states.iter_mut().flatten() {
-                for j in 0..st.weights.len() {
-                    st.weights[j] = st.lists[j].first().copied().unwrap_or(Time::NEG_INF);
-                    st.cursor[j] = 0;
-                    st.marked[j] = false;
-                }
+                st.weights.copy_from_slice(&st.topo);
+                st.cursor.fill(0);
+                st.marked.fill(false);
                 st.probe_stats = StabilityStats::default();
             }
         }
@@ -860,58 +883,19 @@ fn refine_class(
 }
 
 impl OutputState {
-    fn new(leaf: &Netlist, out: NetId) -> Result<OutputState, NetlistError> {
-        let (cone, sources) = leaf.cone(out);
-        let cone_out = cone.outputs()[0];
-        let sta = TopoSta::new(&cone)?;
-        let distinct = sta.distinct_lengths_to(cone_out, LENGTHS_CAP);
-        let mut cone_pos = vec![None; leaf.inputs().len()];
-        for (p, src) in sources.iter().enumerate() {
-            let mod_pos = leaf
-                .inputs()
-                .iter()
-                .position(|pi| pi == src)
-                .expect("cone sources are primary inputs");
-            cone_pos[mod_pos] = Some(p);
-        }
-        let mut weights = Vec::with_capacity(leaf.inputs().len());
-        let mut lists = Vec::with_capacity(leaf.inputs().len());
-        for pos in &cone_pos {
-            match pos {
-                Some(p) => {
-                    let list = distinct[cone.inputs()[*p].index()].clone();
-                    weights.push(list.first().copied().unwrap_or(Time::NEG_INF));
-                    lists.push(list);
-                }
-                None => {
-                    weights.push(Time::NEG_INF);
-                    lists.push(Vec::new());
-                }
-            }
-        }
-        let n = leaf.inputs().len();
-        Ok(OutputState {
-            cone,
-            cone_pos,
-            weights,
-            lists,
+    /// The graph-side state of one output, given the longest path from
+    /// every leaf net to it.
+    fn new(leaf: &Netlist, longest: &[Time]) -> OutputState {
+        let topo: Vec<Time> = leaf.inputs().iter().map(|pi| longest[pi.index()]).collect();
+        let n = topo.len();
+        OutputState {
+            weights: topo.clone(),
+            topo,
             cursor: vec![0; n],
             marked: vec![false; n],
-            sig: None,
-            sig_done: false,
-            oracle: None,
-            engine_attached: false,
+            view: None,
             probe_stats: StabilityStats::default(),
-        })
-    }
-
-    /// The cone's structural signature, computed on first use.
-    fn ensure_sig(&mut self) -> Option<&ConeKey> {
-        if !self.sig_done {
-            self.sig_done = true;
-            self.sig = cone_signature(&self.cone).ok();
         }
-        self.sig.as_ref()
     }
 
     /// One refinement step of the edge into input `in_idx`: probe the
@@ -928,7 +912,8 @@ impl OutputState {
         tracer: &mut Tracer,
     ) -> Result<(), NetlistError> {
         debug_assert!(!self.marked[in_idx]);
-        let list = &self.lists[in_idx];
+        let view = self.view.as_mut().expect(VIEW_BUILT);
+        let list = &view.lists[in_idx];
         let next = self.cursor[in_idx] + 1;
         let candidate = if next < list.len() {
             Some(list[next])
@@ -943,9 +928,9 @@ impl OutputState {
         };
         // Build cone arrivals: input j arrives at −w_j, the probed
         // input at −candidate.
-        let n_cone = self.cone.inputs().len();
+        let n_cone = view.cone.inputs().len();
         let mut cone_arrivals = vec![Time::POS_INF; n_cone];
-        for (j, pos) in self.cone_pos.iter().enumerate() {
+        for (j, pos) in view.cone_pos.iter().enumerate() {
             if let Some(p) = *pos {
                 let w = if j == in_idx {
                     candidate
@@ -955,14 +940,14 @@ impl OutputState {
                 cone_arrivals[p] = -w;
             }
         }
-        let cone_out = self.cone.outputs()[0];
+        let cone_out = view.cone.outputs()[0];
         round.checks += 1;
         // Signature-class sharing: probe the memo under the canonical
         // (slot-space) arrival vector before spending solver time. Only
         // under an unlimited budget — then the verdict is semantic and
         // the solver would necessarily have returned the same answer.
         let memo_key = if budget.is_unlimited() {
-            self.sig
+            view.sig
                 .as_ref()
                 .map(|key| key.to_slots(&cone_arrivals, Time::POS_INF))
         } else {
@@ -993,17 +978,17 @@ impl OutputState {
         // unlimited), so budgeted runs never touch the engine and keep
         // every degraded verdict inside the cone's own oracle.
         let stable = if memo_key.is_some() {
-            let key = self.sig.as_ref().expect("memo_key implies signature");
+            let key = view.sig.as_ref().expect("memo_key implies signature");
             if engine.is_none() {
                 *engine = Some(SharedStabilityEngine::new(
-                    self.cone.clone(),
+                    view.cone.clone(),
                     cone_out,
                     key.clone(),
                 )?);
             }
             let engine = engine.as_mut().expect("just created");
-            if !self.engine_attached {
-                self.engine_attached = true;
+            if !view.engine_attached {
+                view.engine_attached = true;
                 engine.attach();
             }
             if tracer.is_enabled() {
@@ -1017,12 +1002,12 @@ impl OutputState {
             }
             stable
         } else {
-            if self.oracle.is_none() {
-                let mut oracle = StabilityOracle::new_sat(self.cone.clone(), &cone_arrivals)?;
+            if view.oracle.is_none() {
+                let mut oracle = StabilityOracle::new_sat(view.cone.clone(), &cone_arrivals)?;
                 oracle.set_budget(budget);
-                self.oracle = Some(oracle);
+                view.oracle = Some(oracle);
             }
-            let oracle = self.oracle.as_mut().expect("just created");
+            let oracle = view.oracle.as_mut().expect("just created");
             if tracer.is_enabled() {
                 oracle.set_episode_recording(true);
             }
@@ -1091,6 +1076,60 @@ impl OutputState {
                 self.probe_stats.degraded += 1;
             }
         }
+    }
+}
+
+impl ConeView {
+    /// Extracts the cone of `leaf`'s output `out` and lists its distinct
+    /// path lengths. `topo` is the output's topological weight vector,
+    /// which every list must head.
+    fn new(leaf: &Netlist, out: NetId, topo: &[Time]) -> ConeView {
+        let (cone, sources) = leaf.cone(out);
+        let cone_out = cone.outputs()[0];
+        let sta = TopoSta::new(&cone)
+            .expect("the leaf was sorted when the analyzer was built, so its cones are acyclic");
+        let mut distinct = sta.distinct_lengths_to(cone_out, LENGTHS_CAP);
+        // Cone inputs keep the leaf's input order, so one merge pass
+        // places every source.
+        let mut sources = sources.iter().enumerate().peekable();
+        let mut cone_pos = Vec::with_capacity(leaf.inputs().len());
+        let mut lists = Vec::with_capacity(leaf.inputs().len());
+        for pi in leaf.inputs() {
+            match sources.next_if(|&(_, src)| src == pi) {
+                Some((p, _)) => {
+                    cone_pos.push(Some(p));
+                    lists.push(std::mem::take(&mut distinct[cone.inputs()[p].index()]));
+                }
+                None => {
+                    cone_pos.push(None);
+                    lists.push(Vec::new());
+                }
+            }
+        }
+        debug_assert!(sources.next().is_none(), "cone sources are primary inputs");
+        debug_assert!(
+            lists
+                .iter()
+                .zip(topo)
+                .all(|(l, &w)| l.first().copied().unwrap_or(Time::NEG_INF) == w),
+            "each length list heads with its topological weight"
+        );
+        ConeView {
+            cone,
+            cone_pos,
+            lists,
+            sig: None,
+            oracle: None,
+            engine_attached: false,
+        }
+    }
+
+    /// The cone's structural signature, computed on first use.
+    fn ensure_sig(&mut self) -> &ConeKey {
+        let cone = &self.cone;
+        self.sig.get_or_insert_with(|| {
+            cone_signature(cone).expect("cone views are acyclic, and only a cycle fails signing")
+        })
     }
 }
 
@@ -1568,6 +1607,100 @@ mod cone_sig_tests {
 }
 
 #[cfg(test)]
+mod lazy_view_tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+    use hfta_netlist::gen::{carry_skip_adder, random_circuit, CsaDelays, RandomCircuitSpec};
+    use hfta_netlist::partition::cascade_bipartition_min_cut;
+
+    /// The `(module, output)` pairs whose cone view has been built.
+    fn views(an: &DemandDrivenAnalyzer<'_>) -> BTreeSet<(usize, usize)> {
+        let mut v = BTreeSet::new();
+        for (mi, states) in an.modules.iter().enumerate() {
+            for (o, st) in states.iter().enumerate() {
+                if st.as_ref().expect(STATE_PRESENT).view.is_some() {
+                    v.insert((mi, o));
+                }
+            }
+        }
+        v
+    }
+
+    /// Runs `analyze`'s refinement loop step by step and returns every
+    /// `(module, output)` pair of some round's critical set.
+    fn critical_pairs(an: &mut DemandDrivenAnalyzer<'_>, pi: &[Time]) -> BTreeSet<(usize, usize)> {
+        let mut tracer = an.config.trace.tracer();
+        let mut pairs = BTreeSet::new();
+        loop {
+            let arrivals = an.forward(pi);
+            let required = an.backward(&arrivals);
+            let critical = an.critical_edges(&arrivals, &required);
+            if critical.is_empty() {
+                return pairs;
+            }
+            pairs.extend(critical.iter().map(|&(mi, o, _)| (mi, o)));
+            an.refine_round(&critical, &mut tracer).unwrap();
+        }
+    }
+
+    /// Construction builds no view, the graph-only surfaces work without
+    /// one, and `analyze` builds exactly the views of the outputs some
+    /// round found critical. Returns `(views built, outputs)`.
+    fn check_laziness(design: &Design, top: &str) -> (usize, usize) {
+        let n = design.composite(top).unwrap().inputs().len();
+        let pi = vec![Time::ZERO; n];
+        let config = AnalysisConfig::default();
+        let mut an = DemandDrivenAnalyzer::with_config(design, top, &config).unwrap();
+        assert!(views(&an).is_empty(), "{top}: a view before any probe");
+        assert!(an.timing_graph_dot().starts_with("digraph"));
+        assert!(an.refinement_report().starts_with("no edges refined"));
+        an.reset_refinement();
+        assert!(views(&an).is_empty());
+
+        let result = an.analyze(&pi).unwrap();
+        let mut stepped = DemandDrivenAnalyzer::with_config(design, top, &config).unwrap();
+        let pairs = critical_pairs(&mut stepped, &pi);
+        assert_eq!(views(&an), pairs, "{top}");
+        assert_eq!(views(&stepped), pairs, "{top}");
+        assert_eq!(stepped.refinement_report(), an.refinement_report());
+        assert_eq!(stepped.analyze(&pi).unwrap().delay, result.delay);
+
+        // Rewinding keeps the views; graph surfaces still read the
+        // stored topological weights.
+        an.reset_refinement();
+        assert_eq!(views(&an), pairs);
+        assert!(an.refinement_report().starts_with("no edges refined"));
+        let outputs = an.modules.iter().map(Vec::len).sum();
+        (pairs.len(), outputs)
+    }
+
+    #[test]
+    fn views_are_built_only_for_critical_outputs() {
+        let csa = carry_skip_adder(8, 2, CsaDelays::default());
+        assert_eq!(check_laziness(&csa, "csa8.2"), (2, 3));
+        let flat = random_circuit("c432_like", RandomCircuitSpec::iscas_like(160, 432));
+        let c432 = cascade_bipartition_min_cut(&flat, 0.25, 0.75).unwrap();
+        assert_eq!(check_laziness(&c432, "c432_like_top"), (7, 24));
+        let flat = random_circuit("c2670_like", RandomCircuitSpec::iscas_like(1193, 2670));
+        let c2670 = cascade_bipartition_min_cut(&flat, 0.25, 0.75).unwrap();
+        assert_eq!(check_laziness(&c2670, "c2670_like_top"), (2, 325));
+    }
+
+    /// Out-of-range indices read as unknown edges, not panics.
+    #[test]
+    fn edge_weight_rejects_unknown_edges() {
+        let design = carry_skip_adder(8, 2, CsaDelays::default());
+        let an = DemandDrivenAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default())
+            .unwrap();
+        assert_eq!(an.edge_weight("csa_block2", 2, 0), Some(Time::new(6)));
+        assert_eq!(an.edge_weight("csa_block2", 0, 99), None);
+        assert_eq!(an.edge_weight("csa_block2", 3, 0), None);
+        assert_eq!(an.edge_weight("no_such_block", 0, 0), None);
+    }
+}
+
+#[cfg(test)]
 mod infinite_arrival_tests {
     use super::*;
     use hfta_netlist::gen::{carry_skip_adder, CsaDelays};
@@ -1669,12 +1802,10 @@ impl DemandDrivenAnalyzer<'_> {
             let states = &self.modules[self.inst_module[idx]];
             for (o, &out_net) in inst.outputs.iter().enumerate() {
                 let st = states[o].as_ref().expect(STATE_PRESENT);
-                for (j, &in_net) in inst.inputs.iter().enumerate() {
-                    let w = st.weights[j];
+                for ((&in_net, &w), &topo) in inst.inputs.iter().zip(&st.weights).zip(&st.topo) {
                     if w == Time::NEG_INF {
                         continue;
                     }
-                    let topo = st.lists[j].first().copied().unwrap_or(Time::NEG_INF);
                     let refined = w < topo;
                     let _ = writeln!(
                         s,

@@ -343,31 +343,33 @@ impl Netlist {
             }
         }
         let mut cone = Netlist::new(format!("{}::cone({})", self.name, self.net_name(root)));
-        let mut map: HashMap<NetId, NetId> = HashMap::new();
+        // Parent net → cone net, indexed by the parent's net id.
+        let mut map: Vec<Option<NetId>> = vec![None; self.net_count()];
+        let mapped = |map: &[Option<NetId>], n: NetId| map[n.index()].expect("cone net mapped");
         let mut sources = Vec::new();
         // Primary inputs first, preserving the parent's input order.
         for &pi in &self.inputs {
             if in_cone[pi.index()] {
-                let id = cone.add_input(self.net_name(pi));
-                map.insert(pi, id);
+                map[pi.index()] = Some(cone.add_input(self.net_name(pi)));
                 sources.push(pi);
             }
         }
         // Then every other cone net.
         for n in self.net_ids() {
-            if in_cone[n.index()] && !map.contains_key(&n) {
-                let id = cone.add_net(self.net_name(n));
-                map.insert(n, id);
+            if in_cone[n.index()] && map[n.index()].is_none() {
+                map[n.index()] = Some(cone.add_net(self.net_name(n)));
             }
         }
+        let mut inputs = Vec::new();
         for g in &self.gates {
             if in_cone[g.output.index()] {
-                let inputs: Vec<NetId> = g.inputs.iter().map(|n| map[n]).collect();
-                cone.add_gate(g.kind, &inputs, map[&g.output], g.delay)
+                inputs.clear();
+                inputs.extend(g.inputs.iter().map(|&n| mapped(&map, n)));
+                cone.add_gate(g.kind, &inputs, mapped(&map, g.output), g.delay)
                     .expect("cone gate insertion cannot fail");
             }
         }
-        cone.mark_output(map[&root]);
+        cone.mark_output(mapped(&map, root));
         (cone, sources)
     }
 

@@ -118,7 +118,9 @@ struct Ref {
 struct NGate {
     kind: GateKind,
     delay: u64,
-    ins: Vec<Ref>,
+    /// The gate's input references: `Norm::ins[first..end]`.
+    first: usize,
+    end: usize,
 }
 
 struct Norm {
@@ -126,7 +128,15 @@ struct Norm {
     n_declared: usize,
     n_sources: usize,
     gates: Vec<NGate>,
+    /// Every gate's input references, concatenated in gate order.
+    ins: Vec<Ref>,
     outs: Vec<Ref>,
+}
+
+impl Norm {
+    fn ins_of(&self, g: &NGate) -> &[Ref] {
+        &self.ins[g.first..g.end]
+    }
 }
 
 fn normalize(cone: &Netlist) -> Result<Norm, NetlistError> {
@@ -158,6 +168,7 @@ fn normalize(cone: &Netlist) -> Result<Norm, NetlistError> {
     }
 
     let mut gates = Vec::new();
+    let mut ins = Vec::new();
     for gid in cone.topo_gates()? {
         let g = cone.gate(gid);
         let d = u64::from(g.delay);
@@ -185,11 +196,13 @@ fn normalize(cone: &Netlist) -> Result<Norm, NetlistError> {
                 r
             }
             _ => {
-                let ins: Vec<Ref> = g.inputs.iter().map(|&n| resolve(n, &refs)).collect();
+                let first = ins.len();
+                ins.extend(g.inputs.iter().map(|&n| resolve(n, &refs)));
                 gates.push(NGate {
                     kind: g.kind,
                     delay: d,
-                    ins,
+                    first,
+                    end: ins.len(),
                 });
                 Ref {
                     root: Root::Gate((gates.len() - 1) as u32),
@@ -210,6 +223,7 @@ fn normalize(cone: &Netlist) -> Result<Norm, NetlistError> {
         n_declared,
         n_sources: n_sources as usize,
         gates,
+        ins,
         outs,
     })
 }
@@ -229,12 +243,32 @@ fn mix64(mut x: u64) -> u64 {
 
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
-fn h(vals: &[u64]) -> u64 {
-    let mut acc = GOLDEN ^ (vals.len() as u64);
-    for &v in vals {
-        acc = mix64(acc.rotate_left(7) ^ v.wrapping_mul(GOLDEN));
+/// The 64-bit label hash of a word sequence, absorbed as a stream: the
+/// word count is folded in first, so a caller that knows it can hash a
+/// label without collecting its words. Every WL label and every stored
+/// signature depends on this exact sequence of operations.
+struct Words(u64);
+
+impl Words {
+    fn new(len: usize) -> Words {
+        Words(GOLDEN ^ (len as u64))
     }
-    acc
+
+    fn push(&mut self, v: u64) {
+        self.0 = mix64(self.0.rotate_left(7) ^ v.wrapping_mul(GOLDEN));
+    }
+
+    fn extend(&mut self, vals: &[u64]) {
+        for &v in vals {
+            self.push(v);
+        }
+    }
+}
+
+fn h(vals: &[u64]) -> u64 {
+    let mut w = Words::new(vals.len());
+    w.extend(vals);
+    w.0
 }
 
 /// Two independent 64-bit lanes absorbed word-by-word into a 128-bit
@@ -323,148 +357,257 @@ fn eff(r: Ref, src_label: &[u64], up: &[u64]) -> u64 {
 }
 
 /// Bottom-up structure labels for every normalized gate, given the
-/// current per-source labels. Gates are stored in topological order, so
-/// one forward pass suffices.
-fn up_labels(norm: &Norm, src_label: &[u64]) -> Vec<u64> {
-    let mut up = Vec::with_capacity(norm.gates.len());
+/// current per-source labels, written into `up`. Gates are stored in
+/// topological order, so one forward pass suffices; `in_labels` holds one
+/// gate's input labels at a time.
+fn up_labels(norm: &Norm, src_label: &[u64], up: &mut Vec<u64>, in_labels: &mut Vec<u64>) {
+    up.clear();
     for g in &norm.gates {
-        let mut ins: Vec<u64> = g.ins.iter().map(|&r| eff(r, src_label, &up)).collect();
-        if commutative(g.kind) {
-            ins.sort_unstable();
+        in_labels.clear();
+        for &r in norm.ins_of(g) {
+            in_labels.push(eff(r, src_label, up));
         }
-        let mut words = vec![kind_tag(g.kind), g.delay];
-        words.extend_from_slice(&ins);
-        up.push(h(&words));
+        if commutative(g.kind) {
+            in_labels.sort_unstable();
+        }
+        let mut w = Words::new(2 + in_labels.len());
+        w.push(kind_tag(g.kind));
+        w.push(g.delay);
+        w.extend(in_labels);
+        up.push(w.0);
     }
-    up
 }
 
-/// One full WL round: bottom-up labels, then top-down context labels,
-/// producing a refined per-source signature.
-fn wl_round(norm: &Norm, src_label: &[u64]) -> Vec<u64> {
-    let up = up_labels(norm, src_label);
-    let mut gate_contribs: Vec<Vec<u64>> = vec![Vec::new(); norm.gates.len()];
-    let mut src_contribs: Vec<Vec<u64>> = vec![Vec::new(); norm.n_sources];
+/// Flat per-target contribution lists: target `t`'s contributions live
+/// in `buf[off[t]..off[t + 1]]`. The bounds come from the cone's
+/// fan-out references, which no round changes, so every round refills
+/// the same slices.
+struct Slices {
+    off: Vec<usize>,
+    /// Next free position per target during a round.
+    fill: Vec<usize>,
+    buf: Vec<u64>,
+}
 
-    for (pos, r) in norm.outs.iter().enumerate() {
-        let c = h(&[TAG_OUT, pos as u64, r.delay, u64::from(r.inv)]);
-        match r.root {
-            Root::Source(s) => src_contribs[s as usize].push(c),
-            Root::Gate(g) => gate_contribs[g as usize].push(c),
-            Root::Const(_) => {}
+impl Slices {
+    /// `counts[t + 1]` holds target `t`'s reference count (`counts[0]`
+    /// is zero); prefix sums turn the counts into slice bounds.
+    fn from_counts(counts: Vec<usize>) -> Slices {
+        let mut off = counts;
+        for t in 1..off.len() {
+            off[t] += off[t - 1];
+        }
+        let targets = off.len() - 1;
+        Slices {
+            fill: off[..targets].to_vec(),
+            buf: vec![0; off[targets]],
+            off,
         }
     }
 
-    // Reverse topological order: every consumer of gate `g` has a larger
-    // index, so `gate_contribs[g]` is complete when we reach it.
-    for gi in (0..norm.gates.len()).rev() {
-        let g = &norm.gates[gi];
-        gate_contribs[gi].sort_unstable();
-        let mut words = vec![TAG_DOWN, up[gi]];
-        words.extend_from_slice(&gate_contribs[gi]);
-        let down = h(&words);
-        for (pos, r) in g.ins.iter().enumerate() {
-            // Position is only structural for non-commutative gates; for
-            // commutative ones the sibling's own label keys the edge.
-            let slot = if commutative(g.kind) {
-                eff(*r, src_label, &up)
-            } else {
-                pos as u64
-            };
-            let c = h(&[
-                TAG_CHILD,
-                down,
-                kind_tag(g.kind),
-                g.delay,
-                slot,
-                r.delay,
-                u64::from(r.inv),
-            ]);
+    /// Starts a round: every slice becomes empty.
+    fn clear(&mut self) {
+        let targets = self.fill.len();
+        self.fill.copy_from_slice(&self.off[..targets]);
+    }
+
+    fn push(&mut self, t: usize, v: u64) {
+        self.buf[self.fill[t]] = v;
+        self.fill[t] += 1;
+    }
+
+    /// Target `t`'s contributions, sorted (order-free).
+    fn sorted(&mut self, t: usize) -> &[u64] {
+        debug_assert_eq!(self.fill[t], self.off[t + 1], "slice fully written");
+        let s = &mut self.buf[self.off[t]..self.off[t + 1]];
+        s.sort_unstable();
+        s
+    }
+}
+
+/// Books contribution `c` to the root `r` refers to.
+fn route(gate_in: &mut Slices, src_in: &mut Slices, r: Ref, c: u64) {
+    match r.root {
+        Root::Source(s) => src_in.push(s as usize, c),
+        Root::Gate(g) => gate_in.push(g as usize, c),
+        Root::Const(_) => {}
+    }
+}
+
+/// The buffers of one cone's WL refinement. Every round and every
+/// individualization reuses them, so refinement allocates only when it
+/// starts.
+struct Wl {
+    /// Current per-source labels, and the next round's.
+    label: Vec<u64>,
+    next: Vec<u64>,
+    /// Bottom-up structure label per normalized gate.
+    up: Vec<u64>,
+    /// One gate's input labels.
+    in_labels: Vec<u64>,
+    /// Top-down contributions per gate and per source.
+    gate_in: Slices,
+    src_in: Slices,
+    /// `(label, source)` in ascending order.
+    ranked: Vec<(u64, usize)>,
+    /// The partitions `label` and `next` induce (see
+    /// [`partition_shape`]).
+    shape: Vec<usize>,
+    next_shape: Vec<usize>,
+}
+
+impl Wl {
+    fn new(norm: &Norm) -> Wl {
+        let mut gate_counts = vec![0usize; norm.gates.len() + 1];
+        let mut src_counts = vec![0usize; norm.n_sources + 1];
+        for r in norm.outs.iter().chain(&norm.ins) {
             match r.root {
-                Root::Source(s) => src_contribs[s as usize].push(c),
-                Root::Gate(target) => gate_contribs[target as usize].push(c),
+                Root::Source(s) => src_counts[s as usize + 1] += 1,
+                Root::Gate(g) => gate_counts[g as usize + 1] += 1,
                 Root::Const(_) => {}
             }
         }
-    }
-
-    (0..norm.n_sources)
-        .map(|s| {
-            src_contribs[s].sort_unstable();
-            let declared = u64::from(s < norm.n_declared);
-            let mut words = vec![TAG_SOURCE, src_label[s], declared];
-            words.extend_from_slice(&src_contribs[s]);
-            h(&words)
-        })
-        .collect()
-}
-
-/// Relabels class values by first occurrence so two labelings can be
-/// compared as partitions.
-fn partition_shape(labels: &[u64]) -> Vec<u32> {
-    let mut map = std::collections::HashMap::new();
-    labels
-        .iter()
-        .map(|&l| {
-            let next = map.len() as u32;
-            *map.entry(l).or_insert(next)
-        })
-        .collect()
-}
-
-/// Iterates WL rounds until the induced partition stops changing.
-fn refine_to_fixpoint(norm: &Norm, label: &mut Vec<u64>) {
-    let mut shape = partition_shape(label);
-    // The partition stabilizes in ≤ n rounds in practice; the cap only
-    // guards determinism on adversarial hash behaviour.
-    for _ in 0..norm.n_sources + 2 {
-        let next = wl_round(norm, label);
-        let next_shape = partition_shape(&next);
-        let done = next_shape == shape;
-        *label = next;
-        shape = next_shape;
-        if done {
-            break;
+        let n = norm.n_sources;
+        Wl {
+            label: vec![0; n],
+            next: Vec::with_capacity(n),
+            up: Vec::with_capacity(norm.gates.len()),
+            in_labels: Vec::new(),
+            gate_in: Slices::from_counts(gate_counts),
+            src_in: Slices::from_counts(src_counts),
+            ranked: Vec::with_capacity(n),
+            shape: vec![0; n],
+            next_shape: vec![0; n],
         }
     }
-}
 
-/// Computes the canonical slot of every source: WL refinement plus
-/// individualization of surviving ties by lowest original index.
-fn canonical_slots(norm: &Norm) -> Vec<usize> {
-    let n = norm.n_sources;
-    let mut label = vec![0u64; n];
-    if n == 0 {
-        return Vec::new();
-    }
-    refine_to_fixpoint(norm, &mut label);
+    /// One full WL round: bottom-up labels, then top-down context
+    /// labels, producing a refined per-source signature in `next`.
+    fn round(&mut self, norm: &Norm) {
+        let Wl {
+            label,
+            next,
+            up,
+            in_labels,
+            gate_in,
+            src_in,
+            ..
+        } = self;
+        up_labels(norm, label, up, in_labels);
+        gate_in.clear();
+        src_in.clear();
+        for (pos, r) in norm.outs.iter().enumerate() {
+            let c = h(&[TAG_OUT, pos as u64, r.delay, u64::from(r.inv)]);
+            route(gate_in, src_in, *r, c);
+        }
 
-    let mut individualized = 0u64;
-    loop {
-        // Find the smallest-labelled class that still has a tie.
-        let mut tied: Option<(u64, usize)> = None;
-        for i in 0..n {
-            if label.iter().filter(|&&l| l == label[i]).count() > 1 {
-                match tied {
-                    Some((l, _)) if l <= label[i] => {}
-                    _ => tied = Some((label[i], i)),
-                }
+        // Reverse topological order: every consumer of gate `g` has a
+        // larger index, so gate `g`'s slice is complete when we reach it.
+        for (gi, g) in norm.gates.iter().enumerate().rev() {
+            let contribs = gate_in.sorted(gi);
+            let mut w = Words::new(2 + contribs.len());
+            w.push(TAG_DOWN);
+            w.push(up[gi]);
+            w.extend(contribs);
+            let down = w.0;
+            for (pos, r) in norm.ins_of(g).iter().enumerate() {
+                // Position is only structural for non-commutative gates;
+                // for commutative ones the sibling's own label keys the
+                // edge.
+                let slot = if commutative(g.kind) {
+                    eff(*r, label, up)
+                } else {
+                    pos as u64
+                };
+                let c = h(&[
+                    TAG_CHILD,
+                    down,
+                    kind_tag(g.kind),
+                    g.delay,
+                    slot,
+                    r.delay,
+                    u64::from(r.inv),
+                ]);
+                route(gate_in, src_in, *r, c);
             }
         }
-        let Some((_, pivot)) = tied else { break };
-        individualized += 1;
-        // A value outside `h`'s typical range is unnecessary; distinctness
-        // within this labeling is what matters.
-        label[pivot] = h(&[0x1d1u64, individualized, label[pivot]]);
-        refine_to_fixpoint(norm, &mut label);
+
+        next.clear();
+        for (s, &l) in label.iter().enumerate() {
+            let contribs = src_in.sorted(s);
+            let mut w = Words::new(3 + contribs.len());
+            w.push(TAG_SOURCE);
+            w.push(l);
+            w.push(u64::from(s < norm.n_declared));
+            w.extend(contribs);
+            next.push(w.0);
+        }
     }
 
-    let mut sorted: Vec<u64> = label.clone();
-    sorted.sort_unstable();
-    label
-        .iter()
-        .map(|l| sorted.binary_search(l).expect("label present"))
-        .collect()
+    /// Iterates WL rounds until the induced partition stops changing.
+    fn refine_to_fixpoint(&mut self, norm: &Norm) {
+        partition_shape(&self.label, &mut self.ranked, &mut self.shape);
+        // The partition stabilizes in ≤ n rounds in practice; the cap
+        // only guards determinism on adversarial hash behaviour.
+        for _ in 0..norm.n_sources + 2 {
+            self.round(norm);
+            partition_shape(&self.next, &mut self.ranked, &mut self.next_shape);
+            let done = self.next_shape == self.shape;
+            std::mem::swap(&mut self.label, &mut self.next);
+            std::mem::swap(&mut self.shape, &mut self.next_shape);
+            if done {
+                break;
+            }
+        }
+    }
+
+    /// Computes the canonical slot of every source: WL refinement plus
+    /// individualization of surviving ties by lowest original index.
+    fn canonical_slots(&mut self, norm: &Norm) -> Vec<usize> {
+        if norm.n_sources == 0 {
+            return Vec::new();
+        }
+        self.refine_to_fixpoint(norm);
+        let mut individualized = 0u64;
+        loop {
+            // The smallest-labelled class that still has a tie, and its
+            // lowest index: the first equal pair of the ranked labels.
+            rank(&self.label, &mut self.ranked);
+            let tied = self.ranked.windows(2).find(|w| w[0].0 == w[1].0);
+            let Some(&[(_, pivot), _]) = tied else { break };
+            individualized += 1;
+            // A value outside `h`'s typical range is unnecessary;
+            // distinctness within this labeling is what matters.
+            self.label[pivot] = h(&[0x1d1u64, individualized, self.label[pivot]]);
+            self.refine_to_fixpoint(norm);
+        }
+        // Every label is now distinct: a source's slot is its rank.
+        let mut slot_of = vec![0; norm.n_sources];
+        for (slot, &(_, s)) in self.ranked.iter().enumerate() {
+            slot_of[s] = slot;
+        }
+        slot_of
+    }
+}
+
+/// Sorts `(label, index)` pairs of `labels` into `ranked`.
+fn rank(labels: &[u64], ranked: &mut Vec<(u64, usize)>) {
+    ranked.clear();
+    ranked.extend(labels.iter().enumerate().map(|(i, &l)| (l, i)));
+    ranked.sort_unstable();
+}
+
+/// The partition `labels` induces, written into `shape` as each
+/// element's lowest same-label index: two labelings give equal shapes
+/// exactly when they induce the same partition.
+fn partition_shape(labels: &[u64], ranked: &mut Vec<(u64, usize)>, shape: &mut [usize]) {
+    rank(labels, ranked);
+    for class in ranked.chunk_by(|a, b| a.0 == b.0) {
+        let lowest = class[0].1;
+        for &(_, i) in class {
+            shape[i] = lowest;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -502,18 +645,20 @@ fn serialize_ref(r: Ref, slot_of: &[usize], canon_gate: &[u32]) -> [u64; 4] {
 /// sort; well-formed cones never fail.
 pub fn cone_signature(cone: &Netlist) -> Result<ConeKey, NetlistError> {
     let norm = normalize(cone)?;
-    let slot_of = canonical_slots(&norm);
+    let mut wl = Wl::new(&norm);
+    let slot_of = wl.canonical_slots(&norm);
 
     // Final bottom-up labels with discrete (slot-valued) source labels.
     let final_src: Vec<u64> = slot_of.iter().map(|&s| s as u64).collect();
-    let up = up_labels(&norm, &final_src);
+    up_labels(&norm, &final_src, &mut wl.up, &mut wl.in_labels);
+    let up = &wl.up;
 
     // Canonical gate order: by depth (topologically valid), then by the
     // final structure label, then by original index as a last resort.
     let mut depth = vec![0u64; norm.gates.len()];
     for (gi, g) in norm.gates.iter().enumerate() {
-        depth[gi] = 1 + g
-            .ins
+        depth[gi] = 1 + norm
+            .ins_of(g)
             .iter()
             .map(|r| match r.root {
                 Root::Gate(p) => depth[p as usize],
@@ -535,13 +680,15 @@ pub fn cone_signature(cone: &Netlist) -> Result<ConeKey, NetlistError> {
     sink.push(norm.n_declared as u64);
     sink.push(norm.gates.len() as u64);
     sink.push(norm.outs.len() as u64);
+    let mut ins: Vec<[u64; 4]> = Vec::new();
     for &gi in &order {
         let g = &norm.gates[gi];
-        let mut ins: Vec<[u64; 4]> = g
-            .ins
-            .iter()
-            .map(|&r| serialize_ref(r, &slot_of, &canon_gate))
-            .collect();
+        ins.clear();
+        ins.extend(
+            norm.ins_of(g)
+                .iter()
+                .map(|&r| serialize_ref(r, &slot_of, &canon_gate)),
+        );
         if commutative(g.kind) {
             ins.sort_unstable();
         }
@@ -845,6 +992,62 @@ mod tests {
         let kc = sig_of(&c);
         assert!(kc.perm.is_empty());
         assert_ne!(k.sig, kc.sig);
+    }
+
+    /// Exact signatures and permutations of fixed cones. Stored model
+    /// records carry per-output signatures and are checked against them
+    /// on load, and verdict records are named by signature, so a changed
+    /// value silently turns every stored database into misses. These
+    /// values must not change; a deliberate signature change must bump
+    /// the record format.
+    #[test]
+    fn signatures_are_pinned() {
+        use crate::gen::{array_multiplier, parity_tree, random_circuit, RandomCircuitSpec};
+        let pin = |nl: &Netlist, net: &str, sig: &str, perm: &[usize]| {
+            let root = nl.find_net(net).expect("pinned net exists");
+            let key = sig_of(&nl.cone(root).0);
+            assert_eq!(key.sig.to_string(), sig, "{}: {net}", nl.name());
+            assert_eq!(key.perm, perm, "{}: {net}", nl.name());
+        };
+        let blk = carry_skip_block(2, CsaDelays::default());
+        pin(&blk, "s0", "89a34c703ea8c488f8f3144b1cb0abcc", &[1, 2, 0]);
+        pin(
+            &blk,
+            "s1",
+            "f7a71f242002e00660396ee276f4469b",
+            &[0, 2, 4, 1, 3],
+        );
+        pin(
+            &blk,
+            "c_out",
+            "111f8a5091c109d4c9b9f6e3bf9db5d8",
+            &[4, 0, 2, 3, 1],
+        );
+        // Every input of a parity tree is automorphic: the slots come
+        // from individualization.
+        let parity = parity_tree(8, 2);
+        let out = parity.net_name(parity.outputs()[0]).to_string();
+        pin(
+            &parity,
+            &out,
+            "c4109703c68bfe5173834f7c64d143f5",
+            &[6, 1, 0, 4, 7, 2, 5, 3],
+        );
+        let mult = array_multiplier(3, CsaDelays::default());
+        pin(
+            &mult,
+            "fa2_2_c",
+            "d895ca4e827413385b84a2a7ad36ac44",
+            &[0, 1, 5, 4, 3, 2],
+        );
+        // A 135-gate, 12-input cone of the Table 2 c432_like circuit.
+        let c432 = random_circuit("c432_like", RandomCircuitSpec::iscas_like(160, 432));
+        pin(
+            &c432,
+            "g157",
+            "ffcd7775397bb1570e6f7810ca9678c8",
+            &[6, 10, 8, 9, 1, 3, 0, 5, 7, 2, 4, 11],
+        );
     }
 
     #[test]

@@ -89,6 +89,23 @@ grep -F "0 modules characterized" <<<"$WARM_OUT"
 grep -F "model-db: 3 hits, 0 misses" <<<"$WARM_OUT"
 ./target/release/hfta models "$MODELDB" | grep -F "3 valid record(s), 0 invalid"
 
+echo "== model db written by an earlier revision =="
+# Records an earlier revision wrote (tests/corpus/README.md) must still
+# load and hit: a cone signature that drifts turns them into silent
+# misses, which the fresh round trip above cannot notice.
+STORED="$(mktemp -d -t hfta_stored_XXXXXX)"
+trap 'rm -f "$GATE_JSON"; rm -rf "$MODELDB" "$STORED"' EXIT
+cp tests/corpus/stored_model_db/* "$STORED"
+./target/release/hfta models "$STORED" | grep -F "6 valid record(s), 0 invalid"
+TWO_STEP="$(./target/release/hfta hier tests/corpus/csa_pair.hnl --algo two-step \
+    --use-models "$STORED" --stats)"
+grep -F "0 modules characterized" <<<"$TWO_STEP"
+grep -F "model-db: 3 hits, 0 misses" <<<"$TWO_STEP"
+DEMAND="$(./target/release/hfta hier tests/corpus/csa_pair.hnl --algo demand \
+    --use-models "$STORED" --stats)"
+grep -F "8 verdicts loaded" <<<"$DEMAND"
+grep -F "estimated delay: 13" <<<"$DEMAND"
+
 echo "== serve end-to-end protocol gate =="
 # Start the daemon warm from the corpus-seeded database, pipe the
 # checked-in request transcript through it, and diff the response
@@ -97,7 +114,7 @@ echo "== serve end-to-end protocol gate =="
 SERVEDB="$(mktemp -d -t hfta_servedb_XXXXXX)"
 SERVE_OUT="$(mktemp -t hfta_serve_out_XXXXXX.ndjson)"
 SERVE_ERR="$(mktemp -t hfta_serve_err_XXXXXX.txt)"
-trap 'rm -f "$GATE_JSON" "$SERVE_OUT" "$SERVE_ERR"; rm -rf "$MODELDB" "$SERVEDB"' EXIT
+trap 'rm -f "$GATE_JSON" "$SERVE_OUT" "$SERVE_ERR"; rm -rf "$MODELDB" "$STORED" "$SERVEDB"' EXIT
 ./target/release/hfta characterize tests/corpus/csa_pair.hnl --emit-model "$SERVEDB" >/dev/null
 ./target/release/hfta serve tests/corpus/csa_pair.hnl --use-models "$SERVEDB" \
     < tests/corpus/serve_transcript.ndjson > "$SERVE_OUT" 2> "$SERVE_ERR"

@@ -15,6 +15,12 @@
 //! incomparable tuples the paper exploits (`T` may hold more than one
 //! tuple); dominated results are pruned by
 //! [`TimingModel::from_tuples`].
+//!
+//! Monotone speedup also makes validity monotone in every input's
+//! delay, so the passes over one cone decide each candidate tuple at
+//! most once: a candidate at or above (componentwise) a tuple already
+//! proven valid is valid, one at or below a refuted tuple is refuted,
+//! and only the rest reach the stability check.
 
 use std::collections::HashMap;
 
@@ -178,6 +184,7 @@ pub struct Characterizer<'a> {
     /// Per-check budget; an unlimited one selects the shared solver.
     budget: SolveBudget,
     checks: u64,
+    implied: u64,
     stability: StabilityStats,
     tracer: Tracer,
     /// The unlimited-budget path's one module-wide analyzer: every
@@ -198,6 +205,7 @@ impl<'a> Characterizer<'a> {
             max_tuples: config.characterize.max_tuples,
             budget: config.budget,
             checks: 0,
+            implied: 0,
             stability: StabilityStats::default(),
             tracer: Tracer::disabled(),
             shared: None,
@@ -216,7 +224,11 @@ impl<'a> Characterizer<'a> {
         std::mem::take(&mut self.tracer)
     }
 
-    /// Number of stability (validity) checks performed so far.
+    /// Number of relaxation steps decided by a stability (validity)
+    /// check so far. A step whose verdict follows from one already
+    /// proven for the same cone is decided without a check and not
+    /// counted here (the `characterize_output` trace span counts it as
+    /// `implied`).
     #[must_use]
     pub fn checks(&self) -> u64 {
         self.checks
@@ -282,11 +294,13 @@ impl<'a> Characterizer<'a> {
         }
         let span = self.tracer.begin("characterize_output");
         let checks_before = self.checks;
+        let implied_before = self.implied;
         let degraded_before = self.stability.degraded;
         let result = self.output_model_impl(output, cache);
         let fields = vec![
             ("output", self.netlist.net_name(output).into()),
             ("checks", (self.checks - checks_before).into()),
+            ("implied", (self.implied - implied_before).into()),
             (
                 "degraded",
                 (self.stability.degraded > degraded_before).into(),
@@ -486,7 +500,7 @@ impl<'a> Characterizer<'a> {
             // Cumulative shared-analyzer stats are folded in by
             // `stability_stats` — merging per cone would double-count.
             self.shared = Some(analyzer);
-            result
+            Ok(result)
         } else {
             // Limited budget: one persistent analyzer of this cone's
             // own validates its candidate tuples, so a degraded check
@@ -506,11 +520,13 @@ impl<'a> Characterizer<'a> {
             };
             let result = self.run_passes(&mut analyzer, &query, lists, topo, by_criticality);
             self.stability.merge(&analyzer.stats());
-            result
+            Ok(result)
         }
     }
 
-    /// The greedy relaxation passes shared by both analyzer shapes.
+    /// The greedy relaxation passes shared by both analyzer shapes,
+    /// deciding every candidate tuple of the cone through one
+    /// [`VerdictStore`].
     fn run_passes(
         &mut self,
         analyzer: &mut StabilityAnalyzer<'_, SatAlg>,
@@ -518,93 +534,95 @@ impl<'a> Characterizer<'a> {
         lists: &[Vec<Time>],
         topo: &[Time],
         by_criticality: &[usize],
-    ) -> Result<(Vec<TimingTuple>, bool), NetlistError> {
+    ) -> (Vec<TimingTuple>, bool) {
         let n_cone = lists.len();
         let passes = self.max_tuples.max(1).min(n_cone);
         let mut tuples = Vec::with_capacity(passes + 1);
-        let mut hit_budget = false;
+        let mut checker = ConeChecker {
+            analyzer,
+            query,
+            store: VerdictStore::default(),
+            hit_budget: false,
+        };
         for seed in 0..passes {
             let mut order = by_criticality.to_vec();
             order.rotate_left(seed);
-            tuples.push(self.greedy_pass(analyzer, query, lists, topo, &order, &mut hit_budget)?);
+            tuples.push(self.greedy_pass(&mut checker, lists, topo, &order));
         }
-        if hit_budget {
+        if checker.hit_budget {
             self.stability.degraded += 1;
         }
         // The topological tuple is always valid; keep it as a floor (it
         // will be pruned if any pass improved on it).
         tuples.push(TimingTuple::new(topo.to_vec()));
-        Ok((tuples, hit_budget))
+        (tuples, checker.hit_budget)
     }
 
-    /// One greedy relaxation pass over the cone inputs in `order`.
-    /// A budget-exhausted validity check stops that input's walk (as an
-    /// invalid candidate would — every *accepted* step was proven, so
-    /// the partial tuple stays sound) and sets `hit_budget`.
+    /// One greedy relaxation pass over the cone inputs in `order`: each
+    /// input walks down its distinct path lengths, then to `−∞`, until
+    /// a step is not proven valid. A budget-exhausted check stops the
+    /// walk as an invalid candidate would — every *accepted* step was
+    /// proven, so the partial tuple stays sound.
     fn greedy_pass(
         &mut self,
-        analyzer: &mut StabilityAnalyzer<'_, SatAlg>,
-        query: &QueryShape<'_>,
+        checker: &mut ConeChecker<'_, '_>,
         lists: &[Vec<Time>],
         topo: &[Time],
         order: &[usize],
-        hit_budget: &mut bool,
-    ) -> Result<TimingTuple, NetlistError> {
+    ) -> TimingTuple {
         let mut delays: Vec<Time> = topo.to_vec();
         for &i in order {
-            let list = &lists[i];
-            let mut reached_bottom = true;
-            for &l in &list[1..] {
-                let mut candidate = delays.clone();
-                candidate[i] = l;
-                match self.tuple_is_valid(analyzer, query, &candidate) {
-                    Some(true) => {
-                        delays[i] = l;
-                        self.trace_relax(i, l, "ok");
-                    }
-                    verdict => {
-                        if verdict.is_none() {
-                            *hit_budget = true;
-                            self.trace_relax(i, l, "budget");
-                        } else {
-                            self.trace_relax(i, l, "fail");
-                        }
-                        reached_bottom = false;
-                        break;
-                    }
-                }
-            }
-            if reached_bottom {
-                let mut candidate = delays.clone();
-                candidate[i] = Time::NEG_INF;
-                match self.tuple_is_valid(analyzer, query, &candidate) {
-                    Some(true) => {
-                        delays[i] = Time::NEG_INF;
-                        self.trace_relax(i, Time::NEG_INF, "ok");
-                    }
-                    Some(false) => self.trace_relax(i, Time::NEG_INF, "fail"),
-                    None => {
-                        *hit_budget = true;
-                        self.trace_relax(i, Time::NEG_INF, "budget");
-                    }
+            for &l in lists[i][1..].iter().chain([&Time::NEG_INF]) {
+                let kept = delays[i];
+                delays[i] = l;
+                if !self.relax_step(checker, i, &delays) {
+                    delays[i] = kept;
+                    break;
                 }
             }
         }
-        Ok(TimingTuple::new(delays))
+        TimingTuple::new(delays)
     }
 
-    /// Records one relaxation-walk step (no-op when tracing is off).
-    fn trace_relax(&mut self, input: usize, candidate: Time, verdict: &'static str) {
+    /// Decides one relaxation step — `delays` with input `input` just
+    /// relaxed — from the verdicts already proven for this cone when
+    /// they imply it, else by a stability check whose definitive
+    /// verdict joins them. Returns whether the step is proven valid.
+    fn relax_step(
+        &mut self,
+        checker: &mut ConeChecker<'_, '_>,
+        input: usize,
+        delays: &[Time],
+    ) -> bool {
+        let implied = checker.store.implied(delays);
+        let verdict = if implied.is_some() {
+            self.implied += 1;
+            implied
+        } else {
+            let verdict = self.tuple_is_valid(checker.analyzer, checker.query, delays);
+            match verdict {
+                Some(valid) => checker.store.record(delays, valid),
+                None => checker.hit_budget = true,
+            }
+            verdict
+        };
         if self.tracer.is_enabled() {
+            let label = match verdict {
+                Some(true) => "ok",
+                Some(false) => "fail",
+                None => "budget",
+            };
             self.tracer.event(
                 "relax_step",
                 vec![
                     ("input", input.into()),
-                    ("candidate", candidate.to_string().into()),
-                    ("verdict", verdict.into()),
+                    ("candidate", delays[input].to_string().into()),
+                    ("verdict", label.into()),
+                    ("implied", implied.is_some().into()),
                 ],
             );
         }
+        verdict == Some(true)
     }
 
     /// Validity oracle: with required time 0 at the output and inputs
@@ -640,6 +658,63 @@ impl<'a> Characterizer<'a> {
         }
         verdict
     }
+}
+
+/// One cone's relaxation state across its greedy passes: where its
+/// checks land, the verdicts proven so far, and whether a check ran
+/// out of budget.
+struct ConeChecker<'s, 'a> {
+    analyzer: &'s mut StabilityAnalyzer<'a, SatAlg>,
+    query: &'s QueryShape<'s>,
+    store: VerdictStore,
+    hit_budget: bool,
+}
+
+/// The definitive verdicts proven for one cone's candidate tuples.
+///
+/// Validity is monotone in every input's delay: each all-primes rule
+/// is a positive combination of fanin `S0`/`S1`, so an input arriving
+/// earlier can only grow them (monotone speedup). A tuple at or above a
+/// valid tuple componentwise is therefore valid, and one at or below a
+/// refuted tuple refuted — exactly the answer a check would give. The
+/// store is scoped to one cone (other outputs are other predicates)
+/// and never holds a budget-exhausted outcome, which is not a verdict.
+/// Only the minimal valid and the maximal refuted tuples are kept; the
+/// others are implied by them.
+#[derive(Debug, Default)]
+struct VerdictStore {
+    valid: Vec<Vec<Time>>,
+    refuted: Vec<Vec<Time>>,
+}
+
+impl VerdictStore {
+    /// The verdict on `delays` that the stored ones imply, if any.
+    fn implied(&self, delays: &[Time]) -> Option<bool> {
+        if self.valid.iter().any(|v| at_least(delays, v)) {
+            Some(true)
+        } else if self.refuted.iter().any(|r| at_least(r, delays)) {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Stores a proven verdict on `delays`, dropping the tuples it makes
+    /// redundant.
+    fn record(&mut self, delays: &[Time], valid: bool) {
+        if valid {
+            self.valid.retain(|v| !at_least(v, delays));
+            self.valid.push(delays.to_vec());
+        } else {
+            self.refuted.retain(|r| !at_least(delays, r));
+            self.refuted.push(delays.to_vec());
+        }
+    }
+}
+
+/// `a ≥ b` componentwise.
+fn at_least(a: &[Time], b: &[Time]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x >= y)
 }
 
 /// Where a candidate tuple's validity check lands: the cone-local
@@ -866,6 +941,8 @@ mod tests {
         assert_eq!(models[0].tuples(), &[TimingTuple::new(vec![Time::NEG_INF])]);
     }
 
+    /// Steps are decided by a check or implied by an earlier verdict on
+    /// the same cone, and each kind is counted.
     #[test]
     fn checks_are_counted() {
         let nl = carry_skip_block(2, CsaDelays::default());
@@ -873,6 +950,27 @@ mod tests {
         let c_out = nl.find_net("c_out").unwrap();
         let _ = ch.output_model(c_out).unwrap();
         assert!(ch.checks() > 0);
+        assert!(ch.implied > 0);
+    }
+
+    /// The store answers exactly what monotone speedup implies: at or
+    /// above a valid tuple is valid, at or below a refuted one refuted,
+    /// anything else open; a new verdict drops the ones it subsumes.
+    #[test]
+    fn verdict_store_implies_by_dominance() {
+        let ts = |v: &[i64]| v.iter().map(|&x| t(x)).collect::<Vec<Time>>();
+        let mut store = VerdictStore::default();
+        store.record(&ts(&[4, 2]), true);
+        store.record(&ts(&[1, 1]), false);
+        assert_eq!(store.implied(&ts(&[5, 2])), Some(true));
+        assert_eq!(store.implied(&ts(&[4, 2])), Some(true));
+        assert_eq!(store.implied(&ts(&[0, 1])), Some(false));
+        assert_eq!(store.implied(&ts(&[3, 3])), None);
+        assert_eq!(store.implied(&[t(4), Time::NEG_INF]), None);
+        store.record(&ts(&[3, 2]), true);
+        store.record(&ts(&[2, 1]), false);
+        assert_eq!(store.valid, vec![ts(&[3, 2])]);
+        assert_eq!(store.refuted, vec![ts(&[2, 1])]);
     }
 
     /// A zero budget degrades every solver-dependent relaxation: the

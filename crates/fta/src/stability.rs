@@ -257,6 +257,10 @@ pub(crate) struct Engine<A: BoolAlg> {
     /// Time-independent settled function per net (used when
     /// `t ≥ topo_arrival`); valid under every arrival condition.
     func_memo: Vec<Option<A::Repr>>,
+    /// The fanin `(S0, S1)` pairs of the AND/OR nodes on the recursion
+    /// path, one frame per node: a node pushes its fanins' pairs,
+    /// folds them, and truncates back to where its frame began.
+    fanin_pairs: Vec<(A::Repr, A::Repr)>,
     /// Per-query resource budget handed to the backend (unlimited by
     /// default, in which case the budgeted paths are bit-identical to
     /// the plain ones).
@@ -290,6 +294,7 @@ impl<A: BoolAlg> Engine<A> {
             memo: vec![Vec::new(); netlist.net_count()],
             memo_nets: Vec::new(),
             func_memo: vec![None; netlist.net_count()],
+            fanin_pairs: Vec::new(),
             budget: SolveBudget::UNLIMITED,
             stats: StabilityStats::default(),
         };
@@ -533,21 +538,19 @@ impl<A: BoolAlg> Engine<A> {
                 let (s0, s1) = self.s01(netlist, inputs[0], td);
                 (s1, s0)
             }
-            GateKind::And | GateKind::Nand => {
-                let (zeros, ones) = self.input_s01s(netlist, inputs, td);
-                let s1 = self.alg.and_many(&ones);
-                let s0 = self.alg.or_many(&zeros);
-                if kind == GateKind::Nand {
-                    (s1, s0)
-                } else {
-                    (s0, s1)
+            GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+                // AND is stable at 1 when every fanin is, at 0 when any
+                // is; OR the other way round.
+                let and_like = matches!(kind, GateKind::And | GateKind::Nand);
+                let base = self.fanin_pairs.len();
+                for &n in inputs {
+                    let pair = self.s01(netlist, n, td);
+                    self.fanin_pairs.push(pair);
                 }
-            }
-            GateKind::Or | GateKind::Nor => {
-                let (zeros, ones) = self.input_s01s(netlist, inputs, td);
-                let s1 = self.alg.or_many(&ones);
-                let s0 = self.alg.and_many(&zeros);
-                if kind == GateKind::Nor {
+                let s1 = self.fold_fanins(base, true, and_like);
+                let s0 = self.fold_fanins(base, false, !and_like);
+                self.fanin_pairs.truncate(base);
+                if matches!(kind, GateKind::Nand | GateKind::Nor) {
                     (s1, s0)
                 } else {
                     (s0, s1)
@@ -591,21 +594,25 @@ impl<A: BoolAlg> Engine<A> {
         }
     }
 
-    /// `S0` and `S1` of each of `inputs` at `td`, built in input order.
-    fn input_s01s(
-        &mut self,
-        netlist: &Netlist,
-        inputs: &[NetId],
-        td: Time,
-    ) -> (Vec<A::Repr>, Vec<A::Repr>) {
-        let mut zeros = Vec::with_capacity(inputs.len());
-        let mut ones = Vec::with_capacity(inputs.len());
-        for &n in inputs {
-            let (s0, s1) = self.s01(netlist, n, td);
-            zeros.push(s0);
-            ones.push(s1);
+    /// Folds the `S1` (`ones`) or `S0` halves of the fanin pairs pushed
+    /// since `base` into one conjunction (`conj`) or disjunction, left
+    /// to right exactly as [`BoolAlg::and_many`]/[`BoolAlg::or_many`]
+    /// do, so the backend sees the same operations in the same order.
+    fn fold_fanins(&mut self, base: usize, ones: bool, conj: bool) -> A::Repr {
+        let half = |&(s0, s1): &(A::Repr, A::Repr)| if ones { s1 } else { s0 };
+        let alg = &mut self.alg;
+        let mut pairs = self.fanin_pairs[base..].iter().map(half);
+        let Some(mut acc) = pairs.next() else {
+            return if conj { alg.top() } else { alg.bot() };
+        };
+        for x in pairs {
+            acc = if conj {
+                alg.and(acc, x)
+            } else {
+                alg.or(acc, x)
+            };
         }
-        (zeros, ones)
+        acc
     }
 
     /// The (time-independent) Boolean function of `net` in terms of the

@@ -66,15 +66,29 @@ fn per_cone_flat_delay() {
     );
 }
 
+/// The 4-bit carry-skip block's models, over inputs `c_in a0 b0 … a3
+/// b3`: one tuple per output, the paper's Section 4 shape. Pinned from
+/// a revision that checked every candidate tuple, so they also show
+/// that deciding implied candidates from earlier verdicts left every
+/// model as it was.
+const CSA4_MODELS: [&str; 5] = [
+    "{(2, 4, 4, -inf, -inf, -inf, -inf, -inf, -inf)}",
+    "{(4, 6, 6, 4, 4, -inf, -inf, -inf, -inf)}",
+    "{(6, 8, 8, 6, 6, 4, 4, -inf, -inf)}",
+    "{(8, 10, 10, 8, 8, 6, 6, 4, 4)}",
+    "{(2, 12, 12, 10, 10, 8, 8, 6, 6)}",
+];
+
 #[test]
 fn characterize_carry_skip_block() {
     let nl = carry_skip_block(4, CsaDelays::default());
     let mut ch = Characterizer::new(&nl, &AnalysisConfig::default());
-    for &o in nl.outputs() {
-        ch.output_model(o).expect("acyclic");
+    for (&o, want) in nl.outputs().iter().zip(CSA4_MODELS) {
+        let model = ch.output_model(o).expect("acyclic");
+        assert_eq!(model.to_string(), want, "{}", nl.net_name(o));
     }
     assert_eq!(
         counters(&ch.stability_stats()),
-        [133, 10, 3_612, 9, 747, 0, 133, 0]
+        [40, 9, 1_293, 8, 230, 0, 40, 0]
     );
 }

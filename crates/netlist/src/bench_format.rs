@@ -121,6 +121,12 @@ pub fn parse(text: &str, name: &str) -> Result<Netlist, NetlistError> {
             line: lineno,
             message: format!("OUTPUT references undefined signal `{out}`"),
         })?;
+        if nl.is_output(id) {
+            return Err(NetlistError::Duplicate {
+                what: "output",
+                name: out,
+            });
+        }
         nl.mark_output(id);
     }
     nl.validate()?;
@@ -259,6 +265,18 @@ z = NAND(t1, t2)
     fn duplicate_input_rejected() {
         let err = parse("INPUT(a)\nINPUT(a)\n", "e").unwrap_err();
         assert!(matches!(err, NetlistError::Duplicate { .. }));
+    }
+
+    #[test]
+    fn duplicate_output_rejected() {
+        let err = parse("INPUT(a)\nOUTPUT(z)\nOUTPUT(z)\nz = NOT(a)\n", "e").unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::Duplicate {
+                what: "output",
+                name: "z".into()
+            }
+        );
     }
 
     #[test]

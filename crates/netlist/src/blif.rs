@@ -169,6 +169,12 @@ pub fn parse(text: &str) -> Result<SeqCircuit, NetlistError> {
             line: 0,
             message: format!(".outputs references undefined signal `{po}`"),
         })?;
+        if nl.is_output(id) {
+            return Err(NetlistError::Duplicate {
+                what: "output",
+                name: po.clone(),
+            });
+        }
         nl.mark_output(id);
     }
     // Latch data inputs must be observable as core outputs.
@@ -384,6 +390,18 @@ mod tests {
             let expect = bits.iter().filter(|&&b| b).count() >= 2;
             assert_eq!(sim::eval(nl, &bits).unwrap(), vec![expect], "v={v}");
         }
+    }
+
+    #[test]
+    fn duplicate_output_rejected() {
+        let text = ".model inv\n.inputs a\n.outputs z z\n.names a z\n0 1\n.end\n";
+        assert_eq!(
+            parse(text).unwrap_err(),
+            NetlistError::Duplicate {
+                what: "output",
+                name: "z".into()
+            }
+        );
     }
 
     #[test]

@@ -367,7 +367,8 @@ impl Design {
     }
 
     /// Checks that every instance references an existing module with
-    /// matching port counts, and that the hierarchy is non-recursive.
+    /// matching port counts, that no composite lists an output twice,
+    /// and that the hierarchy is non-recursive.
     ///
     /// # Errors
     ///
@@ -396,6 +397,15 @@ impl Design {
                     }
                 }
                 c.instance_topo_order()?;
+                let mut is_output = vec![false; c.net_count()];
+                for &po in c.outputs() {
+                    if std::mem::replace(&mut is_output[po.index()], true) {
+                        return Err(NetlistError::Duplicate {
+                            what: "output",
+                            name: c.net_name(po).to_string(),
+                        });
+                    }
+                }
             }
         }
         // Hierarchy recursion check: DFS over the instantiation graph.
@@ -583,6 +593,27 @@ mod tests {
             design.validate(),
             Err(NetlistError::PortMismatch { .. })
         ));
+    }
+
+    /// A composite output marked twice is rejected before flattening
+    /// could mark the flat net twice.
+    #[test]
+    fn duplicate_composite_output_rejected() {
+        let mut top = Composite::new("top");
+        let x = top.add_input("x");
+        let z = top.add_net("z");
+        top.add_instance("u0", "inv", &[x], &[z]);
+        top.mark_output(z);
+        top.mark_output(z);
+        let mut design = Design::new();
+        design.add_leaf(inv()).unwrap();
+        design.add_composite(top).unwrap();
+        let dup = NetlistError::Duplicate {
+            what: "output",
+            name: "z".into(),
+        };
+        assert_eq!(design.validate(), Err(dup.clone()));
+        assert_eq!(design.flatten("top").unwrap_err(), dup);
     }
 
     #[test]

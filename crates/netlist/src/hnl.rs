@@ -30,6 +30,7 @@
 //!   glue logic" assumption).
 //! * `top NAME` names the root module.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::{Composite, Design, GateKind, ModuleBody, Netlist, NetlistError};
@@ -194,6 +195,13 @@ impl Builder {
     }
 
     fn finish(self, design: &mut Design, lineno: usize) -> Result<(), NetlistError> {
+        let mut outputs = HashSet::with_capacity(self.outputs.len());
+        if let Some(n) = self.outputs.iter().find(|n| !outputs.insert(n.as_str())) {
+            return Err(NetlistError::Duplicate {
+                what: "output",
+                name: n.clone(),
+            });
+        }
         match self.kind {
             Kind::Composite => {
                 let mut c = Composite::new(&self.name);
@@ -390,6 +398,26 @@ module bad
 endmodule
 ";
         assert!(matches!(parse(text), Err(NetlistError::Parse { .. })));
+    }
+
+    /// An output listed twice is an error naming the net, in a leaf and
+    /// in a composite alike.
+    #[test]
+    fn duplicate_output_rejected() {
+        let dup = NetlistError::Duplicate {
+            what: "output",
+            name: "z".into(),
+        };
+        let leaf = "module m\n  input a\n  output z z\n  gate not z a\nendmodule\n";
+        assert_eq!(parse(leaf).unwrap_err(), dup);
+        let composite = CHAIN.replace("  output y\n", "  output y\n  output y\n");
+        assert_eq!(
+            parse(&composite).unwrap_err(),
+            NetlistError::Duplicate {
+                what: "output",
+                name: "y".into()
+            }
+        );
     }
 
     #[test]

@@ -92,9 +92,17 @@ grep -F "model-db: 3 hits, 0 misses" <<<"$WARM_OUT"
 echo "== model db written by an earlier revision =="
 # Records an earlier revision wrote (tests/corpus/README.md) must still
 # load and hit: a cone signature that drifts turns them into silent
-# misses, which the fresh round trip above cannot notice.
+# misses, which the fresh round trip above cannot notice. Characterizing
+# afresh with the commands that README lists must write the same records
+# byte for byte: same models, same verdicts.
 STORED="$(mktemp -d -t hfta_stored_XXXXXX)"
-trap 'rm -f "$GATE_JSON"; rm -rf "$MODELDB" "$STORED"' EXIT
+FRESH="$(mktemp -d -t hfta_fresh_XXXXXX)"
+trap 'rm -f "$GATE_JSON"; rm -rf "$MODELDB" "$STORED" "$FRESH"' EXIT
+./target/release/hfta characterize tests/corpus/csa_pair.hnl --emit-model "$FRESH" >/dev/null
+./target/release/hfta characterize tests/corpus/c17.bench --emit-model "$FRESH" >/dev/null
+./target/release/hfta hier tests/corpus/csa_pair.hnl --algo demand \
+    --emit-models "$FRESH" >/dev/null
+diff -r tests/corpus/stored_model_db "$FRESH"
 cp tests/corpus/stored_model_db/* "$STORED"
 ./target/release/hfta models "$STORED" | grep -F "6 valid record(s), 0 invalid"
 TWO_STEP="$(./target/release/hfta hier tests/corpus/csa_pair.hnl --algo two-step \
@@ -114,7 +122,7 @@ echo "== serve end-to-end protocol gate =="
 SERVEDB="$(mktemp -d -t hfta_servedb_XXXXXX)"
 SERVE_OUT="$(mktemp -t hfta_serve_out_XXXXXX.ndjson)"
 SERVE_ERR="$(mktemp -t hfta_serve_err_XXXXXX.txt)"
-trap 'rm -f "$GATE_JSON" "$SERVE_OUT" "$SERVE_ERR"; rm -rf "$MODELDB" "$STORED" "$SERVEDB"' EXIT
+trap 'rm -f "$GATE_JSON" "$SERVE_OUT" "$SERVE_ERR"; rm -rf "$MODELDB" "$STORED" "$FRESH" "$SERVEDB"' EXIT
 ./target/release/hfta characterize tests/corpus/csa_pair.hnl --emit-model "$SERVEDB" >/dev/null
 ./target/release/hfta serve tests/corpus/csa_pair.hnl --use-models "$SERVEDB" \
     < tests/corpus/serve_transcript.ndjson > "$SERVE_OUT" 2> "$SERVE_ERR"

@@ -354,6 +354,49 @@ fn errors_are_reported() {
     assert!(stderr.contains("bits"), "{stderr}");
 }
 
+/// An output listed twice is a structured error naming the net, never a
+/// panic, in every decoder and every command that reads a design.
+#[test]
+fn duplicate_outputs_are_rejected_without_panicking() {
+    let bench = write_temp("dup.bench", "INPUT(a)\nOUTPUT(z)\nOUTPUT(z)\nz = NOT(a)\n");
+    let blif = write_temp(
+        "dup.blif",
+        ".model m\n.inputs a\n.outputs z z\n.names a z\n0 1\n.end\n",
+    );
+    let leaf = write_temp(
+        "dup_leaf.hnl",
+        "module m\n  input a\n  output z z\n  gate not z a\nendmodule\n",
+    );
+    let composite = write_temp(
+        "dup_composite.hnl",
+        "module inv\n  input a\n  output z\n  gate not z a\nendmodule\n\
+         module top\n  input x\n  output y y\n  inst u0 inv x -> y\nendmodule\ntop top\n",
+    );
+    let mut cases = Vec::new();
+    for file in [&bench, &blif, &leaf] {
+        for cmd in ["report", "characterize", "check"] {
+            cases.push((vec![cmd, file.to_str().unwrap()], "`z`"));
+        }
+    }
+    for cmd in ["hier", "flatten", "serve"] {
+        cases.push((vec![cmd, composite.to_str().unwrap()], "`y`"));
+    }
+    for (args, net) in cases {
+        let out = Command::new(hfta_bin())
+            .args(&args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawn CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("duplicate output {net}")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn help_prints_usage() {
     let (ok, stdout, _) = run(&["help"]);
@@ -493,6 +536,40 @@ fn trace_json_emits_schema_covered_records() {
             "missing {expected}: {names:?}"
         );
     }
+
+    // Relaxation steps implied by a verdict already proven for the same
+    // cone are traced too, flagged `implied`, and counted per output
+    // beside the checks. csa_pair's carry-skip leaves have such steps.
+    let pair = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/csa_pair.hnl");
+    let out = std::env::temp_dir().join("hfta-cli-tests/trace_implied.jsonl");
+    let (ok, stdout, stderr) = run(&[
+        "hier",
+        pair.to_str().unwrap(),
+        "--algo",
+        "two-step",
+        "--trace-json",
+        out.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stdout}{stderr}");
+    let text = std::fs::read_to_string(&out).expect("trace written");
+    let steps: Vec<&str> = text
+        .lines()
+        .filter(|l| json_str(l, "name") == Some("relax_step"))
+        .collect();
+    for implied in ["true", "false"] {
+        assert!(
+            steps
+                .iter()
+                .any(|l| l.ends_with(&format!("\"implied\":{implied}}}"))),
+            "no relax_step with implied {implied}: {steps:?}"
+        );
+    }
+    assert!(
+        text.lines()
+            .filter(|l| json_str(l, "name") == Some("characterize_output"))
+            .all(|l| l.contains("\"checks\":") && l.contains("\"implied\":")),
+        "{text}"
+    );
 
     // Demand-driven coverage: refinement rounds, probes, SAT episodes.
     let out = std::env::temp_dir().join("hfta-cli-tests/trace_demand.jsonl");

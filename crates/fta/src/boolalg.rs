@@ -77,6 +77,10 @@ pub trait BoolAlg {
     /// `0..num_inputs` under which `a` evaluates false. Returns `None`
     /// when `a` is a tautology.
     fn countermodel(&mut self, a: Self::Repr, num_inputs: usize) -> Option<Vec<bool>>;
+    /// The values of inputs `0..num_inputs` in the countermodel that
+    /// refuted the most recent tautology check, read without a second
+    /// decision; `None` when that check found a tautology or gave up.
+    fn last_countermodel(&mut self, num_inputs: usize) -> Option<Vec<bool>>;
 
     /// Conjunction of a slice.
     fn and_many(&mut self, xs: &[Self::Repr]) -> Self::Repr {
@@ -152,6 +156,9 @@ pub struct SatAlg {
     /// `AND(a, b)` by the literal codes of `a < b`, packed high and low.
     and_cache: HashMap<u64, Lit, BuildHasherDefault<LitPairHasher>>,
     tautology_queries: u64,
+    /// Whether the solver's current model refutes the most recent
+    /// tautology check.
+    refuted: bool,
     /// Shared-solver mode: answer each query under the variable
     /// domain of its transitive support instead of letting the solver
     /// roam the whole accumulated encoding.
@@ -276,13 +283,16 @@ impl BoolAlg for SatAlg {
 
     fn is_tautology(&mut self, a: Lit) -> bool {
         self.tautology_queries += 1;
-        if self.shared {
+        let implied = if self.shared {
             self.maybe_inprocess();
             let dom = self.cnf.domain_of(&[a]);
             self.domains_built += 1;
-            return self.cnf.is_implied_domain(a, &dom);
-        }
-        self.cnf.is_implied(a)
+            self.cnf.is_implied_domain(a, &dom)
+        } else {
+            self.cnf.is_implied(a)
+        };
+        self.refuted = !implied;
+        implied
     }
 
     fn is_tautology_budgeted(&mut self, a: Lit, budget: &SolveBudget) -> Option<bool> {
@@ -292,7 +302,7 @@ impl BoolAlg for SatAlg {
             return Some(self.is_tautology(a));
         }
         self.tautology_queries += 1;
-        if self.shared {
+        let implied = if self.shared {
             // Domain restriction stays sound under a budget: `Sat` and
             // `Unsat` answers remain exact, `Unknown` degrades as
             // usual. The analyses build shared algebras only for
@@ -301,9 +311,12 @@ impl BoolAlg for SatAlg {
             self.maybe_inprocess();
             let dom = self.cnf.domain_of(&[a]);
             self.domains_built += 1;
-            return self.cnf.is_implied_domain_budgeted(a, budget, &dom);
-        }
-        self.cnf.is_implied_budgeted(a, budget)
+            self.cnf.is_implied_domain_budgeted(a, budget, &dom)
+        } else {
+            self.cnf.is_implied_budgeted(a, budget)
+        };
+        self.refuted = implied == Some(false);
+        implied
     }
 
     fn backend_counters(&self) -> BackendCounters {
@@ -342,22 +355,25 @@ impl BoolAlg for SatAlg {
         } else {
             self.cnf.solve_with(&[!a])
         };
-        match result {
-            hfta_sat::SatResult::Unsat => None,
-            hfta_sat::SatResult::Sat => Some(
-                (0..num_inputs)
-                    .map(|i| {
-                        // Inputs never queried so far are unconstrained.
-                        self.inputs
-                            .get(i)
-                            .copied()
-                            .flatten()
-                            .and_then(|l| self.cnf.lit_model(l))
-                            .unwrap_or(false)
-                    })
-                    .collect(),
-            ),
-        }
+        self.refuted = result == hfta_sat::SatResult::Sat;
+        self.last_countermodel(num_inputs)
+    }
+
+    fn last_countermodel(&mut self, num_inputs: usize) -> Option<Vec<bool>> {
+        // Inputs never encoded are unconstrained, and a domain solve
+        // leaves those outside its domain unassigned: both read `false`.
+        self.refuted.then(|| {
+            (0..num_inputs)
+                .map(|i| {
+                    self.inputs
+                        .get(i)
+                        .copied()
+                        .flatten()
+                        .and_then(|l| self.cnf.lit_model(l))
+                        .unwrap_or(false)
+                })
+                .collect()
+        })
     }
 }
 
@@ -366,6 +382,9 @@ impl BoolAlg for SatAlg {
 pub struct BddAlg {
     mgr: BddManager,
     tautology_queries: u64,
+    /// The function of the most recent tautology check, if it was
+    /// refuted.
+    refuted: Option<Bdd>,
 }
 
 impl BddAlg {
@@ -424,7 +443,9 @@ impl BoolAlg for BddAlg {
 
     fn is_tautology(&mut self, a: Bdd) -> bool {
         self.tautology_queries += 1;
-        self.mgr.is_tautology(a)
+        let taut = self.mgr.is_tautology(a);
+        self.refuted = (!taut).then_some(a);
+        taut
     }
 
     fn is_satisfiable(&mut self, a: Bdd) -> bool {
@@ -442,6 +463,11 @@ impl BoolAlg for BddAlg {
         let na = self.mgr.not(a);
         self.mgr
             .pick_sat(na, u32::try_from(num_inputs).expect("input count fits"))
+    }
+
+    fn last_countermodel(&mut self, num_inputs: usize) -> Option<Vec<bool>> {
+        let a = self.refuted?;
+        self.countermodel(a, num_inputs)
     }
 }
 
@@ -463,9 +489,12 @@ mod tests {
         let implies = alg.or(nab, a_or_b);
         assert!(alg.is_tautology(implies));
         assert!(!alg.is_tautology(ab));
+        let v = alg.last_countermodel(2).expect("a·b was refuted");
+        assert!(!(v[0] && v[1]), "{v:?} must falsify a·b");
         assert!(alg.is_satisfiable(ab));
         let t = alg.top();
         assert!(alg.is_tautology(t));
+        assert_eq!(alg.last_countermodel(2), None);
         let f = alg.bot();
         assert!(!alg.is_satisfiable(f));
         let many = alg.and_many(&[a, b, t]);

@@ -6,13 +6,14 @@
 //! makes stability monotone in `t`, so the stable time is found by
 //! binary search over integer times between the earliest conceivable
 //! event and the topological arrival, with each probe answered by the
-//! [`StabilityAnalyzer`].
+//! [`StabilityAnalyzer`]. Each refuted probe's countermodel is
+//! simulated, and its settle times raise the lower end of every later
+//! search (DESIGN.md, "Witness-guided arrival search").
 
 use hfta_netlist::{NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
 
 use crate::boolalg::{BoolAlg, SatAlg};
-use crate::sta::TopoSta;
 use crate::stability::{StabilityAnalyzer, StabilityStats};
 
 /// Functional (XBD0) delay analysis of one netlist under fixed arrival
@@ -40,15 +41,6 @@ use crate::stability::{StabilityAnalyzer, StabilityStats};
 #[derive(Debug)]
 pub struct DelayAnalyzer<'a, A: BoolAlg> {
     stability: StabilityAnalyzer<'a, A>,
-    sta: TopoSta<'a>,
-    topo_arrival: Vec<Time>,
-    /// Earliest finite event per net: min over finite-arrival support
-    /// inputs of (arrival + shortest path). `POS_INF` when no finite
-    /// events reach the net.
-    first_event: Vec<Time>,
-    /// Outputs whose binary search was abandoned by the budget and
-    /// reported at their (sound) topological arrival.
-    degraded: u64,
 }
 
 impl<'a> DelayAnalyzer<'a, SatAlg> {
@@ -90,33 +82,8 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
     ///
     /// Panics if `pi_arrivals.len()` differs from the input count.
     pub fn new(netlist: &'a Netlist, pi_arrivals: &[Time], alg: A) -> Result<Self, NetlistError> {
-        let sta = TopoSta::new(netlist)?;
-        let topo_arrival = sta.arrival_times(pi_arrivals);
-        // First finite event: min-propagate finite arrivals only.
-        let mut first_event = vec![Time::POS_INF; netlist.net_count()];
-        for (k, &pi) in netlist.inputs().iter().enumerate() {
-            if pi_arrivals[k].is_finite() {
-                first_event[pi.index()] = pi_arrivals[k];
-            }
-        }
-        for &g in &netlist.topo_gates()? {
-            let gate = netlist.gate(g);
-            let best = gate
-                .inputs
-                .iter()
-                .map(|n| first_event[n.index()])
-                .fold(Time::POS_INF, Time::min);
-            if best != Time::POS_INF {
-                first_event[gate.output.index()] = best + Time::from(gate.delay);
-            }
-        }
-        let stability = StabilityAnalyzer::new(netlist, pi_arrivals, alg)?;
         Ok(DelayAnalyzer {
-            stability,
-            sta,
-            topo_arrival,
-            first_event,
-            degraded: 0,
+            stability: StabilityAnalyzer::new(netlist, pi_arrivals, alg)?,
         })
     }
 
@@ -139,72 +106,11 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
     /// Returns [`Time::NEG_INF`] for nets stable from the beginning of
     /// time (constant cones, or cones fed only by `−∞` arrivals) and
     /// [`Time::POS_INF`] for nets that never stabilize (cones depending
-    /// on inputs that never arrive).
+    /// on inputs that never arrive). When the budget runs out mid-search
+    /// the answer is the topological arrival (≥ the true one), counted
+    /// in [`StabilityStats::degraded`].
     pub fn output_arrival(&mut self, net: NetId) -> Time {
-        let topo = self.topo_arrival[net.index()];
-        let first = self.first_event[net.index()];
-        if first == Time::POS_INF {
-            // No finite events: stability is time-independent. The
-            // topological bound answers it — either the cone is settled
-            // from forever (−∞) or never (+∞ arrivals).
-            return topo;
-        }
-        let lo = first.finite().expect("checked finite");
-        // Below the first finite event the predicate is constant.
-        match self.stability.try_is_stable_at(net, Time::new(lo - 1)) {
-            Some(true) => return Time::NEG_INF,
-            Some(false) => {}
-            None => return self.degrade(topo),
-        }
-        let hi = match topo.finite() {
-            Some(h) => h,
-            None => {
-                debug_assert_eq!(topo, Time::POS_INF);
-                // Some arrivals are +∞. Probe the latest finite event:
-                // if unstable there, the net needs the missing inputs.
-                let hi = self.latest_finite_event(net);
-                match self.stability.try_is_stable_at(net, Time::new(hi)) {
-                    Some(true) => hi,
-                    Some(false) => return Time::POS_INF,
-                    None => return self.degrade(topo),
-                }
-            }
-        };
-        // Invariant: unstable at lo−1, stable at hi.
-        let (mut lo, mut hi) = (lo - 1, hi);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            match self.stability.try_is_stable_at(net, Time::new(mid)) {
-                Some(true) => hi = mid,
-                Some(false) => lo = mid,
-                // Budget gone mid-search: abandon the refinement and
-                // report the topological arrival (≥ the true answer).
-                None => return self.degrade(topo),
-            }
-        }
-        Time::new(hi)
-    }
-
-    fn degrade(&mut self, topo: Time) -> Time {
-        self.degraded += 1;
-        topo
-    }
-
-    /// Latest finite event reaching `net`: max over finite-arrival
-    /// support inputs of (arrival + longest path).
-    fn latest_finite_event(&self, net: NetId) -> i64 {
-        let netlist = self.stability.netlist();
-        let long = self.sta.longest_to(net);
-        let mut latest = i64::MIN / 4;
-        for (k, &pi) in netlist.inputs().iter().enumerate() {
-            if let (Some(a), Some(d)) = (
-                self.stability.arrivals()[k].finite(),
-                long[pi.index()].finite(),
-            ) {
-                latest = latest.max(a + d);
-            }
-        }
-        latest
+        self.stability.output_arrival(net).0
     }
 
     /// Functional arrival time of every primary output, in output
@@ -225,10 +131,10 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
     /// topological) — a large saving on circuits with many outputs.
     pub fn circuit_delay(&mut self) -> Time {
         let mut outputs: Vec<NetId> = self.stability.netlist().outputs().to_vec();
-        outputs.sort_by(|a, b| self.topo_arrival[b.index()].cmp(&self.topo_arrival[a.index()]));
+        outputs.sort_by_key(|&o| std::cmp::Reverse(self.stability.topological_arrival(o)));
         let mut best = Time::NEG_INF;
         for o in outputs {
-            if self.topo_arrival[o.index()] <= best {
+            if self.stability.topological_arrival(o) <= best {
                 break; // sorted: nothing later can beat `best`
             }
             best = best.max(self.output_arrival(o));
@@ -252,13 +158,11 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
             .instability_witness(net, Time::new(probe - 1))
     }
 
-    /// Work counters of the underlying stability analyzer, with this
-    /// analyzer's degraded-output count folded in.
+    /// Work counters of the underlying stability analyzer, degraded
+    /// outputs included.
     #[must_use]
     pub fn stats(&self) -> StabilityStats {
-        let mut s = self.stability.stats();
-        s.degraded += self.degraded;
-        s
+        self.stability.stats()
     }
 
     /// How many [`DelayAnalyzer::output_arrival`] calls so far were
@@ -266,7 +170,7 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
     /// and after a call to learn whether *that* output degraded.
     #[must_use]
     pub fn degraded_count(&self) -> u64 {
-        self.degraded
+        self.stability.stats().degraded
     }
 }
 
@@ -286,6 +190,7 @@ pub fn functional_circuit_delay(netlist: &Netlist) -> Result<Time, NetlistError>
 mod tests {
     use super::*;
     use crate::boolalg::BddAlg;
+    use crate::sta::TopoSta;
     use hfta_netlist::gen::{
         carry_skip_adder_flat, carry_skip_block, ripple_carry_adder, CsaDelays,
     };
@@ -419,6 +324,24 @@ mod tests {
         nl.mark_output(z);
         let mut an = DelayAnalyzer::new_sat(&nl, &[Time::POS_INF, t(3)]).unwrap();
         assert_eq!(an.output_arrival(z), t(5));
+    }
+
+    /// A constant masks an input that never arrives: the output is
+    /// stable from the beginning of time although its topological
+    /// arrival is `+∞`.
+    #[test]
+    fn constant_masks_never_arriving_input() {
+        let mut nl = Netlist::new("m");
+        let b = nl.add_input("b");
+        let k = nl.add_net("k");
+        let z = nl.add_net("z");
+        nl.add_gate(GateKind::Const0, &[], k, 1).unwrap();
+        nl.add_gate(GateKind::And, &[k, b], z, 1).unwrap();
+        nl.mark_output(z);
+        let mut an = DelayAnalyzer::new_sat(&nl, &[Time::POS_INF]).unwrap();
+        assert_eq!(an.output_arrival(z), Time::NEG_INF);
+        let mut an = DelayAnalyzer::new(&nl, &[Time::POS_INF], BddAlg::new()).unwrap();
+        assert_eq!(an.output_arrival(z), Time::NEG_INF);
     }
 
     #[test]

@@ -420,7 +420,7 @@ fn parse_time(tok: &str) -> Option<Time> {
     match tok {
         "-inf" => Some(Time::NEG_INF),
         "+inf" | "inf" => Some(Time::POS_INF),
-        _ => tok.parse::<i64>().ok().map(Time::new),
+        _ => tok.parse().ok().and_then(|t| Time::checked(t).ok()),
     }
 }
 
@@ -519,6 +519,9 @@ mod tests {
         let text = "hfta-timing-model v1\nmodule m\ninputs a\noutput z\n  tuple 1\n";
         let e = ModuleTiming::from_text(text).unwrap_err();
         assert!(e.message.contains("missing `end`"));
+        let text = "hfta-timing-model v1\nmodule m\ninputs a\noutput z\n  tuple 9223372036854775807\nend\n";
+        let e = ModuleTiming::from_text(text).unwrap_err();
+        assert!(e.message.contains("bad time value"), "{}", e.message);
     }
 
     #[test]

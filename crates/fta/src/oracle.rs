@@ -160,6 +160,17 @@ impl<A: BoolAlg> StabilityOracle<A> {
         self.try_is_stable_at(net, t)
     }
 
+    /// The earliest time `net` is guaranteed stable under the bound
+    /// arrivals, searched exactly as
+    /// [`DelayAnalyzer::output_arrival`](crate::DelayAnalyzer::output_arrival)
+    /// does, under the oracle's budget. Returns the arrival and whether
+    /// the budget degraded it to the (sound) topological arrival.
+    /// Bounds learnt from countermodels carry over between nets until
+    /// the next rebind to different arrivals.
+    pub fn output_arrival(&mut self, net: NetId) -> (Time, bool) {
+        self.engine.output_arrival(&self.netlist, net)
+    }
+
     /// The pair `(S0, S1)` of characteristic functions of `net` at `t`
     /// under the bound arrivals.
     pub fn characteristic(&mut self, net: NetId, t: Time) -> (A::Repr, A::Repr) {

@@ -35,8 +35,14 @@
 //!   cone and keeps the Boolean backend — the SAT solver with its
 //!   learnt clauses, the operation caches, the settled-function memo —
 //!   alive across arbitrarily many arrival conditions.
+//!
+//! The engine also runs the exact arrival search of both front-ends
+//! (flat delay via [`DelayAnalyzer`](crate::DelayAnalyzer), the serve
+//! what-if via the oracle): a bisection over stability probes that
+//! simulates every refuting countermodel with [`sim::settle_into`] and
+//! starts every later bisection from the best settle time seen so far.
 
-use hfta_netlist::{GateId, GateKind, NetId, Netlist, NetlistError, Time};
+use hfta_netlist::{sim, GateId, GateKind, NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
 
 use crate::boolalg::BoolAlg;
@@ -221,6 +227,26 @@ impl StabilityStats {
 /// One net's `(t, (S0, S1))` memo entries.
 type TimedPairs<R> = Vec<(Time, (R, R))>;
 
+/// The arrival search's per-net state under the bound arrival
+/// condition, built by the first search after a (re)bind, so analyses
+/// that never search pay nothing for it.
+#[derive(Debug, Default)]
+struct SearchState {
+    /// Earliest finite event per net: the min-propagation of the finite
+    /// arrivals alone (`+∞` where none reaches).
+    first_event: Vec<Time>,
+    /// Latest finite event per net: their max-propagation (`−∞` where
+    /// none reaches).
+    last_event: Vec<Time>,
+    /// A lower bound on each net's arrival: the latest settle time of
+    /// any vector simulated so far, never below `earliest`. The net is
+    /// unstable one unit before it.
+    lower: Vec<Time>,
+    /// Scratch for simulating one countermodel.
+    values: Vec<bool>,
+    settle: Vec<Time>,
+}
+
 /// The netlist-agnostic stability recursion: Boolean backend, memo
 /// tables, arrival-condition bounds, and counters. The netlist is
 /// passed into every call so the engine can be owned either by a
@@ -265,6 +291,7 @@ pub(crate) struct Engine<A: BoolAlg> {
     /// default, in which case the budgeted paths are bit-identical to
     /// the plain ones).
     budget: SolveBudget,
+    search: SearchState,
     stats: StabilityStats,
 }
 
@@ -296,6 +323,7 @@ impl<A: BoolAlg> Engine<A> {
             func_memo: vec![None; netlist.net_count()],
             fanin_pairs: Vec::new(),
             budget: SolveBudget::UNLIMITED,
+            search: SearchState::default(),
             stats: StabilityStats::default(),
         };
         engine.bind(netlist, pi_arrivals);
@@ -324,6 +352,7 @@ impl<A: BoolAlg> Engine<A> {
     fn bind(&mut self, netlist: &Netlist, pi_arrivals: &[Time]) {
         self.arrivals.clear();
         self.arrivals.extend_from_slice(pi_arrivals);
+        self.search.lower.clear();
         // Topological arrival: max-propagation (the stability upper
         // bound). Earliest conceivable stabilization: min-propagation,
         // with constants stable from the beginning of time.
@@ -359,6 +388,11 @@ impl<A: BoolAlg> Engine<A> {
 
     pub(crate) fn arrivals(&self) -> &[Time] {
         &self.arrivals
+    }
+
+    /// The topological arrival of `net` under the bound condition.
+    pub(crate) fn topological_arrival(&self, net: NetId) -> Time {
+        self.topo_arrival[net.index()]
     }
 
     pub(crate) fn alg_mut(&mut self) -> &mut A {
@@ -432,6 +466,154 @@ impl<A: BoolAlg> Engine<A> {
             self.stats.budget_hits += 1;
         }
         verdict
+    }
+
+    /// The earliest time `net` is guaranteed stable under the bound
+    /// arrivals, and whether the budget cut the search short, in which
+    /// case the answer is the topological arrival (always a sound upper
+    /// bound) and counts in [`StabilityStats::degraded`].
+    ///
+    /// Stability is monotone in `t`, so the answer is found by
+    /// bisection. Every probe that refutes stability leaves a
+    /// countermodel; simulating it gives every net a settle time it
+    /// reaches under that vector, which no stability probe can beat, so
+    /// later bisections (of this or any other net) start from the best
+    /// such bound. Stable verdicts come only from the backend's proofs,
+    /// so the answer stays exact.
+    pub(crate) fn output_arrival(&mut self, netlist: &Netlist, net: NetId) -> (Time, bool) {
+        match self.arrival_search(netlist, net) {
+            Some(t) => (t, false),
+            None => {
+                self.stats.degraded += 1;
+                (self.topo_arrival[net.index()], true)
+            }
+        }
+    }
+
+    /// [`Engine::output_arrival`]'s search; `None` when the budget ran
+    /// out.
+    fn arrival_search(&mut self, netlist: &Netlist, net: NetId) -> Option<Time> {
+        self.prepare_search(netlist);
+        let i = net.index();
+        if self.search.lower[i] == Time::POS_INF {
+            // A simulated vector never settles the net.
+            return Some(Time::POS_INF);
+        }
+        let topo = self.topo_arrival[i];
+        let Some(first) = self.search.first_event[i].finite() else {
+            // No finite event reaches the net, so its stability does not
+            // depend on time and one probe decides `−∞` or `+∞`. (The
+            // topological arrival is `+∞` whenever a never-arriving
+            // input reaches the net, even where a constant masks it.)
+            let stable = self.probe(netlist, net, 0)?;
+            return Some(if stable { Time::NEG_INF } else { Time::POS_INF });
+        };
+        // Below the first finite event the predicate is constant; a
+        // bound at `first` or later already shows instability there.
+        if self.search.lower[i] < Time::new(first) && self.probe(netlist, net, first - 1)? {
+            return Some(Time::NEG_INF);
+        }
+        let mut hi = match topo.finite() {
+            Some(h) => h,
+            None => {
+                // Some arrivals are +∞. Past the last finite event the
+                // predicate is constant again: stable there, or never.
+                // Every finite settle time is at most `last`, so a
+                // bound past it is +∞.
+                let last = self.search.last_event[i]
+                    .finite()
+                    .expect("a finite event reaches the net");
+                if self.search.lower[i] > Time::new(last) || !self.probe(netlist, net, last)? {
+                    return Some(Time::POS_INF);
+                }
+                last
+            }
+        };
+        // Invariant: unstable at `lo`, stable at `hi`.
+        loop {
+            let lo = self.search.lower[i]
+                .finite()
+                .map_or(first - 1, |l| (l - 1).max(first - 1));
+            if hi - lo <= 1 {
+                return Some(Time::new(hi));
+            }
+            let mid = lo + (hi - lo) / 2;
+            if self.probe(netlist, net, mid)? {
+                hi = mid;
+            }
+        }
+    }
+
+    /// Builds the search state for the bound arrival condition, unless
+    /// an earlier search under it already did.
+    fn prepare_search(&mut self, netlist: &Netlist) {
+        let s = &mut self.search;
+        if s.lower.len() == netlist.net_count() {
+            return;
+        }
+        s.lower.clone_from(&self.earliest);
+        s.first_event.clear();
+        s.first_event.resize(netlist.net_count(), Time::POS_INF);
+        s.last_event.clear();
+        s.last_event.resize(netlist.net_count(), Time::NEG_INF);
+        for (&pi, &a) in netlist.inputs().iter().zip(&self.arrivals) {
+            if a.is_finite() {
+                s.first_event[pi.index()] = a;
+                s.last_event[pi.index()] = a;
+            }
+        }
+        for &g in &self.topo_gates {
+            let gate = netlist.gate(g);
+            let d = Time::from(gate.delay);
+            let fanin = |v: &[Time], init: Time, pick: fn(Time, Time) -> Time| {
+                gate.inputs.iter().map(|n| v[n.index()]).fold(init, pick)
+            };
+            s.first_event[gate.output.index()] =
+                fanin(&s.first_event, Time::POS_INF, Time::min) + d;
+            s.last_event[gate.output.index()] = fanin(&s.last_event, Time::NEG_INF, Time::max) + d;
+        }
+        // Any vector bounds every net; the all-0 one costs no search.
+        self.learn_from(netlist, &vec![false; self.arrivals.len()]);
+    }
+
+    /// Simulates one input vector and raises every net's bound to the
+    /// time it settles under it.
+    fn learn_from(&mut self, netlist: &Netlist, vector: &[bool]) {
+        let s = &mut self.search;
+        sim::settle_into(
+            netlist,
+            &self.topo_gates,
+            &self.arrivals,
+            vector,
+            &mut s.values,
+            &mut s.settle,
+        );
+        for (bound, &at) in s.lower.iter_mut().zip(&s.settle) {
+            *bound = (*bound).max(at);
+        }
+    }
+
+    /// One probe of the arrival search: [`Engine::try_is_stable_at`],
+    /// and on a refutation, the countermodel's settle times raise every
+    /// net's bound.
+    fn probe(&mut self, netlist: &Netlist, net: NetId, t: i64) -> Option<bool> {
+        // The search never probes below the bound, so the backend, not
+        // the earliest-event prune, decides every probe.
+        debug_assert!(Time::new(t) >= self.earliest[net.index()]);
+        let stable = self.try_is_stable_at(netlist, net, Time::new(t))?;
+        if !stable {
+            if let Some(vector) = self.alg.last_countermodel(self.arrivals.len()) {
+                self.learn_from(netlist, &vector);
+                debug_assert!(
+                    self.search.settle[net.index()] > Time::new(t),
+                    "a countermodel at {t} settles after it"
+                );
+            }
+            // Progress must not rest on the simulation alone.
+            let bound = &mut self.search.lower[net.index()];
+            *bound = (*bound).max(Time::new(t + 1));
+        }
+        Some(stable)
     }
 
     pub(crate) fn characteristic(
@@ -781,6 +963,18 @@ impl<'a, A: BoolAlg> StabilityAnalyzer<'a, A> {
     /// The pair `(S0, S1)` of characteristic functions of `net` at `t`.
     pub fn characteristic(&mut self, net: NetId, t: Time) -> (A::Repr, A::Repr) {
         self.engine.characteristic(self.netlist, net, t)
+    }
+
+    /// The exact arrival search behind
+    /// [`DelayAnalyzer::output_arrival`](crate::DelayAnalyzer::output_arrival):
+    /// the arrival, and whether the budget degraded it to topological.
+    pub(crate) fn output_arrival(&mut self, net: NetId) -> (Time, bool) {
+        self.engine.output_arrival(self.netlist, net)
+    }
+
+    /// The topological arrival of `net` under the bound arrivals.
+    pub(crate) fn topological_arrival(&self, net: NetId) -> Time {
+        self.engine.topological_arrival(net)
     }
 
     /// If `net` is *not* guaranteed stable by `t`, an input vector

@@ -50,7 +50,7 @@ fn shared_solver_flat_delay() {
     assert_eq!(arrivals(&mut an), C432_ARRIVALS);
     assert_eq!(
         counters(&an.stats()),
-        [56, 584, 131_614, 517, 1_228, 998, 56, 139]
+        [19, 431, 71_321, 415, 302, 137, 19, 0]
     );
 }
 
@@ -62,7 +62,7 @@ fn per_cone_flat_delay() {
     assert_eq!(arrivals(&mut an), C432_ARRIVALS);
     assert_eq!(
         counters(&an.stats()),
-        [56, 623, 264_898, 607, 1_228, 998, 0, 0]
+        [19, 449, 77_558, 432, 302, 137, 0, 0]
     );
 }
 

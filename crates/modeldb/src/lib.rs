@@ -841,7 +841,7 @@ fn parse_time(tok: &str) -> Option<Time> {
     match tok {
         "-inf" => Some(Time::NEG_INF),
         "+inf" | "inf" => Some(Time::POS_INF),
-        _ => tok.parse::<i64>().ok().map(Time::new),
+        _ => tok.parse().ok().and_then(|t| Time::checked(t).ok()),
     }
 }
 
@@ -1156,6 +1156,22 @@ mod tests {
         fs::write(&file, good.replace("v1", "v9")).unwrap();
         assert_eq!(db.probe(&nl, ModelSource::Functional, &opts), None);
         assert_eq!(db.stats().invalidations, 3);
+
+        // A time past `Time::LIMIT` under a valid checksum: refused as
+        // invalid, not a panic or a wrapped delay.
+        let (head, payload) = good.split_once("payload\n").unwrap();
+        let huge = payload.replacen("tuple 2", "tuple 9223372036854775806", 1);
+        assert_ne!(huge, payload);
+        let forged = head.replace(
+            &format!("checksum {:016x}", fnv1a(payload.as_bytes())),
+            &format!("checksum {:016x}", fnv1a(huge.as_bytes())),
+        );
+        fs::write(&file, format!("{forged}payload\n{huge}")).unwrap();
+        assert_eq!(db.probe(&nl, ModelSource::Functional, &opts), None);
+        assert_eq!(db.stats().invalidations, 4);
+        let audit = db.audit().unwrap();
+        let err = audit[0].error.as_deref().unwrap();
+        assert!(err.contains("bad time value"), "{err}");
 
         // Audit names the problem.
         fs::write(&file, &bad).unwrap();

@@ -59,4 +59,4 @@ pub use hier::{Composite, Design, Instance, ModuleBody, ModuleDef};
 pub use netlist::Netlist;
 pub use seq::{Register, SeqCircuit};
 pub use strash::{cone_signature, exact_fingerprint, ConeKey, ConeSig};
-pub use time::Time;
+pub use time::{Time, TimeRangeError};

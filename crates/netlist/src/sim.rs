@@ -4,7 +4,7 @@
 //! equivalence (e.g. that [`Design::flatten`](crate::Design::flatten)
 //! preserves behaviour) and by the exact timing engines on small cones.
 
-use crate::{NetId, Netlist, NetlistError};
+use crate::{GateId, GateKind, NetId, Netlist, NetlistError, Time};
 
 /// A three-valued logic value: `0`, `1` or unknown (`X`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -107,6 +107,129 @@ pub fn eval_all(netlist: &Netlist, inputs: &[bool]) -> Result<Vec<bool>, Netlist
     Ok(values)
 }
 
+/// Evaluates the netlist on one input vector under the XBD0 delay
+/// model: the value of every net (as [`eval_all`]) and the exact time
+/// it settles, given the primary-input arrivals.
+///
+/// The settle times follow the all-primes rules of the symbolic
+/// stability recursion, evaluated on values instead of functions. A
+/// gate with delay `d` settles at `d +`:
+///
+/// * AND/NAND/OR/NOR: the earliest settle among fanins at the
+///   controlling value (0 for AND/NAND, 1 for OR/NOR) if there is one,
+///   else the latest settle over all fanins;
+/// * BUF/NOT/XOR/XNOR: the latest settle over all fanins;
+/// * MUX `s ? a : b`: the earliest, over its primes `s·a`, `s̄·b` and
+///   the consensus `a·b` that hold at the vector, of the latest settle
+///   of the prime's literals.
+///
+/// Inputs settle at their arrival (`±∞` included), constants and
+/// undriven nets at `−∞`. So a net is stable by `t` under the vector
+/// exactly when `t ≥ settle`, and the latest settle over all vectors is
+/// the net's exact XBD0 arrival.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+///
+/// # Panics
+///
+/// Panics if `arrivals.len()` or `inputs.len()` differs from the number
+/// of primary inputs.
+///
+/// # Example
+///
+/// ```
+/// use hfta_netlist::{Netlist, GateKind, Time, sim};
+///
+/// # fn main() -> Result<(), hfta_netlist::NetlistError> {
+/// let mut nl = Netlist::new("and2");
+/// let a = nl.add_input("a");
+/// let b = nl.add_input("b");
+/// let z = nl.add_net("z");
+/// nl.add_gate(GateKind::And, &[a, b], z, 1)?;
+/// nl.mark_output(z);
+/// let arrivals = [Time::new(0), Time::new(5)];
+/// // `a = 0` controls the gate: it settles without waiting for `b`.
+/// let (values, settle) = sim::settle_all(&nl, &arrivals, &[false, true])?;
+/// assert_eq!((values[z.index()], settle[z.index()]), (false, Time::new(1)));
+/// let (_, settle) = sim::settle_all(&nl, &arrivals, &[true, true])?;
+/// assert_eq!(settle[z.index()], Time::new(6));
+/// # Ok(())
+/// # }
+/// ```
+pub fn settle_all(
+    netlist: &Netlist,
+    arrivals: &[Time],
+    inputs: &[bool],
+) -> Result<(Vec<bool>, Vec<Time>), NetlistError> {
+    let order = netlist.topo_gates()?;
+    let (mut values, mut settle) = (Vec::new(), Vec::new());
+    settle_into(netlist, &order, arrivals, inputs, &mut values, &mut settle);
+    Ok((values, settle))
+}
+
+/// [`settle_all`] over a topological gate `order` the caller already
+/// holds, into caller-owned buffers (resized to the net count), so a
+/// caller simulating many vectors neither re-sorts nor reallocates.
+///
+/// # Panics
+///
+/// Panics if `arrivals.len()` or `inputs.len()` differs from the number
+/// of primary inputs.
+pub fn settle_into(
+    netlist: &Netlist,
+    order: &[GateId],
+    arrivals: &[Time],
+    inputs: &[bool],
+    values: &mut Vec<bool>,
+    settle: &mut Vec<Time>,
+) {
+    let pis = netlist.inputs();
+    assert_eq!(inputs.len(), pis.len(), "input vector length mismatch");
+    assert_eq!(arrivals.len(), pis.len(), "arrival vector length mismatch");
+    values.clear();
+    values.resize(netlist.net_count(), false);
+    settle.clear();
+    settle.resize(netlist.net_count(), Time::NEG_INF);
+    for (k, &pi) in pis.iter().enumerate() {
+        values[pi.index()] = inputs[k];
+        settle[pi.index()] = arrivals[k];
+    }
+    let mut buf = Vec::new();
+    for &g in order {
+        let gate = netlist.gate(g);
+        buf.clear();
+        buf.extend(gate.inputs.iter().map(|n| values[n.index()]));
+        let at = |n: &NetId| settle[n.index()];
+        let latest = gate.inputs.iter().map(at).fold(Time::NEG_INF, Time::max);
+        let decided = match gate.kind {
+            GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+                let controlling = matches!(gate.kind, GateKind::Or | GateKind::Nor);
+                gate.inputs
+                    .iter()
+                    .filter(|n| values[n.index()] == controlling)
+                    .map(at)
+                    .min()
+                    .unwrap_or(latest)
+            }
+            GateKind::Mux => {
+                let [s, a, b] = [0, 1, 2].map(|k| gate.inputs[k].index());
+                let data = if values[s] { a } else { b };
+                let selected = settle[s].max(settle[data]);
+                if values[a] == values[b] {
+                    selected.min(settle[a].max(settle[b]))
+                } else {
+                    selected
+                }
+            }
+            _ => latest,
+        };
+        values[gate.output.index()] = gate.kind.eval(&buf);
+        settle[gate.output.index()] = decided + Time::from(gate.delay);
+    }
+}
+
 /// Three-valued evaluation: unknown inputs propagate as `X` unless the
 /// gate output is determined by controlling values.
 ///
@@ -140,8 +263,7 @@ pub fn eval_tri(netlist: &Netlist, inputs: &[Tri]) -> Result<Vec<Tri>, NetlistEr
         .collect())
 }
 
-fn eval_gate_tri(kind: crate::GateKind, inputs: &[Tri]) -> Tri {
-    use crate::GateKind;
+fn eval_gate_tri(kind: GateKind, inputs: &[Tri]) -> Tri {
     match kind {
         GateKind::Const0 => Tri::F,
         GateKind::Const1 => Tri::T,
@@ -244,7 +366,6 @@ pub fn support(netlist: &Netlist, net: NetId) -> Vec<NetId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GateKind;
 
     fn mux_netlist() -> Netlist {
         let mut nl = Netlist::new("m");

@@ -1,3 +1,4 @@
+use std::error::Error;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Neg, Sub};
@@ -52,6 +53,37 @@ impl Time {
         Time(t)
     }
 
+    /// The largest magnitude of a finite time accepted from outside the
+    /// program: `2^60`. An arrival and a stored timing-tuple entry of at
+    /// most this size, plus a path of up to `2^30` gates of at most
+    /// `u32::MAX` delay each, stay below `2^63 - 2^61`, clear of the
+    /// infinity sentinels, so no sum the analyses form can wrap.
+    pub const LIMIT: i64 = 1 << 60;
+
+    /// Creates a finite time from a value read from outside the program
+    /// (a command line, a request, a stored record), refusing values
+    /// beyond [`Time::LIMIT`] instead of panicking or wrapping later.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TimeRangeError`] when `|t| > Time::LIMIT`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hfta_netlist::Time;
+    ///
+    /// assert_eq!(Time::checked(-7), Ok(Time::new(-7)));
+    /// assert!(Time::checked(i64::MAX).is_err());
+    /// ```
+    pub fn checked(t: i64) -> Result<Time, TimeRangeError> {
+        if (-Time::LIMIT..=Time::LIMIT).contains(&t) {
+            Ok(Time(t))
+        } else {
+            Err(TimeRangeError(t))
+        }
+    }
+
     /// Returns `true` if this time is finite.
     #[must_use]
     pub fn is_finite(self) -> bool {
@@ -94,6 +126,22 @@ impl Time {
         }
     }
 }
+
+/// A finite time from outside the program beyond [`Time::LIMIT`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TimeRangeError(pub i64);
+
+impl fmt::Display for TimeRangeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "time {} is out of range (|t| must not exceed 2^60)",
+            self.0
+        )
+    }
+}
+
+impl Error for TimeRangeError {}
 
 impl Add for Time {
     type Output = Time;
@@ -223,6 +271,24 @@ mod tests {
     fn sum_of_times() {
         let total: Time = [Time::new(1), Time::new(2), Time::new(3)].into_iter().sum();
         assert_eq!(total, Time::new(6));
+    }
+
+    #[test]
+    fn checked_accepts_the_limit_and_refuses_beyond_it() {
+        assert_eq!(Time::checked(Time::LIMIT), Ok(Time::new(Time::LIMIT)));
+        assert_eq!(Time::checked(-Time::LIMIT), Ok(Time::new(-Time::LIMIT)));
+        for t in [
+            Time::LIMIT + 1,
+            -Time::LIMIT - 1,
+            i64::MAX,
+            i64::MAX - 1,
+            i64::MIN,
+        ] {
+            assert_eq!(Time::checked(t), Err(TimeRangeError(t)));
+        }
+        assert!(TimeRangeError(i64::MIN)
+            .to_string()
+            .contains("out of range"));
     }
 
     #[test]

@@ -113,11 +113,12 @@ impl Request {
     }
 }
 
-/// Converts a JSON time value: integers are finite times, the strings
-/// `"-inf"` / `"+inf"` (or `"inf"`) are the infinities.
+/// Converts a JSON time value: integers within [`Time::LIMIT`] are
+/// finite times (larger ones are refused), the strings `"-inf"` /
+/// `"+inf"` (or `"inf"`) are the infinities.
 pub fn time_from_json(v: &Json) -> Result<Time, String> {
     match v {
-        Json::Num(n) => Ok(Time::new(*n)),
+        Json::Num(n) => Time::checked(*n).map_err(|e| e.to_string()),
         Json::Str(s) if s == "-inf" => Ok(Time::NEG_INF),
         Json::Str(s) if s == "+inf" || s == "inf" => Ok(Time::POS_INF),
         other => Err(format!(

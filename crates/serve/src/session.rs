@@ -34,7 +34,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hfta_core::{HierAnalysis, IncrementalAnalyzer, WarmSnapshot};
-use hfta_fta::sta::TopoSta;
 use hfta_fta::{AnalysisConfig, SolveBudget, StabilityOracle};
 use hfta_netlist::{bench_format, Design, NetId, Netlist, NetlistError, Time};
 use hfta_trace::{TraceSink, Value};
@@ -57,12 +56,10 @@ pub enum Action {
     Shutdown,
 }
 
-/// A persistent per-module stability oracle plus the derived data the
-/// binary search needs. The netlist clone feeds [`TopoSta`] bounds
-/// while the oracle is mutably borrowed — split-borrow friendly.
+/// A persistent per-module stability oracle, tagged with the content
+/// hash of the leaf it encodes.
 #[derive(Debug)]
 pub(crate) struct ModuleOracle {
-    netlist: Netlist,
     oracle: StabilityOracle,
     /// Content hash of the leaf this oracle encodes; an ECO bumps the
     /// hash and retires the oracle.
@@ -84,102 +81,10 @@ impl ModuleOracle {
             StabilityOracle::new_sat(leaf.clone(), &zeros)?
         };
         Ok(ModuleOracle {
-            netlist: leaf.clone(),
             oracle,
             hash: leaf.content_hash(),
         })
     }
-
-    /// The functional (XBD0) arrival of `net` under `arrivals`,
-    /// answered by rebinding the persistent oracle — the same binary
-    /// search as `DelayAnalyzer::output_arrival`, but over solver state
-    /// that survives across queries. Returns `(arrival, degraded)`;
-    /// a degraded answer is the (sound) topological arrival.
-    pub(crate) fn functional_arrival(
-        &mut self,
-        arrivals: &[Time],
-        net: NetId,
-        budget: SolveBudget,
-    ) -> (Time, bool) {
-        let sta = TopoSta::new(&self.netlist).expect("oracle construction validated acyclicity");
-        let topo = sta.arrival_times(arrivals)[net.index()];
-        let first = first_event(&self.netlist, arrivals, net);
-        if first == Time::POS_INF {
-            // No finite events reach the net: stability is
-            // time-independent and the topological bound is exact.
-            return (topo, false);
-        }
-        self.oracle.set_budget(budget);
-        self.oracle.set_arrivals(arrivals);
-        let lo = first.finite().expect("checked finite");
-        match self.oracle.try_is_stable_at(net, Time::new(lo - 1)) {
-            Some(true) => return (Time::NEG_INF, false),
-            Some(false) => {}
-            None => return (topo, true),
-        }
-        let hi = match topo.finite() {
-            Some(h) => h,
-            None => {
-                // Some arrivals are +∞: probe the latest finite event.
-                let hi = latest_finite_event(&sta, &self.netlist, arrivals);
-                match self.oracle.try_is_stable_at(net, Time::new(hi)) {
-                    Some(true) => hi,
-                    Some(false) => return (Time::POS_INF, false),
-                    None => return (topo, true),
-                }
-            }
-        };
-        let (mut lo, mut hi) = (lo - 1, hi);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            match self.oracle.try_is_stable_at(net, Time::new(mid)) {
-                Some(true) => hi = mid,
-                Some(false) => lo = mid,
-                None => return (topo, true),
-            }
-        }
-        (Time::new(hi), false)
-    }
-}
-
-/// Earliest finite event at `net`: min-propagation of finite arrivals
-/// only (mirrors `DelayAnalyzer`'s lower search bound).
-fn first_event(nl: &Netlist, arrivals: &[Time], net: NetId) -> Time {
-    let mut first = vec![Time::POS_INF; nl.net_count()];
-    for (k, &pi) in nl.inputs().iter().enumerate() {
-        if arrivals[k].is_finite() {
-            first[pi.index()] = arrivals[k];
-        }
-    }
-    for &g in &nl.topo_gates().expect("validated acyclic") {
-        let gate = nl.gate(g);
-        let best = gate
-            .inputs
-            .iter()
-            .map(|n| first[n.index()])
-            .fold(Time::POS_INF, Time::min);
-        if best != Time::POS_INF {
-            first[gate.output.index()] = best + Time::from(gate.delay);
-        }
-    }
-    first[net.index()]
-}
-
-/// Latest finite event reaching any net: max over finite-arrival inputs
-/// of (arrival + longest path to the target's cone). Mirrors
-/// `DelayAnalyzer::latest_finite_event` but conservatively uses the
-/// whole-netlist longest paths (only an upper search bound).
-fn latest_finite_event(sta: &TopoSta<'_>, nl: &Netlist, arrivals: &[Time]) -> i64 {
-    let mut latest = i64::MIN / 4;
-    for &out in nl.outputs() {
-        let long = sta.longest_to(out);
-        for (k, &pi) in nl.inputs().iter().enumerate() {
-            if let (Some(a), Some(d)) = (arrivals[k].finite(), long[pi.index()].finite()) {
-                latest = latest.max(a + d);
-            }
-        }
-    }
-    latest
 }
 
 /// A what-if query resolved to raw analyzer inputs, ready to run on
@@ -197,7 +102,10 @@ pub(crate) struct PreparedWhatIf {
 impl PreparedWhatIf {
     /// Runs the query against `oracle` and builds the typed response.
     pub(crate) fn run(&self, oracle: &mut ModuleOracle) -> Response {
-        let (arrival, degraded) = oracle.functional_arrival(&self.arrivals, self.net, self.budget);
+        let oracle = &mut oracle.oracle;
+        oracle.set_budget(self.budget);
+        oracle.set_arrivals(&self.arrivals);
+        let (arrival, degraded) = oracle.output_arrival(self.net);
         Response::ok(
             &self.id,
             "whatif",

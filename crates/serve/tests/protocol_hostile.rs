@@ -65,6 +65,15 @@ fn hostile_lines() -> Vec<String> {
         // Arrivals of the wrong shape / wrong arity.
         r#"{"id":15,"kind":"report","arrivals":[0,0]}"#.to_string(),
         r#"{"id":16,"kind":"report","arrivals":"zero"}"#.to_string(),
+        // Times past ±2^60 are refused: they used to panic the daemon
+        // (the sentinels) or wrap into a wrong answer.
+        r#"{"id":18,"kind":"report","arrivals":{"c_in":9223372036854775807}}"#.to_string(),
+        r#"{"id":19,"kind":"delay","output":"c4","arrivals":{"a0":9223372036854775806}}"#
+            .to_string(),
+        r#"{"id":20,"kind":"whatif","module":"blk0","output":"z","arrivals":{"c_in":-9223372036854775808}}"#
+            .to_string(),
+        r#"{"id":21,"kind":"slack","net":"c4","arrivals":{"a1":4611686018427387904}}"#.to_string(),
+        r#"{"id":22,"kind":"slack","net":"c4","required":9223372036854775807}"#.to_string(),
     ];
     // Nesting past the codec's depth cap.
     let deep = format!("{}1{}", "[".repeat(64), "]".repeat(64));

@@ -70,6 +70,16 @@ HFTA_BENCH_JSON="$GATE_JSON" HFTA_BENCH_WARMUP=0 HFTA_BENCH_ITERS=1 HFTA_SERVE_S
     cargo run -q --offline --release -p hfta-bench --bin serve_load
 cargo run -q --offline --release -p hfta-bench --bin trajectory_gate "$GATE_JSON"
 
+echo "== paper-table delays =="
+# The circuit, topological, hierarchical and flat delay columns of
+# `--bin table1` and `--bin table2` (CPU columns stripped) must equal
+# tests/corpus/paper_tables.txt: a search or encoding change that moves
+# any Table 1 or Table 2 delay fails here.
+{ ./target/release/table1; ./target/release/table2; } \
+    | awk -F'|' 'NF == 4 && $1 !~ /^circuit/ { split($1, c, " "); split($2, t, " ");
+        split($3, h, " "); split($4, f, " "); print c[1], t[1], h[1], f[1] }' \
+    | diff tests/corpus/paper_tables.txt -
+
 echo "== model-db corpus round-trip =="
 # Characterize the checked-in corpus into a fresh database, reload it
 # (every model must be reused, none re-solved), then warm-start a

@@ -487,10 +487,11 @@ fn parse_arrival(spec: &str) -> Result<(String, Time), String> {
     let (pin, t) = spec
         .split_once('=')
         .ok_or_else(|| format!("bad --arrival `{spec}` (want PIN=T)"))?;
-    let t: i64 = t
+    let t = t
         .parse()
-        .map_err(|_| format!("bad arrival time `{t}` in `{spec}`"))?;
-    Ok((pin.to_string(), Time::new(t)))
+        .map_err(|_| format!("bad arrival time `{t}` in `{spec}`"))
+        .and_then(|t| Time::checked(t).map_err(|e| format!("bad --arrival `{spec}`: {e}")))?;
+    Ok((pin.to_string(), t))
 }
 
 fn cmd_report(opts: &Opts) -> Result<(), String> {

@@ -88,6 +88,27 @@ fn report_with_arrival_override() {
     assert!(stdout.contains("functional 7"), "{stdout}");
 }
 
+/// Arrival times past ±2^60 exit 1 with a message naming the flag,
+/// instead of panicking on the infinity sentinels or wrapping into a
+/// wrong delay.
+#[test]
+fn out_of_range_arrival_is_rejected_without_panicking() {
+    let bench = write_temp("range.bench", BENCH);
+    let hnl = write_temp("range.hnl", HNL);
+    let cases = [
+        ("report", &bench, "c=9223372036854775807"),
+        ("report", &bench, "a0=9223372036854775806"),
+        ("report", &bench, "a1=-9223372036854775808"),
+        ("hier", &hnl, "cin=1152921504606846977"),
+    ];
+    for (cmd, file, spec) in cases {
+        let (ok, _, stderr) = run(&[cmd, file.to_str().unwrap(), "--arrival", spec]);
+        assert!(!ok, "{cmd} --arrival {spec} must fail");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains("out of range"), "{stderr}");
+    }
+}
+
 #[test]
 fn hier_both_algorithms_agree() {
     let path = write_temp("hier.hnl", HNL);

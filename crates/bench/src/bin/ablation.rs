@@ -315,7 +315,7 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
 /// netlist against a per-cone baseline the bench builds itself (the
 /// `trajectory_gate` asserts shared never regresses past it), and on
 /// demand refinement of the replicated cascade, which asserts the
-/// shared engines really ran.
+/// class oracles really ran.
 fn bench_shared_solver(harness: &mut Harness) {
     use hfta_fta::DelayAnalyzer;
 
@@ -358,7 +358,7 @@ fn bench_shared_solver(harness: &mut Harness) {
     });
 
     // Demand refinement on the replicated cascade: each signature
-    // class answers from one shared engine.
+    // class answers from one shared-solver oracle.
     let (copies, bits) = if smoke() { (4usize, 2usize) } else { (8, 4) };
     let (design, n_inputs) = replicated_blocks(copies, bits, true);
     let arrivals = vec![Time::ZERO; n_inputs];

@@ -6,7 +6,7 @@
 //! [`hfta_testkit::Harness`] for the environment knobs.
 
 use hfta_bdd::BddManager;
-use hfta_fta::{BddAlg, SatAlg, StabilityAnalyzer};
+use hfta_fta::{BddAlg, SatAlg, StabilityOracle};
 use hfta_netlist::gen::{carry_skip_block, CsaDelays};
 use hfta_netlist::Time;
 use hfta_sat::{SatResult, Solver};
@@ -22,13 +22,15 @@ fn main() {
         let c_out = block.find_net("c_out").expect("exists");
 
         group.bench("sat", || {
-            let mut an = StabilityAnalyzer::new(&block, &arrivals, SatAlg::new()).expect("valid");
+            let mut an =
+                StabilityOracle::new(block.clone(), &arrivals, SatAlg::new()).expect("valid");
             (0..14)
                 .filter(|&t| an.is_stable_at(c_out, Time::new(t)))
                 .count()
         });
         group.bench("bdd", || {
-            let mut an = StabilityAnalyzer::new(&block, &arrivals, BddAlg::new()).expect("valid");
+            let mut an =
+                StabilityOracle::new(block.clone(), &arrivals, BddAlg::new()).expect("valid");
             (0..14)
                 .filter(|&t| an.is_stable_at(c_out, Time::new(t)))
                 .count()

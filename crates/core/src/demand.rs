@@ -24,22 +24,27 @@
 //! a conservative approximation of flat analysis (Theorem 1) while only
 //! spending characterization effort where it matters.
 //!
-//! The budget picks where a probe is answered (see
-//! [`AnalysisConfig`]). Under an unlimited budget, structurally
-//! identical cones (equal hash-consed [`hfta_netlist::ConeSig`]) form
-//! a *signature class* that shares two things: a *verdict memo* — a
-//! probe whose canonical arrival vector was already decided for an
-//! isomorphic cone is answered without touching a solver — and one
-//! [`SharedStabilityEngine`], an incremental SAT instance over the
-//! class's representative cone that answers every member's probes.
-//! Stability is a semantic property of the cone function and the
-//! arrival vector, so a memoized or shared verdict is exactly what a
-//! private solver would have returned. Under a limited budget verdicts
-//! depend on solver heuristics and probe history, so each
-//! `(module, output)` cone instead probes through a persistent
-//! [`StabilityOracle`] of its own: a degraded verdict never reaches
-//! another cone. Either way the solver, its learnt clauses and the
-//! settled-function caches persist across rounds and `analyze` calls.
+//! Structurally identical cones (equal hash-consed
+//! [`hfta_netlist::ConeSig`]) form a *signature class* that shares two
+//! things: a *verdict memo* — a probe whose canonical arrival vector was
+//! already decided for an isomorphic cone is answered without touching
+//! a solver — and one class oracle, a shared-solver
+//! [`StabilityOracle`] over the class's representative cone that
+//! answers every member's probes. A member's probe is routed through
+//! the canonical slots its memo key already holds: member input order →
+//! slots → the representative's input order. Stability is a semantic
+//! property of the cone function and the arrival vector, so a memoized
+//! or routed verdict is exactly what a private solver would have
+//! returned. The solver, its learnt clauses and the settled-function
+//! caches persist across rounds and `analyze` calls.
+//!
+//! The budget ([`AnalysisConfig::budget`]) only caps each probe. A
+//! probe it interrupts is not a verdict: it never enters the memo (so
+//! the memo, and the model database it is flushed into, hold exact
+//! verdicts under any budget), and its edge is marked degraded at its
+//! last proven weight. Which probes a binding budget interrupts depends
+//! on the class's probe history, which is the same however classes are
+//! scheduled.
 //!
 //! Independent classes are probed in parallel when
 //! [`AnalysisConfig::threads`] allows: a round's critical edges are
@@ -53,8 +58,8 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use hfta_fta::{
-    solve_episode_fields, AnalysisConfig, PhaseWall, SatAlg, SharedStabilityEngine, SolveBudget,
-    StabilityOracle, StabilityStats, TopoSta, LENGTHS_CAP,
+    solve_episode_fields, AnalysisConfig, BoolAlg, PhaseWall, SatAlg, SolveBudget, StabilityOracle,
+    StabilityStats, TopoSta, LENGTHS_CAP,
 };
 use hfta_modeldb::{ModelDb, ModelDbStats};
 use hfta_netlist::{
@@ -81,9 +86,9 @@ pub struct DemandAnalysis {
     pub refinements: u64,
     /// Functional stability checks performed.
     pub checks: u64,
-    /// Stability/solver work aggregated over every cone's engine,
-    /// cumulative across `analyze` calls on one analyzer (persistent
-    /// oracles live as long as the analyzer).
+    /// Stability/solver work aggregated over every class oracle,
+    /// cumulative across `analyze` calls on one analyzer (the oracles
+    /// live as long as the analyzer).
     pub stability: StabilityStats,
 }
 
@@ -122,14 +127,35 @@ struct ConeView {
     /// the topological weight).
     lists: Vec<Vec<Time>>,
     /// Canonical structural signature and input correspondence of the
-    /// cone, computed on the first probe under an unlimited budget.
+    /// cone, computed when its output is first probed.
     sig: Option<ConeKey>,
-    /// Persistent stability oracle for this cone, lazily created on
-    /// its first probe outside a signature class (limited budget).
-    oracle: Option<StabilityOracle<SatAlg>>,
     /// Whether this cone identity has registered with its class's
-    /// [`SharedStabilityEngine`].
-    engine_attached: bool,
+    /// [`ClassOracle`].
+    attached: bool,
+}
+
+/// One signature class's stability oracle: a shared-solver oracle over
+/// the class's representative cone, answering every member's probes
+/// through canonical slots.
+///
+/// * **Encode once.** The representative's characteristic functions
+///   are Tseitin-encoded a single time; member probes re-use the
+///   encoding via the backend's persistent operation caches.
+/// * **Cross-cone learnt sharing.** Every conflict clause learnt while
+///   answering one member's probe is available to every other member —
+///   slot-permuted clause import, realized by construction rather than
+///   by copying clauses between solvers. [`ClassOracle::attach`]
+///   counts the clauses already warm when a new member joins
+///   (`learnts_imported`).
+#[derive(Debug)]
+struct ClassOracle {
+    oracle: StabilityOracle<SatAlg>,
+    /// The representative cone's input-to-slot correspondence.
+    key: ConeKey,
+    /// Cone identities routed through this oracle so far.
+    members: u64,
+    /// Learnt clauses already warm at each non-first `attach`.
+    learnts_imported: u64,
 }
 
 /// Outcome of one cone's probes within a refinement round.
@@ -179,17 +205,16 @@ pub struct DemandDrivenAnalyzer<'a> {
     modules: Vec<Vec<Option<OutputState>>>,
     /// Decided stability verdicts per structural signature class, keyed
     /// by the canonical (slot-space) arrival vector. Persists across
-    /// rounds and `analyze` calls, like the per-cone oracles.
+    /// rounds and `analyze` calls, like the class oracles.
     verdict_memo: HashMap<u128, HashMap<Vec<Time>, bool>>,
-    /// One shared incremental SAT instance per signature class
-    /// (unlimited budget). Checked out to the class's worker for the
-    /// duration of a round, like the verdict memo; persists across
-    /// rounds and `analyze` calls, like the per-cone oracles.
-    class_engines: HashMap<u128, SharedStabilityEngine>,
+    /// One class oracle per signature class. Checked out to the class's
+    /// worker for the duration of a round, like the verdict memo;
+    /// persists across rounds and `analyze` calls.
+    class_oracles: HashMap<u128, ClassOracle>,
     /// Persistent verdict store ([`AnalysisConfig::model_db`]'s read
     /// side), probed once per signature class: stored verdicts are
-    /// exact (only unlimited-budget memos are ever persisted), so a
-    /// warm run is bit-identical to a cold one.
+    /// exact (a memo never holds an interrupted probe), so a warm run
+    /// answers from disk what a cold one solves.
     db_use: Option<ModelDb>,
     /// Persistent store the memo is flushed into after each `analyze`
     /// (merged with whatever is already on disk).
@@ -284,7 +309,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             leaves,
             modules,
             verdict_memo: HashMap::new(),
-            class_engines: HashMap::new(),
+            class_oracles: HashMap::new(),
             db_use,
             db_emit,
             verdicts_loaded: HashSet::new(),
@@ -419,9 +444,9 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         }
         self.config.trace.absorb(tracer);
         // Flush decided verdicts to the persistent store (merged with
-        // whatever is already on disk). The memo only ever fills under
-        // an unlimited budget, so everything flushed here is exact and
-        // safe to replay in any later session.
+        // whatever is already on disk). The memo holds decided verdicts
+        // only, so everything flushed here is exact and safe to replay
+        // in any later session, under any budget.
         if let Some(db) = self.db_emit.as_mut() {
             for (&sig, memo) in &self.verdict_memo {
                 db.store_verdicts(sig, memo);
@@ -448,22 +473,18 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         })
     }
 
-    /// Stability/solver work aggregated across every cone's engines
-    /// (per-class shared engines and per-cone oracles) plus the
-    /// memo and degradation counters.
+    /// Stability/solver work aggregated across every class oracle plus
+    /// the memo and degradation counters.
     #[must_use]
     pub fn stability_stats(&self) -> StabilityStats {
         let mut total = StabilityStats::default();
         for states in &self.modules {
             for st in states.iter().flatten() {
-                if let Some(oracle) = st.view.as_ref().and_then(|v| v.oracle.as_ref()) {
-                    total.merge(&oracle.stats());
-                }
                 total.merge(&st.probe_stats);
             }
         }
-        for engine in self.class_engines.values() {
-            total.merge(&engine.stats());
+        for class in self.class_oracles.values() {
+            total.merge(&class.stats());
         }
         total.wall = self.wall;
         total
@@ -679,15 +700,15 @@ impl<'a> DemandDrivenAnalyzer<'a> {
     /// `(module, output)` — probes within a group read each other's
     /// accepted weights and stay in their serial order. Groups whose
     /// cones share a structural signature are bundled into one *class*
-    /// so they can share that signature's verdict memo; a class stays
-    /// on one worker and its groups are probed serially, in their
-    /// serial order, so memo hits land identically however the classes
-    /// are scheduled. Distinct classes touch disjoint state and run as
-    /// owned tasks on the persistent pool when one is available (their
-    /// `OutputState`s — oracles included — are checked out of
-    /// `self.modules` for the duration and restored in class order).
-    /// Either way the outcome is the same as probing all edges serially
-    /// in `critical` order.
+    /// so they can share that signature's verdict memo and oracle; a
+    /// class stays on one worker and its groups are probed serially, in
+    /// their serial order, so memo hits and the oracle's probe history
+    /// are identical however the classes are scheduled. Distinct
+    /// classes touch disjoint state and run as owned tasks on the
+    /// persistent pool when one is available (their `OutputState`s are
+    /// checked out of `self.modules` for the duration and restored in
+    /// class order). Either way the outcome is the same as probing all
+    /// edges serially in `critical` order.
     fn refine_round(
         &mut self,
         critical: &[(usize, usize, usize)],
@@ -720,52 +741,47 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             let edges = group_edges.remove(&(mi, o)).expect("grouped above");
             work.push((mi, o, st, edges));
         }
-        // Bundle the groups into signature classes (unlimited budget
-        // only). Each class takes its verdict memo out of the analyzer
-        // for the duration of the round (workers need exclusive access)
-        // and hands it back below.
+        // Bundle the groups into signature classes. Each class takes
+        // its verdict memo and oracle out of the analyzer for the
+        // duration of the round (workers need exclusive access) and
+        // hands them back below.
         let budget = self.config.budget;
-        let memo_on = budget.is_unlimited();
         struct ClassTask {
-            sig: Option<u128>,
+            sig: u128,
             memo: HashMap<Vec<Time>, bool>,
-            engine: Option<SharedStabilityEngine>,
+            oracle: Option<ClassOracle>,
             work: Vec<(usize, usize, OutputState, Vec<usize>)>,
             tracer: Tracer,
         }
         struct ClassDone {
             outcome: Result<RoundWork, NetlistError>,
-            sig: Option<u128>,
+            sig: u128,
             memo: HashMap<Vec<Time>, bool>,
-            engine: Option<SharedStabilityEngine>,
+            oracle: Option<ClassOracle>,
             work: Vec<(usize, usize, OutputState, Vec<usize>)>,
             tracer: Tracer,
         }
         let mut class_of: HashMap<u128, usize> = HashMap::new();
         let mut classes: Vec<ClassTask> = Vec::new();
         for (mi, o, mut st, edges) in work {
-            let sig = memo_on.then(|| st.view.as_mut().expect(VIEW_BUILT).ensure_sig().sig.0);
-            if let Some(ci) = sig.and_then(|s| class_of.get(&s).copied()) {
+            let sig = st.view.as_mut().expect(VIEW_BUILT).ensure_sig().sig.0;
+            if let Some(&ci) = class_of.get(&sig) {
                 classes[ci].work.push((mi, o, st, edges));
                 continue;
             }
-            if let Some(s) = sig {
-                class_of.insert(s, classes.len());
-            }
+            class_of.insert(sig, classes.len());
             // Each class probes into a forked tracer (worker = class
             // index + 1); buffers merge back in class order below, so
             // the trace is identical however classes are scheduled.
             let class_tracer = tracer.fork(classes.len() as u32 + 1);
-            let mut memo = sig
-                .and_then(|s| self.verdict_memo.remove(&s))
-                .unwrap_or_default();
+            let mut memo = self.verdict_memo.remove(&sig).unwrap_or_default();
             // First touch of this signature class: fold in persisted
-            // verdicts. They are exact (only unlimited-budget memos are
-            // stored), so a warm start answers the same probes the
-            // solver would — just without the solver.
-            if let (Some(s), Some(db)) = (sig, self.db_use.as_mut()) {
-                if self.verdicts_loaded.insert(s) {
-                    let stored = db.load_verdicts(s);
+            // verdicts. They are exact (a memo never holds an
+            // interrupted probe), so a warm start answers the same
+            // probes the solver would — just without the solver.
+            if let Some(db) = self.db_use.as_mut() {
+                if self.verdicts_loaded.insert(sig) {
+                    let stored = db.load_verdicts(sig);
                     let count = stored.len();
                     for (k, v) in stored {
                         memo.entry(k).or_insert(v);
@@ -774,20 +790,20 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                         tracer.event(
                             "verdict_db_load",
                             vec![
-                                ("sig", Value::from(format!("{s:032x}"))),
+                                ("sig", Value::from(format!("{sig:032x}"))),
                                 ("verdicts", Value::from(count)),
                             ],
                         );
                     }
                 }
             }
-            // The class's shared engine travels with its memo (both are
+            // The class's oracle travels with its memo (both are
             // exclusive to the class's worker for the round).
-            let engine = sig.and_then(|s| self.class_engines.remove(&s));
+            let oracle = self.class_oracles.remove(&sig);
             classes.push(ClassTask {
                 sig,
                 memo,
-                engine,
+                oracle,
                 work: vec![(mi, o, st, edges)],
                 tracer: class_tracer,
             });
@@ -796,7 +812,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             let outcome = refine_class(
                 &mut class.work,
                 &mut class.memo,
-                &mut class.engine,
+                &mut class.oracle,
                 budget,
                 &mut class.tracer,
             );
@@ -804,7 +820,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 outcome,
                 sig: class.sig,
                 memo: class.memo,
-                engine: class.engine,
+                oracle: class.oracle,
                 work: class.work,
                 tracer: class.tracer,
             }
@@ -816,11 +832,9 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         let mut first_err = None;
         for d in done {
             tracer.absorb(d.tracer);
-            if let Some(sig) = d.sig {
-                self.verdict_memo.insert(sig, d.memo);
-                if let Some(engine) = d.engine {
-                    self.class_engines.insert(sig, engine);
-                }
+            self.verdict_memo.insert(d.sig, d.memo);
+            if let Some(oracle) = d.oracle {
+                self.class_oracles.insert(d.sig, oracle);
             }
             // Restore the checked-out states — on the error path too,
             // so a failed round leaves the analyzer whole.
@@ -841,9 +855,9 @@ impl<'a> DemandDrivenAnalyzer<'a> {
 
     /// Rewinds every edge to its topological weight and clears shared
     /// verdicts and counters, as if the analyzer were freshly built —
-    /// but keeps the expensive long-lived state: cone views, per-cone
-    /// oracles and per-class shared engines (learnt clauses included),
-    /// cone signatures, and the worker pool. Benchmarks use this to
+    /// but keeps the expensive long-lived state: cone views, class
+    /// oracles (learnt clauses included), cone signatures, and the
+    /// worker pool. Benchmarks use this to
     /// measure steady-state refinement without paying construction on
     /// every iteration.
     pub fn reset_refinement(&mut self) {
@@ -864,19 +878,19 @@ impl<'a> DemandDrivenAnalyzer<'a> {
 }
 
 /// Probes every `(cone, edges)` group of one signature class, in
-/// order, all sharing the class's verdict `memo` and its one
-/// incremental SAT `engine` (both unused under a limited budget).
+/// order, all sharing the class's verdict `memo` and its `oracle`
+/// (built by the class's first solver probe).
 fn refine_class(
     work: &mut [(usize, usize, OutputState, Vec<usize>)],
     memo: &mut HashMap<Vec<Time>, bool>,
-    engine: &mut Option<SharedStabilityEngine>,
+    oracle: &mut Option<ClassOracle>,
     budget: SolveBudget,
     tracer: &mut Tracer,
 ) -> Result<RoundWork, NetlistError> {
     let mut round = RoundWork::default();
     for (_, _, st, edges) in work.iter_mut() {
         for &j in edges.iter() {
-            st.refine_edge(j, budget, &mut round, memo, engine, tracer)?;
+            st.refine_edge(j, budget, &mut round, memo, oracle, tracer)?;
         }
     }
     Ok(round)
@@ -900,15 +914,15 @@ impl OutputState {
 
     /// One refinement step of the edge into input `in_idx`: probe the
     /// next smaller distinct path length; accept or mark accurate.
-    /// `memo` is the verdict memo of this cone's signature class (an
-    /// unused empty map under a limited budget).
+    /// `memo` and `class` are the verdict memo and oracle of this
+    /// cone's signature class.
     fn refine_edge(
         &mut self,
         in_idx: usize,
         budget: SolveBudget,
         round: &mut RoundWork,
         memo: &mut HashMap<Vec<Time>, bool>,
-        engine: &mut Option<SharedStabilityEngine>,
+        class: &mut Option<ClassOracle>,
         tracer: &mut Tracer,
     ) -> Result<(), NetlistError> {
         debug_assert!(!self.marked[in_idx]);
@@ -940,86 +954,44 @@ impl OutputState {
                 cone_arrivals[p] = -w;
             }
         }
-        let cone_out = view.cone.outputs()[0];
         round.checks += 1;
         // Signature-class sharing: probe the memo under the canonical
-        // (slot-space) arrival vector before spending solver time. Only
-        // under an unlimited budget — then the verdict is semantic and
-        // the solver would necessarily have returned the same answer.
-        let memo_key = if budget.is_unlimited() {
-            view.sig
-                .as_ref()
-                .map(|key| key.to_slots(&cone_arrivals, Time::POS_INF))
-        } else {
-            None
-        };
-        if let Some(canon) = &memo_key {
-            if let Some(&verdict) = memo.get(canon) {
-                self.probe_stats.cone_sig_hits += 1;
-                if tracer.is_enabled() {
-                    tracer.event(
-                        "refine_probe",
-                        vec![
-                            ("input", Value::from(in_idx)),
-                            ("candidate", Value::from(candidate.to_string())),
-                            ("verdict", Value::from(if verdict { "ok" } else { "fail" })),
-                            ("memo", Value::from(true)),
-                        ],
-                    );
-                }
-                self.apply_verdict(in_idx, candidate, Some(verdict), round);
-                return Ok(());
+        // (slot-space) arrival vector before spending solver time. A
+        // decided verdict is semantic, so the solver would necessarily
+        // return it again.
+        let key = view.sig.as_ref().expect("signed when its class was formed");
+        let canon = key.to_slots(&cone_arrivals, Time::POS_INF);
+        if let Some(&verdict) = memo.get(&canon) {
+            self.probe_stats.cone_sig_hits += 1;
+            if tracer.is_enabled() {
+                tracer.event(
+                    "refine_probe",
+                    vec![
+                        ("input", Value::from(in_idx)),
+                        ("candidate", Value::from(candidate.to_string())),
+                        ("verdict", Value::from(if verdict { "ok" } else { "fail" })),
+                        ("memo", Value::from(true)),
+                    ],
+                );
             }
-            self.probe_stats.cone_sig_misses += 1;
+            self.apply_verdict(in_idx, candidate, Some(verdict), round);
+            return Ok(());
         }
+        self.probe_stats.cone_sig_misses += 1;
         // The whole signature class answers from one incremental
-        // instance. Eligibility matches the memo's (`memo_key` is
-        // `Some` exactly when the signature exists and the budget is
-        // unlimited), so budgeted runs never touch the engine and keep
-        // every degraded verdict inside the cone's own oracle.
-        let stable = if memo_key.is_some() {
-            let key = view.sig.as_ref().expect("memo_key implies signature");
-            if engine.is_none() {
-                *engine = Some(SharedStabilityEngine::new(
-                    view.cone.clone(),
-                    cone_out,
-                    key.clone(),
-                )?);
-            }
-            let engine = engine.as_mut().expect("just created");
-            if !view.engine_attached {
-                view.engine_attached = true;
-                engine.attach();
-            }
-            if tracer.is_enabled() {
-                engine.set_episode_recording(true);
-            }
-            let stable = engine.query_budgeted(key, &cone_arrivals, Time::ZERO);
-            if tracer.is_enabled() {
-                for ep in engine.take_episodes() {
-                    tracer.event("sat_episode", solve_episode_fields(&ep));
-                }
-            }
-            stable
-        } else {
-            if view.oracle.is_none() {
-                let mut oracle = StabilityOracle::new_sat(view.cone.clone(), &cone_arrivals)?;
-                oracle.set_budget(budget);
-                view.oracle = Some(oracle);
-            }
-            let oracle = view.oracle.as_mut().expect("just created");
-            if tracer.is_enabled() {
-                oracle.set_episode_recording(true);
-            }
-            let stable = oracle.query_budgeted(&cone_arrivals, cone_out, Time::ZERO);
-            if tracer.is_enabled() {
-                for ep in oracle.take_episodes() {
-                    tracer.event("sat_episode", solve_episode_fields(&ep));
-                }
-            }
-            stable
-        };
-        if let (Some(canon), Some(verdict)) = (memo_key, stable) {
+        // instance; this cone becomes its representative if it is the
+        // first to reach the solver.
+        if class.is_none() {
+            *class = Some(ClassOracle::new(view.cone.clone(), key.clone(), budget)?);
+        }
+        let class = class.as_mut().expect("just created");
+        if !view.attached {
+            view.attached = true;
+            class.attach();
+        }
+        let stable = class.probe(&canon, tracer);
+        // An interrupted probe is not a verdict and is never memoized.
+        if let Some(verdict) = stable {
             memo.insert(canon, verdict);
         }
         if tracer.is_enabled() {
@@ -1119,8 +1091,7 @@ impl ConeView {
             cone_pos,
             lists,
             sig: None,
-            oracle: None,
-            engine_attached: false,
+            attached: false,
         }
     }
 
@@ -1130,6 +1101,69 @@ impl ConeView {
         self.sig.get_or_insert_with(|| {
             cone_signature(cone).expect("cone views are acyclic, and only a cycle fails signing")
         })
+    }
+}
+
+impl ClassOracle {
+    /// Builds the class's oracle over a representative `cone` with
+    /// canonical input correspondence `key`; every probe runs under
+    /// `budget`.
+    fn new(cone: Netlist, key: ConeKey, budget: SolveBudget) -> Result<ClassOracle, NetlistError> {
+        let zeros = vec![Time::ZERO; cone.inputs().len()];
+        let mut oracle = StabilityOracle::new(cone, &zeros, SatAlg::new_shared())?;
+        oracle.set_budget(budget);
+        Ok(ClassOracle {
+            oracle,
+            key,
+            members: 0,
+            learnts_imported: 0,
+        })
+    }
+
+    /// Registers a new cone identity routing through this oracle.
+    /// Every learnt clause already in the shared solver is warm for
+    /// the newcomer; the count lands in
+    /// [`StabilityStats::learnts_imported`].
+    fn attach(&mut self) {
+        if self.members > 0 {
+            self.learnts_imported += self.oracle.stats().learnt_clauses;
+        }
+        self.members += 1;
+    }
+
+    /// Answers a member's probe — is its output stable at 0 under the
+    /// arrivals `canon` holds in canonical slot order? — by rebinding
+    /// the representative to the same slots in its own input order.
+    /// `None` when the budget ran out.
+    fn probe(&mut self, canon: &[Time], tracer: &mut Tracer) -> Option<bool> {
+        // Missing slots (floating-net cones) are "unreached".
+        let arrivals = if canon.len() < self.key.slot_count() {
+            let mut slots = canon.to_vec();
+            slots.resize(self.key.slot_count(), Time::POS_INF);
+            self.key.from_slots(&slots)
+        } else {
+            self.key.from_slots(canon)
+        };
+        self.oracle.set_arrivals(&arrivals);
+        let out = self.oracle.netlist().outputs()[0];
+        if !tracer.is_enabled() {
+            return self.oracle.try_is_stable_at(out, Time::ZERO);
+        }
+        self.oracle.alg_mut().set_episode_recording(true);
+        let stable = self.oracle.try_is_stable_at(out, Time::ZERO);
+        for ep in self.oracle.alg_mut().take_episodes() {
+            tracer.event("sat_episode", solve_episode_fields(&ep));
+        }
+        stable
+    }
+
+    /// Cumulative work counters across all members, with
+    /// `learnts_imported` folded in.
+    fn stats(&self) -> StabilityStats {
+        StabilityStats {
+            learnts_imported: self.learnts_imported,
+            ..self.oracle.stats()
+        }
     }
 }
 
@@ -1451,7 +1485,8 @@ mod tests {
 #[cfg(test)]
 mod cone_sig_tests {
     use super::*;
-    use hfta_netlist::gen::{carry_skip_adder_flat, carry_skip_block, CsaDelays};
+    use hfta_netlist::gen::{carry_skip_adder, carry_skip_adder_flat, carry_skip_block, CsaDelays};
+    use hfta_netlist::strash::cone_signature;
     use hfta_netlist::{Composite, Design};
 
     /// A cascade of `copies` identical 2-bit carry-skip blocks under
@@ -1487,9 +1522,10 @@ mod cone_sig_tests {
         (design, n)
     }
 
-    /// The verdict memo shares probes across renamed block copies, and
-    /// the analysis is bit-identical to a memo-free run — the per-cone
-    /// path a budget that never binds selects.
+    /// The verdict memo shares probes across renamed block copies: the
+    /// later blocks answer from it, and the analysis matches the same
+    /// cascade built from one module name (csa8.2), which shares the
+    /// blocks' refinement by name instead.
     #[test]
     fn memo_shares_verdicts_across_isomorphic_modules() {
         let (design, n) = replicated_design(4);
@@ -1497,30 +1533,27 @@ mod cone_sig_tests {
         let mut with_memo =
             DemandDrivenAnalyzer::with_config(&design, "rep", &AnalysisConfig::default()).unwrap();
         let a = with_memo.analyze(&arrivals).unwrap();
-        let never_binds =
-            AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(u64::MAX));
-        let mut without = DemandDrivenAnalyzer::with_config(&design, "rep", &never_binds).unwrap();
-        let b = without.analyze(&arrivals).unwrap();
+        let by_name = carry_skip_adder(8, 2, CsaDelays::default());
+        let b = DemandDrivenAnalyzer::with_config(&by_name, "csa8.2", &AnalysisConfig::default())
+            .unwrap()
+            .analyze(&arrivals)
+            .unwrap();
 
         // Identical blocks, identical initial weights: the later blocks
-        // answer their carry-chain probes from the memo.
+        // answer their carry-chain probes from the memo, and only the
+        // memo's misses reach the class oracle.
         assert!(
             a.stability.cone_sig_hits > 0,
             "no memo hits: {:?}",
             a.stability
         );
-        assert_eq!(b.stability.cone_sig_hits, 0);
-        assert_eq!(b.stability.cone_sig_misses, 0);
-
-        // The analysis itself is bit-identical either way; only solver
-        // effort differs (memo hits skip SAT queries entirely).
+        assert_eq!(
+            a.stability.cone_sig_hits + a.stability.cone_sig_misses,
+            a.checks
+        );
+        assert!(a.stability.queries <= a.stability.cone_sig_misses);
         assert_eq!(a.delay, b.delay);
-        assert_eq!(a.net_arrivals, b.net_arrivals);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.checks, b.checks);
-        assert_eq!(a.refinements, b.refinements);
-        assert_eq!(with_memo.refinement_report(), without.refinement_report());
-        assert!(a.stability.sat_queries < b.stability.sat_queries);
+        assert_eq!(a.output_arrivals, b.output_arrivals);
 
         // Sanity: this is csa8.2 in disguise; the skip false path must
         // still be discovered through shared verdicts.
@@ -1587,22 +1620,126 @@ mod cone_sig_tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A limited budget disables sharing: budgeted verdicts depend on
-    /// solver history, so every probe must run its own solve.
+    /// A limited budget only caps probes. The memo holds decided
+    /// verdicts, which are exact under any budget: a generous budget
+    /// shares them exactly like the unlimited run, and a zero budget,
+    /// which decides no solver probe, stores none.
     #[test]
-    fn limited_budget_disables_memo_sharing() {
+    fn limited_budget_memoizes_only_decided_verdicts() {
         let (design, n) = replicated_design(4);
         let arrivals = vec![Time::ZERO; n];
-        let config =
+        let full = DemandDrivenAnalyzer::with_config(&design, "rep", &AnalysisConfig::default())
+            .unwrap()
+            .analyze(&arrivals)
+            .unwrap();
+        let generous =
             AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(1_000_000));
-        let mut an = DemandDrivenAnalyzer::with_config(&design, "rep", &config).unwrap();
-        let capped = an.analyze(&arrivals).unwrap();
-        assert_eq!(capped.stability.cone_sig_hits, 0);
-        assert_eq!(capped.stability.cone_sig_misses, 0);
-        // The budget is generous, so the answer still converges.
-        let mut full =
-            DemandDrivenAnalyzer::with_config(&design, "rep", &AnalysisConfig::default()).unwrap();
-        assert_eq!(capped.delay, full.analyze(&arrivals).unwrap().delay);
+        let capped = DemandDrivenAnalyzer::with_config(&design, "rep", &generous)
+            .unwrap()
+            .analyze(&arrivals)
+            .unwrap();
+        assert!(capped.stability.cone_sig_hits > 0);
+        assert_eq!(capped.stability.cone_sig_hits, full.stability.cone_sig_hits);
+        assert_eq!(
+            capped.stability.cone_sig_misses,
+            full.stability.cone_sig_misses
+        );
+        assert_eq!(capped.stability.degraded, 0);
+        assert_eq!(capped.delay, full.delay);
+        assert_eq!(capped.net_arrivals, full.net_arrivals);
+
+        let zero = AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(0));
+        let mut starved = DemandDrivenAnalyzer::with_config(&design, "rep", &zero).unwrap();
+        let s = starved.analyze(&arrivals).unwrap();
+        assert!(s.stability.budget_hits > 0, "{:?}", s.stability);
+        assert_eq!(s.stability.cone_sig_hits, 0);
+        assert!(
+            starved.verdict_memo.values().all(HashMap::is_empty),
+            "an interrupted probe was memoized"
+        );
+    }
+
+    /// The `c_out` cone of a 2-bit carry-skip block, and an isomorph of
+    /// it that declares the same inputs in reverse order.
+    fn cone_and_reversed_isomorph() -> (Netlist, Netlist) {
+        let block = carry_skip_block(2, CsaDelays::default());
+        let cone = block.cone(block.find_net("c_out").unwrap()).0;
+        let mut rev = Netlist::new("reversed");
+        let mut map = vec![None; cone.net_count()];
+        for &pi in cone.inputs().iter().rev() {
+            map[pi.index()] = Some(rev.add_input(cone.net_name(pi)));
+        }
+        for g in cone.topo_gates().unwrap() {
+            let gate = cone.gate(g);
+            let ins: Vec<NetId> = gate
+                .inputs
+                .iter()
+                .map(|n| map[n.index()].unwrap())
+                .collect();
+            let out = rev.add_net(cone.net_name(gate.output));
+            rev.add_gate(gate.kind, &ins, out, gate.delay).unwrap();
+            map[gate.output.index()] = Some(out);
+        }
+        rev.mark_output(map[cone.outputs()[0].index()].unwrap());
+        (cone, rev)
+    }
+
+    /// A class oracle over one representative answers a permuted
+    /// member's probes — routed through canonical slots — exactly like
+    /// a fresh plain-SAT oracle over the member itself.
+    #[test]
+    fn class_oracle_matches_per_cone_oracles() {
+        let (rep, member) = cone_and_reversed_isomorph();
+        let rep_key = cone_signature(&rep).unwrap();
+        let member_key = cone_signature(&member).unwrap();
+        assert_eq!(rep_key.sig, member_key.sig);
+        assert_ne!(rep_key.perm, member_key.perm, "routing must permute");
+
+        let mut class = ClassOracle::new(rep.clone(), rep_key, SolveBudget::UNLIMITED).unwrap();
+        class.attach();
+        class.attach(); // a second member joins before any probe
+        let member_out = member.outputs()[0];
+        let conditions: Vec<Vec<Time>> = vec![
+            vec![Time::ZERO; 5],
+            [3, 0, 1, -2, 0].map(Time::new).to_vec(),
+            [0, -10, -10, -10, -10].map(Time::new).to_vec(),
+        ];
+        let mut tracer = Tracer::disabled();
+        for cond in &conditions {
+            // Probes ask for stability at 0, so shift the condition
+            // through the window where the verdict flips.
+            for shift in -3..13 {
+                let arrivals: Vec<Time> = cond.iter().map(|&a| a - Time::new(shift)).collect();
+                let mut fresh =
+                    StabilityOracle::new(member.clone(), &arrivals, SatAlg::new()).unwrap();
+                let canon = member_key.to_slots(&arrivals, Time::POS_INF);
+                assert_eq!(
+                    class.probe(&canon, &mut tracer),
+                    Some(fresh.is_stable_at(member_out, Time::ZERO)),
+                    "{cond:?} shifted by {shift}"
+                );
+            }
+        }
+        // Nothing was warm when the second member joined.
+        assert_eq!(class.stats().learnts_imported, 0);
+    }
+
+    /// Attaching after probes counts the warm learnt clauses.
+    #[test]
+    fn late_attach_counts_warm_learnts() {
+        let (rep, _) = cone_and_reversed_isomorph();
+        let key = cone_signature(&rep).unwrap();
+        let mut class = ClassOracle::new(rep, key.clone(), SolveBudget::UNLIMITED).unwrap();
+        class.attach();
+        let mut tracer = Tracer::disabled();
+        for shift in -3..13 {
+            let arrivals = vec![Time::new(-shift); 5];
+            let _ = class.probe(&key.to_slots(&arrivals, Time::POS_INF), &mut tracer);
+        }
+        let warm = class.stats().learnt_clauses;
+        assert!(warm > 0);
+        class.attach();
+        assert_eq!(class.stats().learnts_imported, warm);
     }
 }
 

@@ -15,7 +15,7 @@
 //!   run (possibly under a looser budget) would not be bit-identical
 //!   to a fresh analysis. Only undegraded — budget-independent —
 //!   models enter the cache, the structural signature cache, or the
-//!   persistent database.
+//!   persistent database, so every cache survives a budget change.
 //! * **Per-run vs. session counters are distinct.** The
 //!   [`HierStats`] on each [`HierAnalysis`] report what *that call*
 //!   did; [`IncrementalAnalyzer::characterizations`] is the session
@@ -197,14 +197,10 @@ impl IncrementalAnalyzer {
 
     /// Changes the per-query solve budget for subsequent analyses.
     ///
-    /// The structural signature cache is cleared when the budget
-    /// actually changes: its entries replay outcomes of the budget
-    /// that filled them. The model cache survives — it only ever holds
-    /// undegraded, budget-independent models.
+    /// Every cache survives: the model cache, the structural signature
+    /// cache and the persistent database only ever hold undegraded,
+    /// budget-independent results.
     pub fn set_budget(&mut self, budget: SolveBudget) {
-        if self.config.budget != budget {
-            self.sig_cache = ConeSigCache::new();
-        }
         self.config.budget = budget;
     }
 

@@ -16,7 +16,7 @@
 //! relaxation step is validated by a full stability check of the whole
 //! tuple (see [`hfta_fta::Characterizer`]).
 
-use hfta_fta::{DelayAnalyzer, SatAlg, StabilityAnalyzer, TopoSta};
+use hfta_fta::{DelayAnalyzer, SatAlg, StabilityOracle, TopoSta};
 use hfta_netlist::{NetId, Netlist, NetlistError, Time};
 
 use crate::{TimingModel, TimingTuple};
@@ -61,10 +61,10 @@ pub fn independent_relaxation_model(
         .map(|l| l.first().copied().unwrap_or(Time::NEG_INF))
         .collect();
 
-    // One persistent analyzer serves every per-pin probe of this cone;
+    // One persistent oracle serves every per-pin probe of this cone;
     // each probe rebinds the arrivals, keeping the solver state warm.
     let topo_arrivals: Vec<Time> = topo.iter().map(|&d| -d).collect();
-    let mut an = StabilityAnalyzer::new(&cone, &topo_arrivals, SatAlg::new())?;
+    let mut an = StabilityOracle::new(cone.clone(), &topo_arrivals, SatAlg::new())?;
     let mut assembled = topo.clone();
     for i in 0..cone.inputs().len() {
         // Relax pin i alone, others pinned at TOPOLOGICAL (the fixed

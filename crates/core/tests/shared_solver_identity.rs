@@ -1,23 +1,27 @@
-//! Bit-identity property suite for the two stability paths the budget
-//! selects. An unlimited budget shares one incremental SAT instance per
-//! module or signature class (domain-restricted queries, cross-cone
-//! learnt sharing, between-query inprocessing, plus the demand verdict
-//! memo); a limited budget gives every cone a fresh solver. A budget
-//! that never binds (`u64::MAX` conflicts) reaches the per-cone path
-//! without degrading anything, so the two must be observationally
-//! indistinguishable: verdicts, arrival times, delays, and refinement
-//! round/check counts match exactly — solver reuse may only change *how
-//! fast* an answer arrives, never *which* answer, and never how the
-//! refinement loop walks the design.
+//! Property suite for the one stability engine every analysis runs on:
+//! one incremental SAT instance per module or signature class
+//! (domain-restricted queries, cross-cone learnt sharing, between-query
+//! inprocessing, plus the demand verdict memo), whose budget only caps
+//! each query.
 //!
-//! Budgets that do bind are pinned too: they never build a variable
-//! domain, i.e. degraded verdicts never touch shared solver state.
+//! A budget that never binds (`u64::MAX` conflicts) sends every query
+//! through the budgeted solver entry points, so the first four
+//! properties pin that those decide exactly like the unbudgeted ones:
+//! verdicts, arrival times, delays, refinement round/check counts and
+//! every solver counter match the default run.
+//!
+//! Budgets that do bind (1–12 conflicts) degrade verdicts, and which
+//! ones depends on the module's or class's probe history. The last
+//! property pins what still holds: every output arrival of every
+//! hierarchical and flat analysis lies between the exact flat arrival
+//! and the topological one, a two-worker run equals the serial one, and
+//! a rerun on a fresh analyzer equals the first.
 
 use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer, IncrementalAnalyzer};
-use hfta_fta::{SolveBudget, TimingReport};
+use hfta_fta::{DelayAnalyzer, SolveBudget, TimingReport, TopoSta};
 use hfta_netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 use hfta_netlist::partition::cascade_bipartition;
-use hfta_netlist::{GateId, Time};
+use hfta_netlist::{Design, GateId, Netlist, Time};
 use hfta_testkit::{from_fn_with_shrink, prop, Rng, Strategy};
 
 /// Random partitionable circuits (≥ 2 gates); shrinking reduces gate
@@ -87,16 +91,16 @@ fn arrivals_strategy(inputs: usize) -> impl Strategy<Value = Vec<Time>> {
     )
 }
 
-/// The per-cone path without degradation: a limited budget that no
-/// query can exhaust.
+/// The budgeted solver entry points without degradation: a limited
+/// budget that no query can exhaust.
 fn never_binds() -> AnalysisConfig {
     AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(u64::MAX))
 }
 
 // Two-step characterization: the per-module shared instance answers
-// every validity check exactly like a per-cone analyzer, so the
+// every budgeted validity check exactly like an unbudgeted one, so the
 // characterized models — and everything propagated from them — match.
-prop!(cases = 32, fn two_step_shared_matches_per_cone(spec in spec_strategy()) {
+prop!(cases = 32, fn two_step_never_binding_budget_matches_default(spec in spec_strategy()) {
     let flat = random_circuit("s", spec);
     let arrivals = vec![Time::ZERO; flat.inputs().len()];
     let design = cascade_bipartition(&flat, 0.5).expect("partitions");
@@ -114,15 +118,15 @@ prop!(cases = 32, fn two_step_shared_matches_per_cone(spec in spec_strategy()) {
         a.stats.modules_characterized, b.stats.modules_characterized,
         "characterization count diverged"
     );
-    assert_eq!(b.stats.stability.domains_built, 0, "budgeted run built a domain");
+    assert_eq!(a.stats.stability, b.stats.stability, "solver work diverged");
 });
 
 // Demand-driven refinement walks the design one edge probe at a time;
-// the per-class shared engine (and verdict memo) must return the exact
-// verdict the per-cone oracle would, in the same order — pinned by
+// the class oracle (and verdict memo) must return the same verdicts
+// through the budgeted entry point, in the same order — pinned by
 // comparing the full round/check/refinement trajectory, not just the
 // answer.
-prop!(cases = 32, fn demand_shared_matches_per_cone(
+prop!(cases = 32, fn demand_never_binding_budget_matches_default(
     spec in spec_strategy(),
 ) {
     let flat = random_circuit("s", spec);
@@ -145,14 +149,14 @@ prop!(cases = 32, fn demand_shared_matches_per_cone(
     assert_eq!(a.rounds, b.rounds, "round trajectory diverged");
     assert_eq!(a.checks, b.checks, "check count diverged");
     assert_eq!(a.refinements, b.refinements, "refinement count diverged");
-    assert_eq!(b.stability.domains_built, 0, "budgeted run built a domain");
+    assert_eq!(a.stability, b.stability, "solver work diverged");
 });
 
 // Flat report path under random arrival conditions: the whole-module
-// shared instance and the plain per-output backend produce the same
-// report (arrivals, false-path flags, circuit delays), in whatever
-// query order the report generator uses.
-prop!(cases = 32, fn report_shared_matches_per_cone(spec in spec_strategy()) {
+// shared instance produces the same report (arrivals, false-path
+// flags, circuit delays) through either entry point, in whatever query
+// order the report generator uses.
+prop!(cases = 32, fn report_never_binding_budget_matches_default(spec in spec_strategy()) {
     let nl = random_circuit("s", spec);
     let mut cases = hfta_testkit::Rng::seed_from_u64(spec.seed ^ 0x0f1a7);
     for _ in 0..2 {
@@ -160,32 +164,24 @@ prop!(cases = 32, fn report_shared_matches_per_cone(spec in spec_strategy()) {
             .map(|_| Time::new(cases.gen_range(-4i64..9)))
             .collect();
         let shared = AnalysisConfig::default();
-        let (a, _) = TimingReport::generate(&nl, &arrivals, Time::ZERO, &shared).expect("analyzes");
-        let (b, stats) =
+        let (a, a_stats) =
+            TimingReport::generate(&nl, &arrivals, Time::ZERO, &shared).expect("analyzes");
+        let (b, b_stats) =
             TimingReport::generate(&nl, &arrivals, Time::ZERO, &never_binds()).expect("analyzes");
         assert_eq!(a, b, "reports diverged under arrivals {arrivals:?}");
-        assert_eq!(stats.domains_built, 0, "budgeted run built a domain");
+        assert_eq!(a_stats, b_stats, "solver work diverged under arrivals {arrivals:?}");
     }
 });
 
-// The incremental analyzer: one session per path, each analyzing, taking
-// a module edit, and analyzing again. Re-characterization after the
-// edit runs on the same path as the first, so both runs must agree
-// (per-run characterization counts included).
-prop!(cases = 24, fn incremental_shared_matches_per_cone(spec in spec_strategy()) {
+// The incremental analyzer: one session per budget, each analyzing,
+// taking a module edit, and analyzing again. Both sessions must agree
+// on every run (per-run characterization counts included).
+prop!(cases = 24, fn incremental_never_binding_budget_matches_default(spec in spec_strategy()) {
     let flat = random_circuit("s", spec);
     let design = cascade_bipartition(&flat, 0.5).expect("partitions");
     let inputs = design.composite("s_top").expect("top").inputs().len();
     let arrivals = vec![Time::ZERO; inputs];
-    let mut edited = design
-        .modules()
-        .iter()
-        .find_map(|m| design.leaf(&m.name))
-        .expect("a leaf")
-        .clone();
-    let slowed = GateId::from_index(spec.seed as usize % edited.gate_count());
-    let delay = edited.gate(slowed).delay + 2;
-    edited.set_gate_delay(slowed, delay);
+    let edited = slowed_leaf(&design, spec.seed);
 
     let session = |config: &AnalysisConfig| {
         let mut an =
@@ -205,45 +201,133 @@ prop!(cases = 24, fn incremental_shared_matches_per_cone(spec in spec_strategy()
             a.stats.modules_characterized, b.stats.modules_characterized,
             "characterization count diverged"
         );
-        assert_eq!(b.stats.stability.domains_built, 0, "budgeted run built a domain");
+        assert_eq!(a.stats.stability, b.stats.stability, "solver work diverged");
     }
     assert_eq!(a1.stats.modules_characterized, 1, "the edit re-characterizes one module");
 });
 
-// A budget that binds (1–12 conflicts) degrades verdicts, and a
-// degraded verdict must never reach shared state: on every path the
-// budgeted analysis builds no variable domain at all.
-prop!(cases = 24, fn binding_budget_never_builds_a_domain(
+/// The exact arrival and the topological arrival of every output of
+/// `flat` under `arrivals` — the bounds every budgeted analysis of it,
+/// flat or hierarchical, must stay between.
+fn bounds(flat: &Netlist, arrivals: &[Time]) -> (Vec<Time>, Vec<Time>) {
+    let exact = DelayAnalyzer::new_sat_shared(flat, arrivals)
+        .expect("acyclic")
+        .output_arrivals();
+    let topo = TopoSta::new(flat).expect("acyclic").arrival_times(arrivals);
+    let topo = flat.outputs().iter().map(|o| topo[o.index()]).collect();
+    (exact, topo)
+}
+
+fn assert_between(got: &[Time], (exact, topo): &(Vec<Time>, Vec<Time>), what: &str) {
+    assert_eq!(got.len(), exact.len(), "{what}: output count");
+    for (k, &g) in got.iter().enumerate() {
+        assert!(
+            exact[k] <= g && g <= topo[k],
+            "{what}: output {k} at {g}, outside [exact {}, topological {}]",
+            exact[k],
+            topo[k]
+        );
+    }
+}
+
+/// A copy of the first leaf of `design` with one gate slowed by 2.
+fn slowed_leaf(design: &Design, seed: u64) -> Netlist {
+    let mut edited = design
+        .modules()
+        .iter()
+        .find_map(|m| design.leaf(&m.name))
+        .expect("a leaf")
+        .clone();
+    let slowed = GateId::from_index(seed as usize % edited.gate_count());
+    let delay = edited.gate(slowed).delay + 2;
+    edited.set_gate_delay(slowed, delay);
+    edited
+}
+
+// A budget that binds (1–12 conflicts) degrades verdicts on shared
+// solver state: which probes it interrupts depends on what the module
+// or class probed before. Every analysis must stay sound and
+// deterministic anyway — same answer on two workers as on one, and on
+// a fresh analyzer as on the first.
+prop!(cases = 24, fn binding_budget_is_sound_and_deterministic(
     spec in spec_strategy(),
     conflicts in from_fn_with_shrink(
-        |rng: &mut Rng| rng.gen_range(1u64..12),
+        |rng: &mut Rng| rng.gen_range(1u64..13),
         |c: &u64| if *c > 1 { vec![1, *c / 2] } else { vec![] },
     ),
 ) {
     let flat = random_circuit("s", spec);
     let design = cascade_bipartition(&flat, 0.5).expect("partitions");
-    let inputs = design.composite("s_top").expect("top").inputs().len();
-    let arrivals = vec![Time::ZERO; inputs];
-    let config =
+    let mut rng = hfta_testkit::Rng::seed_from_u64(spec.seed ^ conflicts);
+    let arrivals = arrivals_strategy(flat.inputs().len()).generate(&mut rng);
+    let serial =
         AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(conflicts));
+    let two_workers = serial.clone().with_threads(2).with_thread_clamp(false);
+    let flattened = |design: &Design| design.flatten("s_top").expect("flattens");
+    let before = bounds(&flattened(&design), &arrivals);
+    let what = |analysis: &str| format!("{analysis}, {conflicts} conflicts, arrivals {arrivals:?}");
 
-    let mut demand = DemandDrivenAnalyzer::with_config(&design, "s_top", &config).expect("valid");
-    let d = demand.analyze(&arrivals).expect("analyzes");
-    assert_eq!(d.stability.domains_built, 0, "demand: {:?}", d.stability);
+    let two_step = |config: &AnalysisConfig| {
+        HierAnalyzer::with_config(&design, "s_top", config)
+            .expect("valid")
+            .analyze(&arrivals)
+            .expect("analyzes")
+    };
+    let h = two_step(&serial);
+    assert_between(&h.output_arrivals, &before, &what("two-step"));
+    let h2 = two_step(&two_workers);
+    assert_eq!(
+        (&h2.output_arrivals, &h2.net_arrivals),
+        (&h.output_arrivals, &h.net_arrivals),
+        "{}", what("two-step on two workers")
+    );
+    assert_eq!(two_step(&serial), h, "{}", what("two-step rerun"));
 
-    let mut hier = HierAnalyzer::with_config(&design, "s_top", &config).expect("valid");
-    let h = hier.analyze(&arrivals).expect("analyzes");
-    assert_eq!(h.stats.stability.domains_built, 0, "two-step: {:?}", h.stats.stability);
+    let demand = |config: &AnalysisConfig| {
+        DemandDrivenAnalyzer::with_config(&design, "s_top", config)
+            .expect("valid")
+            .analyze(&arrivals)
+            .expect("analyzes")
+    };
+    let d = demand(&serial);
+    assert_between(&d.output_arrivals, &before, &what("demand"));
+    assert_eq!(demand(&two_workers), d, "{}", what("demand on two workers"));
+    assert_eq!(demand(&serial), d, "{}", what("demand rerun"));
 
-    let flat_arrivals = vec![Time::ZERO; flat.inputs().len()];
-    let (_, r) = TimingReport::generate(&flat, &flat_arrivals, Time::ZERO, &config)
-        .expect("analyzes");
-    assert_eq!(r.domains_built, 0, "report: {r:?}");
+    let report = |config: &AnalysisConfig| {
+        TimingReport::generate(&flat, &arrivals, Time::ZERO, config).expect("analyzes")
+    };
+    let (r, r_stats) = report(&serial);
+    let functional: Vec<Time> = r.outputs.iter().map(|o| o.functional).collect();
+    assert_between(&functional, &bounds(&flat, &arrivals), &what("report"));
+    assert_eq!(report(&two_workers), (r.clone(), r_stats), "{}", what("report on two workers"));
+    assert_eq!(report(&serial), (r, r_stats), "{}", what("report rerun"));
+
+    let edited = slowed_leaf(&design, spec.seed);
+    let session = |config: &AnalysisConfig| {
+        let mut an =
+            IncrementalAnalyzer::with_config(design.clone(), "s_top", config).expect("valid");
+        let first = an.analyze(&arrivals).expect("analyzes");
+        an.replace_module(edited.clone()).expect("same ports");
+        let second = an.analyze(&arrivals).expect("analyzes");
+        (first, second, an.design().clone())
+    };
+    let (i0, i1, edited_design) = session(&serial);
+    assert_between(&i0.output_arrivals, &before, &what("incremental"));
+    assert_between(
+        &i1.output_arrivals,
+        &bounds(&flattened(&edited_design), &arrivals),
+        &what("incremental after the edit"),
+    );
+    let (j0, j1, _) = session(&two_workers);
+    assert_eq!((&j0, &j1), (&i0, &i1), "{}", what("incremental on two workers"));
+    let (k0, k1, _) = session(&serial);
+    assert_eq!((&k0, &k1), (&i0, &i1), "{}", what("incremental rerun"));
 });
 
 // The arrivals strategy is exercised on the flat path so −∞ pins and
 // shifted windows hit the shared instance's slot mapping too.
-prop!(cases = 24, fn report_shared_matches_under_random_conditions(
+prop!(cases = 24, fn report_never_binding_budget_matches_under_random_conditions(
     spec in spec_strategy(),
     cond_seed in from_fn_with_shrink(
         |rng: &mut Rng| rng.next_u64(),

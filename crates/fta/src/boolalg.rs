@@ -28,8 +28,8 @@ pub struct BackendCounters {
     pub propagations: u64,
     /// Learnt clauses currently retained by the underlying solver.
     pub learnt_clauses: u64,
-    /// Per-query variable domains built in shared-solver mode (zero
-    /// when the backend runs one fresh encoding per cone).
+    /// Per-query variable domains built in shared-solver mode (zero on
+    /// the plain backend).
     pub domains_built: u64,
     /// Learnt clauses removed or strengthened by between-query
     /// inprocessing in shared-solver mode.
@@ -174,7 +174,10 @@ pub struct SatAlg {
 const INPROCESS_LEARNT_DELTA: u64 = 512;
 
 impl SatAlg {
-    /// Creates an empty SAT algebra.
+    /// Creates an empty SAT algebra whose queries search the whole
+    /// accumulated encoding: the reference backend the shared mode
+    /// ([`SatAlg::new_shared`], which every analysis runs on) is
+    /// checked against.
     #[must_use]
     pub fn new() -> SatAlg {
         SatAlg::default()
@@ -305,9 +308,8 @@ impl BoolAlg for SatAlg {
         let implied = if self.shared {
             // Domain restriction stays sound under a budget: `Sat` and
             // `Unsat` answers remain exact, `Unknown` degrades as
-            // usual. The analyses build shared algebras only for
-            // unlimited runs (see `AnalysisConfig`); a serve daemon's
-            // per-request deadline is what reaches this branch.
+            // usual. Every analysis runs on a shared algebra, so this
+            // is the branch each budgeted query takes.
             self.maybe_inprocess();
             let dom = self.cnf.domain_of(&[a]);
             self.domains_built += 1;

@@ -9,13 +9,16 @@
 //! [`TraceSink`] that turns on structured tracing and the
 //! [`ModelDbSpec`] naming any persistent model database.
 //!
-//! The budget alone picks the stability path. An unlimited budget
-//! shares solver work across cones: one incremental SAT instance per
-//! module (characterization, flat reports) or per signature class
-//! (demand-driven refinement, with its verdict memo). A limited budget
-//! gives every cone a fresh solver of its own, so a degraded verdict
-//! never reaches shared state. Both paths return the same verdicts
-//! wherever the budget does not bind.
+//! Every analysis shares solver work across cones the same way: one
+//! incremental SAT instance per module (characterization, flat reports)
+//! or per signature class (demand-driven refinement, with its verdict
+//! memo). The budget picks nothing; it only caps each query. Decided
+//! verdicts are exact under any budget, so the verdict memo, the
+//! signature cache and the model caches hold only those and are shared
+//! across budgets. Which queries a binding budget interrupts depends on
+//! the module's or class's probe history, so budgeted results are
+//! deterministic and sound (never below exact, never above
+//! topological) but may differ from those of a fresh solver per cone.
 //!
 //! The builder is plain `with_*` setters over a [`Default`] that
 //! matches every engine's historical defaults, so
@@ -183,10 +186,8 @@ pub struct AnalysisConfig {
     /// analysis — characterization in the two-step analyzer, the
     /// refinement loop in the demand-driven one. Unlimited by default.
     ///
-    /// The budget also picks the stability path (see the [module
-    /// docs](self)): unlimited runs share one incremental SAT instance
-    /// per module or signature class, limited runs give each cone a
-    /// fresh solver.
+    /// The budget never changes which solver answers (see the [module
+    /// docs](self)).
     pub budget: SolveBudget,
     /// Cap on demand-driven refinement rounds (`None` = run to
     /// fixpoint).

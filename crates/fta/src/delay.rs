@@ -5,8 +5,8 @@
 //! time it is guaranteed stable under the XBD0 model. Monotone speedup
 //! makes stability monotone in `t`, so the stable time is found by
 //! binary search over integer times between the earliest conceivable
-//! event and the topological arrival, with each probe answered by the
-//! [`StabilityAnalyzer`]. Each refuted probe's countermodel is
+//! event and the topological arrival, with each probe answered by a
+//! [`StabilityOracle`]. Each refuted probe's countermodel is
 //! simulated, and its settle times raise the lower end of every later
 //! search (DESIGN.md, "Witness-guided arrival search").
 
@@ -14,7 +14,8 @@ use hfta_netlist::{NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
 
 use crate::boolalg::{BoolAlg, SatAlg};
-use crate::stability::{StabilityAnalyzer, StabilityStats};
+use crate::oracle::StabilityOracle;
+use crate::stability::StabilityStats;
 
 /// Functional (XBD0) delay analysis of one netlist under fixed arrival
 /// times.
@@ -39,17 +40,18 @@ use crate::stability::{StabilityAnalyzer, StabilityStats};
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct DelayAnalyzer<'a, A: BoolAlg> {
-    stability: StabilityAnalyzer<'a, A>,
+pub struct DelayAnalyzer<A: BoolAlg> {
+    stability: StabilityOracle<A>,
 }
 
-impl<'a> DelayAnalyzer<'a, SatAlg> {
-    /// Convenience constructor with the default SAT backend.
+impl DelayAnalyzer<SatAlg> {
+    /// Convenience constructor with the plain SAT backend, whose
+    /// queries search the whole accumulated encoding.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-    pub fn new_sat(netlist: &'a Netlist, pi_arrivals: &[Time]) -> Result<Self, NetlistError> {
+    pub fn new_sat(netlist: &Netlist, pi_arrivals: &[Time]) -> Result<Self, NetlistError> {
         DelayAnalyzer::new(netlist, pi_arrivals, SatAlg::new())
     }
 
@@ -57,22 +59,21 @@ impl<'a> DelayAnalyzer<'a, SatAlg> {
     /// shared-solver mode ([`SatAlg::new_shared`]): the whole netlist's
     /// stability probes go through one incremental SAT instance, each
     /// query domain-restricted to the probed output's transitive fanin,
-    /// with subsumption inprocessing between queries. Arrivals and
-    /// verdicts are bit-identical to `new_sat`'s.
+    /// with subsumption inprocessing between queries. Every analysis
+    /// runs on this backend. Wherever the budget does not bind,
+    /// arrivals and verdicts are bit-identical to `new_sat`'s.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-    pub fn new_sat_shared(
-        netlist: &'a Netlist,
-        pi_arrivals: &[Time],
-    ) -> Result<Self, NetlistError> {
+    pub fn new_sat_shared(netlist: &Netlist, pi_arrivals: &[Time]) -> Result<Self, NetlistError> {
         DelayAnalyzer::new(netlist, pi_arrivals, SatAlg::new_shared())
     }
 }
 
-impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
-    /// Prepares a delay analysis over backend `alg`.
+impl<A: BoolAlg> DelayAnalyzer<A> {
+    /// Prepares a delay analysis of (an owned copy of) `netlist` over
+    /// backend `alg`.
     ///
     /// # Errors
     ///
@@ -81,9 +82,9 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
     /// # Panics
     ///
     /// Panics if `pi_arrivals.len()` differs from the input count.
-    pub fn new(netlist: &'a Netlist, pi_arrivals: &[Time], alg: A) -> Result<Self, NetlistError> {
+    pub fn new(netlist: &Netlist, pi_arrivals: &[Time], alg: A) -> Result<Self, NetlistError> {
         Ok(DelayAnalyzer {
-            stability: StabilityAnalyzer::new(netlist, pi_arrivals, alg)?,
+            stability: StabilityOracle::new(netlist.clone(), pi_arrivals, alg)?,
         })
     }
 
@@ -158,7 +159,7 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
             .instability_witness(net, Time::new(probe - 1))
     }
 
-    /// Work counters of the underlying stability analyzer, degraded
+    /// Work counters of the underlying stability oracle, degraded
     /// outputs included.
     #[must_use]
     pub fn stats(&self) -> StabilityStats {

@@ -2,7 +2,9 @@
 //!
 //! Two engines, both exhaustive over the candidate delay grid (the
 //! distinct topological path lengths of each pin, plus `−∞`), with
-//! BDD-backed stability so each probe is cheap:
+//! one BDD-backed stability oracle per call (rebound to each candidate's
+//! arrivals, its BDD nodes shared across candidates) so each probe is
+//! cheap:
 //!
 //! * [`exact_model`] — the exact *vector-independent* model: the Pareto
 //!   frontier of all valid delay tuples. The approximate
@@ -17,8 +19,8 @@ use hfta_netlist::{NetId, Netlist, NetlistError, Time};
 
 use crate::boolalg::{BddAlg, BoolAlg};
 use crate::model::{TimingModel, TimingTuple};
+use crate::oracle::StabilityOracle;
 use crate::sta::TopoSta;
-use crate::stability::StabilityAnalyzer;
 
 /// Options for the exact engines.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -72,6 +74,12 @@ impl From<NetlistError> for ExactError {
     fn from(e: NetlistError) -> ExactError {
         ExactError::Netlist(e)
     }
+}
+
+/// The BDD oracle one exact-engine call rebinds to every candidate.
+fn bdd_oracle(netlist: &Netlist) -> Result<StabilityOracle<BddAlg>, NetlistError> {
+    let zeros = vec![Time::ZERO; netlist.inputs().len()];
+    StabilityOracle::new(netlist.clone(), &zeros, BddAlg::new())
 }
 
 /// Per-input candidate delay values: distinct path lengths descending,
@@ -151,6 +159,7 @@ pub fn exact_model(
     let mut valid: Vec<TimingTuple> = Vec::new();
     let mut candidates: Vec<Vec<Time>> = Vec::new();
     for_each_candidate(&grid, |tuple| candidates.push(tuple.to_vec()));
+    let mut oracle = bdd_oracle(netlist)?;
     for delays in candidates {
         // Skip candidates dominated by an already-valid tuple: they are
         // valid too but never on the frontier.
@@ -159,8 +168,8 @@ pub fn exact_model(
             continue;
         }
         let arrivals: Vec<Time> = delays.iter().map(|&d| -d).collect();
-        let mut analyzer = StabilityAnalyzer::new(netlist, &arrivals, BddAlg::new())?;
-        if analyzer.is_stable_at(output, Time::ZERO) {
+        oracle.set_arrivals(&arrivals);
+        if oracle.is_stable_at(output, Time::ZERO) {
             valid.push(t);
         }
     }
@@ -200,15 +209,16 @@ pub fn exact_vector_relation(
 
     let vectors = 1u64 << n;
     let mut per_vector: Vec<Vec<TimingTuple>> = vec![Vec::new(); vectors as usize];
+    let mut oracle = bdd_oracle(netlist)?;
     for delays in candidates {
         let t = TimingTuple::new(delays.clone());
         let arrivals: Vec<Time> = delays.iter().map(|&d| -d).collect();
-        let mut analyzer = StabilityAnalyzer::new(netlist, &arrivals, BddAlg::new())?;
-        let (s0, s1) = analyzer.characteristic(output, Time::ZERO);
-        let settled = analyzer.alg_mut().or(s0, s1);
+        oracle.set_arrivals(&arrivals);
+        let (s0, s1) = oracle.characteristic(output, Time::ZERO);
+        let settled = oracle.alg_mut().or(s0, s1);
         for v in 0..vectors {
             let assignment: Vec<bool> = (0..n).map(|i| (v >> i) & 1 == 1).collect();
-            let stable = analyzer.alg_mut().manager_mut().eval(settled, &assignment);
+            let stable = oracle.alg_mut().manager_mut().eval(settled, &assignment);
             if stable {
                 let frontier = &mut per_vector[v as usize];
                 if frontier.iter().any(|f| f.dominates(&t)) {

@@ -8,7 +8,8 @@
 //!   longest/shortest paths, distinct path-length lists.
 //! * [`stability`] — XBD0 stability characteristic functions over a
 //!   pluggable Boolean backend ([`boolalg`]: SAT by default, BDD for
-//!   cross-checking).
+//!   cross-checking), answered by the one owning engine,
+//!   [`oracle::StabilityOracle`].
 //! * [`delay`] — exact functional (false-path-aware) delay by monotone
 //!   binary search over stability probes.
 //! * [`required`] — approximate required-time analysis (Kukimoto &
@@ -53,7 +54,6 @@ pub mod paths;
 pub mod report;
 pub mod required;
 pub mod sequential;
-pub mod shared;
 pub mod sta;
 pub mod stability;
 
@@ -76,6 +76,5 @@ pub use required::{
     CharacterizeOptions, Characterizer, ConeSigCache, LENGTHS_CAP,
 };
 pub use sequential::{SequentialAnalysis, SequentialAnalyzer, SequentialEngine};
-pub use shared::SharedStabilityEngine;
 pub use sta::TopoSta;
-pub use stability::{PhaseWall, StabilityAnalyzer, StabilityStats};
+pub use stability::{PhaseWall, StabilityStats};

@@ -243,7 +243,7 @@ impl ModuleTiming {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic
     /// netlists.
     pub fn verify(&self, netlist: &Netlist) -> Result<Vec<String>, NetlistError> {
-        use crate::{SatAlg, StabilityAnalyzer};
+        use crate::{SatAlg, StabilityOracle};
         let mut violations = Vec::new();
         let actual_inputs: Vec<&str> = netlist
             .inputs()
@@ -281,19 +281,16 @@ impl ModuleTiming {
             ));
             return Ok(violations);
         }
-        // One analyzer audits every tuple of every output: each check
-        // rebinds the arrivals while the SAT solver state persists.
-        let mut an: Option<StabilityAnalyzer<'_, SatAlg>> = None;
+        // One oracle audits every tuple of every output: each check
+        // rebinds the arrivals while the SAT solver state persists. The
+        // plain backend keeps the audit independent of the shared-solver
+        // mode every characterization runs on.
+        let far = vec![Time::POS_INF; netlist.inputs().len()];
+        let mut an = StabilityOracle::new(netlist.clone(), &far, SatAlg::new())?;
         for (k, (&out, model)) in netlist.outputs().iter().zip(&self.models).enumerate() {
             for tuple in model.tuples() {
                 let arrivals: Vec<Time> = tuple.delays().iter().map(|&d| -d).collect();
-                match &mut an {
-                    Some(a) => a.set_arrivals(&arrivals),
-                    None => {
-                        an = Some(StabilityAnalyzer::new(netlist, &arrivals, SatAlg::new())?);
-                    }
-                }
-                let an = an.as_mut().expect("just created");
+                an.set_arrivals(&arrivals);
                 if !an.is_stable_at(out, Time::ZERO) {
                     violations.push(format!(
                         "output `{}` tuple {tuple} is optimistic",

@@ -150,7 +150,7 @@ pub fn worst_paths(
 /// This is the path-length-granular falsity question the demand-driven
 /// refinement asks; exposed here for the path-based workflow.
 pub fn paths_of_arrival_are_false<A: BoolAlg>(
-    analyzer: &mut DelayAnalyzer<'_, A>,
+    analyzer: &mut DelayAnalyzer<A>,
     target: NetId,
     arrival: Time,
 ) -> bool {
@@ -174,7 +174,7 @@ pub fn longest_true_path<A: BoolAlg>(
     netlist: &Netlist,
     pi_arrivals: &[Time],
     target: NetId,
-    analyzer: &mut DelayAnalyzer<'_, A>,
+    analyzer: &mut DelayAnalyzer<A>,
     max_paths: usize,
 ) -> Result<Option<(TimedPath, Vec<Time>)>, NetlistError> {
     let functional = analyzer.output_arrival(target);

@@ -85,16 +85,9 @@ impl TimingReport {
         let span = tracer.is_enabled().then(|| tracer.begin("timing_report"));
         let sta = TopoSta::new(netlist)?;
         let topo = sta.arrival_times(pi_arrivals);
-        // An unlimited budget answers every output's probes from one
-        // domain-restricted incremental instance; a limited one keeps
-        // the plain backend, so a degraded probe never leaves state
-        // behind for the next output's. Arrivals agree wherever the
-        // budget does not bind.
-        let mut an = if config.budget.is_unlimited() {
-            DelayAnalyzer::new_sat_shared(netlist, pi_arrivals)?
-        } else {
-            DelayAnalyzer::new_sat(netlist, pi_arrivals)?
-        };
+        // One domain-restricted incremental instance answers every
+        // output's probes; the budget only caps each probe.
+        let mut an = DelayAnalyzer::new_sat_shared(netlist, pi_arrivals)?;
         an.set_budget(config.budget);
         if tracer.is_enabled() {
             an.alg_mut().set_episode_recording(true);

@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use hfta_netlist::strash::{cone_signature, exact_fingerprint, ConeKey};
+use hfta_netlist::strash::cone_signature;
 use hfta_netlist::{NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
 
@@ -33,8 +33,9 @@ use hfta_trace::Tracer;
 use crate::boolalg::{BoolAlg, SatAlg};
 use crate::config::AnalysisConfig;
 use crate::model::{TimingModel, TimingTuple};
+use crate::oracle::StabilityOracle;
 use crate::sta::TopoSta;
-use crate::stability::{StabilityAnalyzer, StabilityStats};
+use crate::stability::StabilityStats;
 
 /// Cap on the per-pin distinct path-length lists (longest kept), for
 /// characterization and demand-driven refinement alike.
@@ -62,28 +63,25 @@ impl Default for CharacterizeOptions {
 /// A cache of per-cone characterization results keyed by structural
 /// signature ([`ConeSig`](hfta_netlist::strash::ConeSig)).
 ///
-/// A stored entry is replayed for a candidate cone only when the replay
-/// is provably bit-identical to characterizing the candidate from
-/// scratch:
+/// The cache stores only characterizations the budget never
+/// interrupted. Every check of such a run was decided, so its tuples
+/// are the exact result of the greedy passes — the same under any
+/// budget — and a stored entry is replayed for a candidate cone when
+/// the replay is provably what an unlimited fresh characterization of
+/// the candidate would produce:
 ///
 /// * equal signature — the cones are isomorphic, so path-length lists,
 ///   topological tuples and exact stability verdicts all correspond
 ///   through the input permutation;
 /// * equal criticality order (expressed in canonical slots) — the
 ///   greedy relaxation visits inputs in the same canonical sequence,
-///   so every pass replays move for move;
-/// * under a *limited* budget, additionally a verbatim structural match
-///   ([`exact_fingerprint`]) — solver heuristics depend on clause
-///   ordering, so only a literally identical cone (modulo names)
-///   guarantees identical budget outcomes;
-/// * under an *unlimited* budget, never a budget-degraded entry — a
-///   fresh unlimited run never degrades, so replaying one would not be
-///   bit-identical (this matters when one cache outlives a budget
-///   change, as in incremental sessions).
+///   so every pass replays move for move.
 ///
-/// The persistent on-disk model database (`hfta-modeldb`) enforces the
-/// same predicate, with "never degraded" strengthened to "never even
-/// stored".
+/// Under a budget that binds, a hit is therefore at least as tight as
+/// fresh (budgeted) analysis and still sound; which cones hit depends
+/// on what was characterized before. The persistent on-disk model
+/// database (`hfta-modeldb`) applies the same rule: it never stores a
+/// degraded model.
 ///
 /// Entries produced under different [`CharacterizeOptions`] are not
 /// interchangeable; a cache must only be reused with the options that
@@ -102,12 +100,6 @@ struct SigEntry {
     slot_tuples: Vec<Vec<Time>>,
     /// The characterizing cone's criticality order, as canonical slots.
     crit_slots: Vec<usize>,
-    /// Whether the characterization hit its budget (replayed on hit so
-    /// degradation accounting matches a fresh run).
-    degraded: bool,
-    /// Name-independent verbatim structure hash of the characterizing
-    /// cone, for budget-limited sharing.
-    exact_fp: u64,
     /// Module that paid for the characterization (alias observability).
     owner: String,
 }
@@ -181,18 +173,17 @@ pub struct Characterizer<'a> {
     netlist: &'a Netlist,
     /// Greedy passes per cone ([`CharacterizeOptions::max_tuples`]).
     max_tuples: usize,
-    /// Per-check budget; an unlimited one selects the shared solver.
+    /// Per-check budget, applied by the module's oracle.
     budget: SolveBudget,
     checks: u64,
     implied: u64,
     stability: StabilityStats,
     tracer: Tracer,
-    /// The unlimited-budget path's one module-wide analyzer: every
-    /// candidate tuple of every cone is validated against this single
-    /// incremental SAT instance, each check domain-restricted to the
-    /// queried output's transitive fanin. Built lazily on the first
-    /// characterization; always `None` under a limited budget.
-    shared: Option<StabilityAnalyzer<'a, SatAlg>>,
+    /// The module-wide oracle: every candidate tuple of every cone is
+    /// validated against this single incremental SAT instance, each
+    /// check domain-restricted to the queried output's transitive
+    /// fanin. Built lazily by the first cone characterized.
+    oracle: Option<StabilityOracle<SatAlg>>,
 }
 
 impl<'a> Characterizer<'a> {
@@ -208,7 +199,7 @@ impl<'a> Characterizer<'a> {
             implied: 0,
             stability: StabilityStats::default(),
             tracer: Tracer::disabled(),
-            shared: None,
+            oracle: None,
         }
     }
 
@@ -243,15 +234,14 @@ impl<'a> Characterizer<'a> {
     }
 
     /// Stability/solver work accumulated over all characterizations so
-    /// far. One module-wide analyzer backs every
-    /// [`Characterizer::output_model`] call (under a limited budget,
-    /// one persistent per-cone analyzer backs each), so these counters
-    /// reflect the amortized (not per-probe) cost.
+    /// far. One module-wide oracle backs every
+    /// [`Characterizer::output_model`] call, so these counters reflect
+    /// the amortized (not per-probe) cost.
     #[must_use]
     pub fn stability_stats(&self) -> StabilityStats {
         let mut s = self.stability;
-        if let Some(shared) = &self.shared {
-            s.merge(&shared.stats());
+        if let Some(oracle) = &self.oracle {
+            s.merge(&oracle.stats());
         }
         s
     }
@@ -371,16 +361,17 @@ impl<'a> Characterizer<'a> {
         };
         if let (Some(cache), Some(key)) = (cache, key) {
             let crit_slots: Vec<usize> = by_criticality.iter().map(|&i| key.perm[i]).collect();
-            if let Some(entry) = self.probe(cache, &key, &crit_slots, &cone) {
+            if let Some(entry) = cache
+                .entries
+                .get(&key.sig.0)
+                .filter(|e| e.crit_slots == crit_slots)
+            {
                 let tuples = entry
                     .slot_tuples
                     .iter()
                     .map(|st| TimingTuple::new(key.from_slots(st)))
                     .collect();
                 let owner = entry.owner.clone();
-                if entry.degraded {
-                    self.stability.degraded += 1;
-                }
                 cache.hits += 1;
                 self.stability.cone_sig_hits += 1;
                 if self.tracer.is_enabled() {
@@ -394,153 +385,70 @@ impl<'a> Characterizer<'a> {
             if self.tracer.is_enabled() {
                 self.tracer.event("cone_sig_miss", vec![]);
             }
-            let (tuples, hit_budget) = self.characterize_cone(
-                &cone,
-                cone_out,
-                output,
-                &positions,
-                &lists,
-                &topo,
-                &by_criticality,
-            )?;
-            let slot_tuples = tuples
-                .iter()
-                .map(|t| {
-                    let vals: Vec<Time> = (0..n_cone).map(|i| t.delay(i)).collect();
-                    key.to_slots(&vals, Time::NEG_INF)
-                })
-                .collect();
-            cache.entries.entry(key.sig.0).or_insert_with(|| SigEntry {
-                slot_tuples,
-                crit_slots,
-                degraded: hit_budget,
-                exact_fp: exact_fingerprint(&cone),
-                owner: self.netlist.name().to_string(),
-            });
+            let (tuples, hit_budget) =
+                self.characterize_cone(output, &positions, &lists, &topo, &by_criticality)?;
+            // A run the budget interrupted is not the exact result, so
+            // it never enters the cache (see [`ConeSigCache`]).
+            if !hit_budget {
+                let slot_tuples = tuples
+                    .iter()
+                    .map(|t| {
+                        let vals: Vec<Time> = (0..n_cone).map(|i| t.delay(i)).collect();
+                        key.to_slots(&vals, Time::NEG_INF)
+                    })
+                    .collect();
+                cache.entries.entry(key.sig.0).or_insert_with(|| SigEntry {
+                    slot_tuples,
+                    crit_slots,
+                    owner: self.netlist.name().to_string(),
+                });
+            }
             return Ok((expand(tuples), None));
         }
 
-        let (tuples, _) = self.characterize_cone(
-            &cone,
-            cone_out,
-            output,
-            &positions,
-            &lists,
-            &topo,
-            &by_criticality,
-        )?;
+        let (tuples, _) =
+            self.characterize_cone(output, &positions, &lists, &topo, &by_criticality)?;
         Ok((expand(tuples), None))
-    }
-
-    /// Looks up a replayable entry: equal signature, equal canonical
-    /// criticality order, and — under a limited budget — a verbatim
-    /// structural match (see [`ConeSigCache`]).
-    fn probe<'c>(
-        &self,
-        cache: &'c ConeSigCache,
-        key: &ConeKey,
-        crit_slots: &[usize],
-        cone: &Netlist,
-    ) -> Option<&'c SigEntry> {
-        let entry = cache.entries.get(&key.sig.0)?;
-        if entry.crit_slots != crit_slots {
-            return None;
-        }
-        if self.budget.is_unlimited() {
-            // A fresh unlimited run never degrades, so replaying a
-            // budget-degraded entry (stored by a budgeted filler)
-            // would not be bit-identical — refuse it.
-            if entry.degraded {
-                return None;
-            }
-        } else if entry.exact_fp != exact_fingerprint(cone) {
-            return None;
-        }
-        Some(entry)
     }
 
     /// The uncached core: greedy relaxation passes plus the topological
     /// floor, returning the unpruned cone tuples and whether the budget
     /// interfered.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// One module-wide oracle validates every candidate tuple of every
+    /// cone. Each check is domain-restricted to the queried output's
+    /// transitive fanin, so cones don't pay for each other's logic,
+    /// while learnt clauses, the Tseitin cache, and between-query
+    /// inprocessing are shared across all of them. Every decided check
+    /// is exact; under a budget that binds, which checks it interrupts
+    /// depends on what the module's earlier checks left in the solver.
     fn characterize_cone(
         &mut self,
-        cone: &Netlist,
-        cone_out: NetId,
         output: NetId,
         positions: &[usize],
         lists: &[Vec<Time>],
         topo: &[Time],
         by_criticality: &[usize],
     ) -> Result<(Vec<TimingTuple>, bool), NetlistError> {
-        if self.budget.is_unlimited() {
-            // Unlimited budget: one module-wide analyzer validates
-            // every candidate tuple of every cone. Each check is
-            // domain-restricted to the queried output's transitive
-            // fanin, so cones don't pay for each other's logic, while
-            // learnt clauses, the Tseitin cache, and between-query
-            // inprocessing are shared across all of them. Both decision
-            // procedures are exact, so verdicts — and therefore tuples
-            // — are bit-identical to the per-cone path.
-            let mut analyzer = match self.shared.take() {
-                Some(a) => a,
-                None => {
-                    let far = vec![Time::POS_INF; self.netlist.inputs().len()];
-                    StabilityAnalyzer::new(self.netlist, &far, SatAlg::new_shared())?
-                }
-            };
-            if self.tracer.is_enabled() {
-                analyzer.alg_mut().set_episode_recording(true);
+        let mut oracle = match self.oracle.take() {
+            Some(o) => o,
+            None => {
+                let far = vec![Time::POS_INF; self.netlist.inputs().len()];
+                let mut o = StabilityOracle::new(self.netlist.clone(), &far, SatAlg::new_shared())?;
+                o.set_budget(self.budget);
+                o
             }
-            let query = QueryShape {
-                net: output,
-                map: Some((positions, self.netlist.inputs().len())),
-            };
-            let result = self.run_passes(&mut analyzer, &query, lists, topo, by_criticality);
-            // Cumulative shared-analyzer stats are folded in by
-            // `stability_stats` — merging per cone would double-count.
-            self.shared = Some(analyzer);
-            Ok(result)
-        } else {
-            // Limited budget: one persistent analyzer of this cone's
-            // own validates its candidate tuples, so a degraded check
-            // never touches state another cone reads. Each check
-            // rebinds the arrivals but keeps the SAT solver (learnt
-            // clauses, Tseitin cache) and the settled-function memo
-            // warm.
-            let topo_arrivals: Vec<Time> = topo.iter().map(|&d| -d).collect();
-            let mut analyzer = StabilityAnalyzer::new(cone, &topo_arrivals, SatAlg::new())?;
-            analyzer.set_budget(self.budget);
-            if self.tracer.is_enabled() {
-                analyzer.alg_mut().set_episode_recording(true);
-            }
-            let query = QueryShape {
-                net: cone_out,
-                map: None,
-            };
-            let result = self.run_passes(&mut analyzer, &query, lists, topo, by_criticality);
-            self.stability.merge(&analyzer.stats());
-            Ok(result)
+        };
+        if self.tracer.is_enabled() {
+            oracle.alg_mut().set_episode_recording(true);
         }
-    }
-
-    /// The greedy relaxation passes shared by both analyzer shapes,
-    /// deciding every candidate tuple of the cone through one
-    /// [`VerdictStore`].
-    fn run_passes(
-        &mut self,
-        analyzer: &mut StabilityAnalyzer<'_, SatAlg>,
-        query: &QueryShape<'_>,
-        lists: &[Vec<Time>],
-        topo: &[Time],
-        by_criticality: &[usize],
-    ) -> (Vec<TimingTuple>, bool) {
         let n_cone = lists.len();
         let passes = self.max_tuples.max(1).min(n_cone);
         let mut tuples = Vec::with_capacity(passes + 1);
         let mut checker = ConeChecker {
-            analyzer,
-            query,
+            oracle: &mut oracle,
+            net: output,
+            positions,
             store: VerdictStore::default(),
             hit_budget: false,
         };
@@ -549,13 +457,17 @@ impl<'a> Characterizer<'a> {
             order.rotate_left(seed);
             tuples.push(self.greedy_pass(&mut checker, lists, topo, &order));
         }
-        if checker.hit_budget {
+        let hit_budget = checker.hit_budget;
+        if hit_budget {
             self.stability.degraded += 1;
         }
+        // Cumulative oracle stats are folded in by `stability_stats` —
+        // merging per cone would double-count.
+        self.oracle = Some(oracle);
         // The topological tuple is always valid; keep it as a floor (it
         // will be pruned if any pass improved on it).
         tuples.push(TimingTuple::new(topo.to_vec()));
-        (tuples, checker.hit_budget)
+        Ok((tuples, hit_budget))
     }
 
     /// One greedy relaxation pass over the cone inputs in `order`: each
@@ -565,7 +477,7 @@ impl<'a> Characterizer<'a> {
     /// proven, so the partial tuple stays sound.
     fn greedy_pass(
         &mut self,
-        checker: &mut ConeChecker<'_, '_>,
+        checker: &mut ConeChecker<'_>,
         lists: &[Vec<Time>],
         topo: &[Time],
         order: &[usize],
@@ -588,18 +500,13 @@ impl<'a> Characterizer<'a> {
     /// relaxed — from the verdicts already proven for this cone when
     /// they imply it, else by a stability check whose definitive
     /// verdict joins them. Returns whether the step is proven valid.
-    fn relax_step(
-        &mut self,
-        checker: &mut ConeChecker<'_, '_>,
-        input: usize,
-        delays: &[Time],
-    ) -> bool {
+    fn relax_step(&mut self, checker: &mut ConeChecker<'_>, input: usize, delays: &[Time]) -> bool {
         let implied = checker.store.implied(delays);
         let verdict = if implied.is_some() {
             self.implied += 1;
             implied
         } else {
-            let verdict = self.tuple_is_valid(checker.analyzer, checker.query, delays);
+            let verdict = self.tuple_is_valid(checker, delays);
             match verdict {
                 Some(valid) => checker.store.record(delays, valid),
                 None => checker.hit_budget = true,
@@ -625,33 +532,22 @@ impl<'a> Characterizer<'a> {
         verdict == Some(true)
     }
 
-    /// Validity oracle: with required time 0 at the output and inputs
-    /// arriving at `−delay`, is the output stable at 0? `None` when the
+    /// Validity check: with required time 0 at the output and the cone
+    /// inputs arriving at `−delay`, is the output stable at 0? Inputs
+    /// outside the cone never arrive, which cannot change the verdict
+    /// (they are outside the queried net's support). `None` when the
     /// budget ran out before the check was decided.
-    fn tuple_is_valid(
-        &mut self,
-        analyzer: &mut StabilityAnalyzer<'_, SatAlg>,
-        query: &QueryShape<'_>,
-        delays: &[Time],
-    ) -> Option<bool> {
+    fn tuple_is_valid(&mut self, checker: &mut ConeChecker<'_>, delays: &[Time]) -> Option<bool> {
         self.checks += 1;
-        let arrivals: Vec<Time> = match query.map {
-            None => delays.iter().map(|&d| -d).collect(),
-            // Module-level check: cone inputs arrive at −delay; inputs
-            // outside the cone never arrive, which cannot change the
-            // verdict (they are outside the queried net's support).
-            Some((positions, full_len)) => {
-                let mut arrivals = vec![Time::POS_INF; full_len];
-                for (i, &p) in positions.iter().enumerate() {
-                    arrivals[p] = -delays[i];
-                }
-                arrivals
-            }
-        };
-        analyzer.set_arrivals(&arrivals);
-        let verdict = analyzer.try_is_stable_at(query.net, Time::ZERO);
+        let oracle = &mut *checker.oracle;
+        let mut arrivals = vec![Time::POS_INF; self.netlist.inputs().len()];
+        for (&p, &d) in checker.positions.iter().zip(delays) {
+            arrivals[p] = -d;
+        }
+        oracle.set_arrivals(&arrivals);
+        let verdict = oracle.try_is_stable_at(checker.net, Time::ZERO);
         if self.tracer.is_enabled() {
-            for ep in analyzer.alg_mut().take_episodes() {
+            for ep in oracle.alg_mut().take_episodes() {
                 self.tracer
                     .event("sat_episode", crate::config::solve_episode_fields(&ep));
             }
@@ -661,11 +557,13 @@ impl<'a> Characterizer<'a> {
 }
 
 /// One cone's relaxation state across its greedy passes: where its
-/// checks land, the verdicts proven so far, and whether a check ran
-/// out of budget.
-struct ConeChecker<'s, 'a> {
-    analyzer: &'s mut StabilityAnalyzer<'a, SatAlg>,
-    query: &'s QueryShape<'s>,
+/// checks land (the module output `net`, with cone input `i` at module
+/// input `positions[i]`), the verdicts proven so far, and whether a
+/// check ran out of budget.
+struct ConeChecker<'s> {
+    oracle: &'s mut StabilityOracle<SatAlg>,
+    net: NetId,
+    positions: &'s [usize],
     store: VerdictStore,
     hit_budget: bool,
 }
@@ -715,16 +613,6 @@ impl VerdictStore {
 /// `a ≥ b` componentwise.
 fn at_least(a: &[Time], b: &[Time]) -> bool {
     a.iter().zip(b).all(|(x, y)| x >= y)
-}
-
-/// Where a candidate tuple's validity check lands: the cone-local
-/// output of a per-cone analyzer (`map: None`), or a module-level net
-/// of the shared analyzer together with the cone→module input mapping
-/// needed to place the arrival condition (`map: Some((positions,
-/// module_input_count))`).
-struct QueryShape<'p> {
-    net: NetId,
-    map: Option<(&'p [usize], usize)>,
 }
 
 /// Convenience: characterizes every output of a module.
@@ -1033,11 +921,13 @@ mod tests {
         assert!(owners_b.iter().all(|o| o.as_deref() == Some(a.name())));
     }
 
-    /// Under a limited budget only verbatim-identical cones (modulo
-    /// names) may share: solver heuristics depend on clause order, so a
-    /// merely isomorphic cone could exhaust the budget differently.
+    /// The cache holds only characterizations the budget never
+    /// interrupted, which are exact under any budget: a permuted
+    /// isomorph shares them under a limited budget as under an
+    /// unlimited one, while a degraded characterization is never
+    /// stored.
     #[test]
-    fn limited_budget_restricts_sharing_to_verbatim_cones() {
+    fn limited_budget_shares_only_undegraded_entries() {
         let aoi = |order: &[&str]| {
             let mut nl = Netlist::new(format!("aoi_{}", order.join("")));
             let mut ids = std::collections::HashMap::new();
@@ -1063,17 +953,36 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert_eq!(mp, characterize_module(&permuted, &config).unwrap());
 
-        // Limited budget: the permuted isomorph must re-run, a verbatim
-        // renamed copy may still share.
-        let tight = config.with_budget(SolveBudget::default().with_conflicts(1_000_000));
+        // Limited budget: an undegraded entry is the exact result, so
+        // the permuted isomorph shares it too.
+        let limited = config
+            .clone()
+            .with_budget(SolveBudget::default().with_conflicts(1_000_000));
         let mut cache = ConeSigCache::new();
-        let _ = characterize_module_cached(&base, &tight, &mut cache).unwrap();
-        let _ = characterize_module_cached(&permuted, &tight, &mut cache).unwrap();
+        let (_, sb, _) = characterize_module_cached(&base, &limited, &mut cache).unwrap();
+        assert_eq!(sb.degraded, 0);
+        let (mp_limited, _, owners) =
+            characterize_module_cached(&permuted, &limited, &mut cache).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(owners, vec![Some(base.name().to_string())]);
+        assert_eq!(mp_limited, mp);
+
+        // A zero-conflict budget degrades the characterization, which
+        // is therefore never stored: the isomorph misses and runs its
+        // own (equally degraded) characterization.
+        let zero = config
+            .clone()
+            .with_budget(SolveBudget::default().with_conflicts(0));
+        let mut cache = ConeSigCache::new();
+        let (mb, sb, _) = characterize_module_cached(&base, &zero, &mut cache).unwrap();
+        assert_eq!(sb.degraded, 1, "{sb:?}");
+        let (_, sp, owners) = characterize_module_cached(&permuted, &zero, &mut cache).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        let mut copy = aoi(&["a", "b", "c"]);
-        copy.set_name("copy");
-        let _ = characterize_module_cached(&copy, &tight, &mut cache).unwrap();
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(owners, vec![None]);
+        assert_eq!(sp.degraded, 1, "{sp:?}");
+        // Still sound: never tighter than the exact model.
+        let exact = characterize_module(&base, &config).unwrap();
+        assert!(mb[0].stable_time(&[t(0); 3]) >= exact[0].stable_time(&[t(0); 3]));
     }
 
     /// max_tuples = 1 reproduces the paper's single-tuple models.

@@ -26,35 +26,32 @@
 //! `n` is stable at `t` iff `S0(n,t) ∨ S1(n,t)` is a tautology, decided
 //! by the pluggable [`BoolAlg`] backend.
 //!
-//! Two front-ends share one recursion engine:
+//! This module holds the recursion itself; every query reaches it
+//! through the one owning front-end,
+//! [`StabilityOracle`](crate::oracle::StabilityOracle), which keeps the
+//! Boolean backend — the SAT solver with its learnt clauses, the
+//! operation caches, the settled-function memo — alive across
+//! arbitrarily many arrival conditions.
 //!
-//! * [`StabilityAnalyzer`] borrows a netlist and answers queries under
-//!   one arrival condition (rebindable via
-//!   [`StabilityAnalyzer::set_arrivals`]);
-//! * [`StabilityOracle`](crate::oracle::StabilityOracle) *owns* its
-//!   cone and keeps the Boolean backend — the SAT solver with its
-//!   learnt clauses, the operation caches, the settled-function memo —
-//!   alive across arbitrarily many arrival conditions.
-//!
-//! The engine also runs the exact arrival search of both front-ends
-//! (flat delay via [`DelayAnalyzer`](crate::DelayAnalyzer), the serve
-//! what-if via the oracle): a bisection over stability probes that
-//! simulates every refuting countermodel with [`sim::settle_into`] and
-//! starts every later bisection from the best settle time seen so far.
+//! The engine also runs the exact arrival search (flat delay via
+//! [`DelayAnalyzer`](crate::DelayAnalyzer), the serve what-if via the
+//! oracle): a bisection over stability probes that simulates every
+//! refuting countermodel with [`sim::settle_into`] and starts every
+//! later bisection from the best settle time seen so far.
 
 use hfta_netlist::{sim, GateId, GateKind, NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
 
 use crate::boolalg::BoolAlg;
 
-/// Work counters for a stability engine ([`StabilityAnalyzer`] or
-/// [`StabilityOracle`](crate::oracle::StabilityOracle)).
+/// Work counters for a [`StabilityOracle`](crate::oracle::StabilityOracle),
+/// and, merged, for the analyses built on them.
 ///
-/// All counters are cumulative over the engine's lifetime, across
+/// All counters are cumulative over the oracle's lifetime, across
 /// arrival-condition rebinds. The `solver_*` fields are a snapshot of
 /// the Boolean backend's own counters at the time
-/// [`StabilityAnalyzer::stats`] was called (zero for backends without
-/// them, e.g. BDDs).
+/// [`StabilityOracle::stats`](crate::oracle::StabilityOracle::stats)
+/// was called (zero for backends without them, e.g. BDDs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StabilityStats {
     /// Number of stability queries answered (`is_stable_at`,
@@ -97,23 +94,20 @@ pub struct StabilityStats {
     /// `hfta_netlist::strash`).
     pub cone_sig_hits: u64,
     /// Signature-cache probes that missed and ran fresh analysis
-    /// (seeding the cache). Zero when no cache is consulted, as in
-    /// demand-driven refinement under a limited budget.
+    /// (seeding the cache). Zero when no cache is consulted.
     pub cone_sig_misses: u64,
     /// Per-query variable domains built by a shared solver (see
     /// `hfta_sat::Domain`): each stability query restricted to its
     /// cone's transitive-fanin variables instead of a fresh encoding.
-    /// Zero under a limited budget, which solves every cone on its own
-    /// solver.
+    /// Zero only on the plain and BDD backends.
     pub domains_built: u64,
     /// Learnt clauses removed or strengthened by the shared solver's
     /// between-query inprocessing (subsumption + self-subsuming
-    /// resolution). Zero under a limited budget.
+    /// resolution).
     pub clauses_subsumed: u64,
-    /// Learnt clauses already warm in a shared engine when a new cone
-    /// of the same signature class attached to it (cross-cone learnt
-    /// sharing via slot-permuted routing). Zero under a limited
-    /// budget.
+    /// Learnt clauses already warm in a signature class's oracle when
+    /// a new cone of the class attached to it (cross-cone learnt
+    /// sharing via slot-permuted routing).
     pub learnts_imported: u64,
     /// Module models served from a persistent on-disk model database
     /// instead of fresh characterization (see `hfta-modeldb`).
@@ -131,7 +125,7 @@ pub struct StabilityStats {
 /// Wall-clock spent per analysis phase, in microseconds. Filled in by
 /// the layer that owns each phase (characterization by the two-step
 /// analyzer, refinement by the demand-driven analyzer, propagation by
-/// both); the per-cone engines themselves leave it zero.
+/// both); the oracles themselves leave it zero.
 ///
 /// Wall-clock is inherently nondeterministic, so `PhaseWall` compares
 /// equal to **any** other `PhaseWall`. This keeps bit-identity
@@ -157,8 +151,8 @@ impl Eq for PhaseWall {}
 
 impl StabilityStats {
     /// Accumulates `other` into `self`, field by field. Used to
-    /// aggregate counters across the many per-cone engines of a
-    /// hierarchical analysis.
+    /// aggregate counters across the many oracles of a hierarchical
+    /// analysis.
     pub fn merge(&mut self, other: &StabilityStats) {
         self.queries += other.queries;
         self.topological_hits += other.topological_hits;
@@ -247,11 +241,11 @@ struct SearchState {
     settle: Vec<Time>,
 }
 
-/// The netlist-agnostic stability recursion: Boolean backend, memo
-/// tables, arrival-condition bounds, and counters. The netlist is
-/// passed into every call so the engine can be owned either by a
-/// borrowing [`StabilityAnalyzer`] or by an owning
-/// [`StabilityOracle`](crate::oracle::StabilityOracle).
+/// The netlist-agnostic stability recursion behind
+/// [`StabilityOracle`](crate::oracle::StabilityOracle): Boolean
+/// backend, memo tables, arrival-condition bounds, and counters. The
+/// oracle passes its netlist into every call, so the recursion can
+/// read gates while it mutates the memos and the backend.
 ///
 /// Rebinding to a new arrival condition ([`Engine::rebind`]) clears
 /// only the arrival-*dependent* state (the `(net, t)` memo and the
@@ -386,10 +380,6 @@ impl<A: BoolAlg> Engine<A> {
         }
     }
 
-    pub(crate) fn arrivals(&self) -> &[Time] {
-        &self.arrivals
-    }
-
     /// The topological arrival of `net` under the bound condition.
     pub(crate) fn topological_arrival(&self, net: NetId) -> Time {
         self.topo_arrival[net.index()]
@@ -401,10 +391,6 @@ impl<A: BoolAlg> Engine<A> {
 
     pub(crate) fn set_budget(&mut self, budget: SolveBudget) {
         self.budget = budget;
-    }
-
-    pub(crate) fn budget(&self) -> SolveBudget {
-        self.budget
     }
 
     /// Work counters, with the backend's solver counters folded in.
@@ -858,138 +844,11 @@ impl<A: BoolAlg> Engine<A> {
     }
 }
 
-/// Builds and queries XBD0 stability functions for one netlist under
-/// fixed primary-input arrival times.
-///
-/// The analyzer memoizes characteristic functions per `(net, time)`
-/// pair, so repeated queries (the binary search of delay computation,
-/// the probes of required-time analysis) share work. Rebinding to a new
-/// arrival condition with [`StabilityAnalyzer::set_arrivals`] keeps the
-/// Boolean backend (learnt clauses, operation caches) and the
-/// settled-function memo, amortizing the encoding across conditions.
-#[derive(Debug)]
-pub struct StabilityAnalyzer<'a, A: BoolAlg> {
-    netlist: &'a Netlist,
-    engine: Engine<A>,
-}
-
-impl<'a, A: BoolAlg> StabilityAnalyzer<'a, A> {
-    /// Prepares an analyzer for `netlist` with the given arrivals (one
-    /// per primary input, in input order) over backend `alg`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi_arrivals.len()` differs from the input count.
-    pub fn new(netlist: &'a Netlist, pi_arrivals: &[Time], alg: A) -> Result<Self, NetlistError> {
-        Ok(StabilityAnalyzer {
-            netlist,
-            engine: Engine::new(netlist, pi_arrivals, alg)?,
-        })
-    }
-
-    /// The analyzed netlist.
-    #[must_use]
-    pub fn netlist(&self) -> &Netlist {
-        self.netlist
-    }
-
-    /// The arrival times this analyzer was built with (or last rebound
-    /// to).
-    #[must_use]
-    pub fn arrivals(&self) -> &[Time] {
-        self.engine.arrivals()
-    }
-
-    /// Rebinds the analyzer to a new arrival condition, keeping the
-    /// Boolean backend and the settled-function memo. A no-op when the
-    /// arrivals are unchanged.
-    ///
-    /// Soundness: every clause the SAT backend holds is a Tseitin
-    /// definition of some characteristic function (satisfiable together
-    /// by construction) or a learnt clause implied by those
-    /// definitions, so answers under the new condition are unaffected
-    /// by state built under old ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi_arrivals.len()` differs from the input count.
-    pub fn set_arrivals(&mut self, pi_arrivals: &[Time]) {
-        self.engine.rebind(self.netlist, pi_arrivals);
-    }
-
-    /// Work counters.
-    #[must_use]
-    pub fn stats(&self) -> StabilityStats {
-        self.engine.stats()
-    }
-
-    /// Access to the Boolean backend.
-    pub fn alg_mut(&mut self) -> &mut A {
-        self.engine.alg_mut()
-    }
-
-    /// Sets the per-query resource budget applied by
-    /// [`StabilityAnalyzer::try_is_stable_at`]. Unlimited by default.
-    pub fn set_budget(&mut self, budget: SolveBudget) {
-        self.engine.set_budget(budget);
-    }
-
-    /// The current per-query resource budget.
-    #[must_use]
-    pub fn budget(&self) -> SolveBudget {
-        self.engine.budget()
-    }
-
-    /// Is `net` guaranteed stable (at either value, for every input
-    /// vector) by time `t` under the XBD0 model?
-    pub fn is_stable_at(&mut self, net: NetId, t: Time) -> bool {
-        self.engine.is_stable_at(self.netlist, net, t)
-    }
-
-    /// Budgeted [`StabilityAnalyzer::is_stable_at`]: `None` when the
-    /// budget ran out before the query was decided. Callers must treat
-    /// `None` as "not provably stable" — under XBD0 the topological
-    /// arrival is always a sound upper bound, so falling back to it is
-    /// always safe. With an unlimited budget this never returns `None`
-    /// and performs exactly the work of `is_stable_at`.
-    pub fn try_is_stable_at(&mut self, net: NetId, t: Time) -> Option<bool> {
-        self.engine.try_is_stable_at(self.netlist, net, t)
-    }
-
-    /// The pair `(S0, S1)` of characteristic functions of `net` at `t`.
-    pub fn characteristic(&mut self, net: NetId, t: Time) -> (A::Repr, A::Repr) {
-        self.engine.characteristic(self.netlist, net, t)
-    }
-
-    /// The exact arrival search behind
-    /// [`DelayAnalyzer::output_arrival`](crate::DelayAnalyzer::output_arrival):
-    /// the arrival, and whether the budget degraded it to topological.
-    pub(crate) fn output_arrival(&mut self, net: NetId) -> (Time, bool) {
-        self.engine.output_arrival(self.netlist, net)
-    }
-
-    /// The topological arrival of `net` under the bound arrivals.
-    pub(crate) fn topological_arrival(&self, net: NetId) -> Time {
-        self.engine.topological_arrival(net)
-    }
-
-    /// If `net` is *not* guaranteed stable by `t`, an input vector
-    /// under which it is still unsettled — the sensitizing vector of a
-    /// true critical path, extracted from the Boolean backend's
-    /// countermodel. Returns `None` when the net is stable at `t`.
-    pub fn instability_witness(&mut self, net: NetId, t: Time) -> Option<Vec<bool>> {
-        self.engine.instability_witness(self.netlist, net, t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::boolalg::{BddAlg, SatAlg};
+    use crate::oracle::StabilityOracle;
     use hfta_netlist::gen::{carry_skip_block, CsaDelays};
 
     fn t(v: i64) -> Time {
@@ -1005,7 +864,8 @@ mod tests {
         let z = nl.add_net("z");
         nl.add_gate(GateKind::And, &[a, b], z, 1).unwrap();
         nl.mark_output(z);
-        let mut an = StabilityAnalyzer::new(&nl, &[Time::ZERO, Time::ZERO], SatAlg::new()).unwrap();
+        let mut an =
+            StabilityOracle::new(nl.clone(), &[Time::ZERO, Time::ZERO], SatAlg::new()).unwrap();
         assert!(!an.is_stable_at(z, t(0)));
         assert!(an.is_stable_at(z, t(1)));
         assert!(an.is_stable_at(z, t(100)));
@@ -1022,7 +882,7 @@ mod tests {
         nl.add_gate(GateKind::Not, &[a], na, 1).unwrap();
         nl.add_gate(GateKind::Or, &[a, na], z, 1).unwrap();
         nl.mark_output(z);
-        let mut an = StabilityAnalyzer::new(&nl, &[Time::ZERO], SatAlg::new()).unwrap();
+        let mut an = StabilityOracle::new(nl.clone(), &[Time::ZERO], SatAlg::new()).unwrap();
         assert!(!an.is_stable_at(z, t(1))); // direct path settled, inverted not
         assert!(an.is_stable_at(z, t(2)));
     }
@@ -1035,7 +895,7 @@ mod tests {
         let z = nl.add_net("z");
         nl.add_gate(GateKind::Const1, &[], z, 3).unwrap();
         nl.mark_output(z);
-        let mut an = StabilityAnalyzer::new(&nl, &[Time::ZERO], SatAlg::new()).unwrap();
+        let mut an = StabilityOracle::new(nl.clone(), &[Time::ZERO], SatAlg::new()).unwrap();
         assert!(an.is_stable_at(z, t(-1000)));
     }
 
@@ -1060,7 +920,7 @@ mod tests {
         // long ago (−10). Topologically c_out would need 0+6; the XBD0
         // analysis sees the false path and needs only 0+2.
         let arrivals = vec![t(0), t(-10), t(-10), t(-10), t(-10)];
-        let mut an = StabilityAnalyzer::new(&nl, &arrivals, alg).unwrap();
+        let mut an = StabilityOracle::new(nl.clone(), &arrivals, alg).unwrap();
         assert!(an.is_stable_at(c_out, t(2)));
         assert!(!an.is_stable_at(c_out, t(1)));
     }
@@ -1071,7 +931,7 @@ mod tests {
         let nl = carry_skip_block(2, CsaDelays::default());
         let c_out = nl.find_net("c_out").unwrap();
         let arrivals = vec![t(3), t(0), t(1), t(-2), t(0)];
-        let mut an = StabilityAnalyzer::new(&nl, &arrivals, SatAlg::new()).unwrap();
+        let mut an = StabilityOracle::new(nl.clone(), &arrivals, SatAlg::new()).unwrap();
         let mut prev = false;
         for time in -5..15 {
             let now = an.is_stable_at(c_out, t(time));
@@ -1092,7 +952,7 @@ mod tests {
         nl.add_gate(GateKind::And, &[a, b], z, 1).unwrap();
         nl.mark_output(z);
         let mut an =
-            StabilityAnalyzer::new(&nl, &[Time::ZERO, Time::POS_INF], SatAlg::new()).unwrap();
+            StabilityOracle::new(nl.clone(), &[Time::ZERO, Time::POS_INF], SatAlg::new()).unwrap();
         assert!(!an.is_stable_at(z, t(1_000_000)));
 
         // …but z = AND(a, a) stabilizes fine without b.
@@ -1103,7 +963,7 @@ mod tests {
         nl.add_gate(GateKind::And, &[a, a], z, 1).unwrap();
         nl.mark_output(z);
         let mut an =
-            StabilityAnalyzer::new(&nl, &[Time::ZERO, Time::POS_INF], SatAlg::new()).unwrap();
+            StabilityOracle::new(nl.clone(), &[Time::ZERO, Time::POS_INF], SatAlg::new()).unwrap();
         assert!(an.is_stable_at(z, t(1)));
     }
 
@@ -1119,7 +979,8 @@ mod tests {
         nl.add_gate(GateKind::Mux, &[s, a, a], z, 1).unwrap();
         nl.mark_output(z);
         // Select arrives very late; data at 0.
-        let mut an = StabilityAnalyzer::new(&nl, &[t(1000), Time::ZERO], SatAlg::new()).unwrap();
+        let mut an =
+            StabilityOracle::new(nl.clone(), &[t(1000), Time::ZERO], SatAlg::new()).unwrap();
         assert!(an.is_stable_at(z, t(1)));
     }
 
@@ -1128,8 +989,8 @@ mod tests {
     fn backends_agree() {
         let nl = carry_skip_block(2, CsaDelays::default());
         let arrivals = vec![t(5), t(0), t(0), t(0), t(0)];
-        let mut sat = StabilityAnalyzer::new(&nl, &arrivals, SatAlg::new()).unwrap();
-        let mut bdd = StabilityAnalyzer::new(&nl, &arrivals, BddAlg::new()).unwrap();
+        let mut sat = StabilityOracle::new(nl.clone(), &arrivals, SatAlg::new()).unwrap();
+        let mut bdd = StabilityOracle::new(nl.clone(), &arrivals, BddAlg::new()).unwrap();
         for &out in nl.outputs() {
             for time in -2..14 {
                 assert_eq!(
@@ -1146,7 +1007,7 @@ mod tests {
     fn stats_count_work() {
         let nl = carry_skip_block(2, CsaDelays::default());
         let c_out = nl.find_net("c_out").unwrap();
-        let mut an = StabilityAnalyzer::new(&nl, &[t(0); 5], SatAlg::new()).unwrap();
+        let mut an = StabilityOracle::new(nl.clone(), &[t(0); 5], SatAlg::new()).unwrap();
         let _ = an.is_stable_at(c_out, t(100)); // topological hit
         let _ = an.is_stable_at(c_out, t(5));
         let s = an.stats();
@@ -1162,7 +1023,7 @@ mod tests {
     fn stats_are_consistent_across_query_paths() {
         let nl = carry_skip_block(2, CsaDelays::default());
         let c_out = nl.find_net("c_out").unwrap();
-        let mut an = StabilityAnalyzer::new(&nl, &[t(0); 5], SatAlg::new()).unwrap();
+        let mut an = StabilityOracle::new(nl.clone(), &[t(0); 5], SatAlg::new()).unwrap();
 
         // Earliest conceivable c_out stabilization is c_in + 2 = 2:
         // querying below it is answered by the prune, and counted.
@@ -1205,7 +1066,7 @@ mod tests {
     fn zero_budget_keeps_fast_paths_decisive() {
         let nl = carry_skip_block(2, CsaDelays::default());
         let c_out = nl.find_net("c_out").unwrap();
-        let mut an = StabilityAnalyzer::new(&nl, &[t(0); 5], SatAlg::new()).unwrap();
+        let mut an = StabilityOracle::new(nl.clone(), &[t(0); 5], SatAlg::new()).unwrap();
         an.set_budget(SolveBudget::default().with_conflicts(0));
         assert_eq!(an.try_is_stable_at(c_out, t(100)), Some(true)); // topological
         assert_eq!(an.try_is_stable_at(c_out, t(1)), Some(false)); // prune
@@ -1229,12 +1090,12 @@ mod tests {
         let first = vec![t(0); 5];
         let second = vec![t(0), t(-10), t(-10), t(-10), t(-10)];
 
-        let mut reused = StabilityAnalyzer::new(&nl, &first, SatAlg::new()).unwrap();
+        let mut reused = StabilityOracle::new(nl.clone(), &first, SatAlg::new()).unwrap();
         for time in -2..12 {
             let _ = reused.is_stable_at(c_out, t(time));
         }
         reused.set_arrivals(&second);
-        let mut fresh = StabilityAnalyzer::new(&nl, &second, SatAlg::new()).unwrap();
+        let mut fresh = StabilityOracle::new(nl.clone(), &second, SatAlg::new()).unwrap();
         for time in -2..12 {
             assert_eq!(
                 reused.is_stable_at(c_out, t(time)),

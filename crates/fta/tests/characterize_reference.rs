@@ -4,13 +4,14 @@
 //! already proved for the same cone whenever monotone speedup implies
 //! the answer, and checks only the rest. The reference below runs the
 //! same greedy relaxation the plain way: every candidate is asked of a
-//! fresh BDD-backed [`StabilityAnalyzer`], with no store, no shared
+//! fresh BDD-backed [`StabilityOracle`], with no store, no shared
 //! state and no SAT. Both must produce the same models — on random
 //! circuits and on carry-skip blocks, for every pass count, through
-//! both the shared (unlimited) and the per-cone (budgeted) analyzer.
+//! both the unbudgeted and the budgeted (never binding) solver entry
+//! points of the module's shared oracle.
 
 use hfta_fta::{
-    characterize_module, AnalysisConfig, BddAlg, SolveBudget, StabilityAnalyzer, TimingModel,
+    characterize_module, AnalysisConfig, BddAlg, SolveBudget, StabilityOracle, TimingModel,
     TimingTuple, TopoSta, LENGTHS_CAP,
 };
 use hfta_netlist::gen::{carry_skip_block, random_circuit, CsaDelays, GateMix, RandomCircuitSpec};
@@ -18,10 +19,10 @@ use hfta_netlist::{NetId, Netlist, Time};
 use hfta_testkit::{any_bool, prop};
 
 /// Is `cone`'s output stable at 0 with input `i` arriving at
-/// `−delays[i]`? Asked of a fresh BDD analyzer every time.
+/// `−delays[i]`? Asked of a fresh BDD oracle every time.
 fn valid(cone: &Netlist, delays: &[Time]) -> bool {
     let arrivals: Vec<Time> = delays.iter().map(|&d| -d).collect();
-    let mut an = StabilityAnalyzer::new(cone, &arrivals, BddAlg::new()).expect("acyclic");
+    let mut an = StabilityOracle::new(cone.clone(), &arrivals, BddAlg::new()).expect("acyclic");
     an.is_stable_at(cone.outputs()[0], Time::ZERO)
 }
 
@@ -86,18 +87,18 @@ fn reference_model(nl: &Netlist, output: NetId, max_tuples: usize) -> TimingMode
 }
 
 /// Compares `characterize_module` with the reference on every output,
-/// under the default (shared) and a never-binding (per-cone) budget.
+/// under the default and a never-binding budget.
 fn assert_matches_reference(nl: &Netlist, max_tuples: usize) {
     let want: Vec<TimingModel> = nl
         .outputs()
         .iter()
         .map(|&o| reference_model(nl, o, max_tuples))
         .collect();
-    let shared = AnalysisConfig::default().with_max_tuples(max_tuples);
-    let per_cone = shared
+    let unbudgeted = AnalysisConfig::default().with_max_tuples(max_tuples);
+    let never_binds = unbudgeted
         .clone()
         .with_budget(SolveBudget::default().with_conflicts(u64::MAX));
-    for config in [shared, per_cone] {
+    for config in [unbudgeted, never_binds] {
         let got = characterize_module(nl, &config).expect("acyclic");
         assert_eq!(
             got,

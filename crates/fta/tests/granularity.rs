@@ -82,9 +82,9 @@ fn decomposed_mux_exposes_static_hazard() {
     // functions: the a == b == 1 vector is settled for the primitive
     // (consensus prime) but NOT for the decomposed structure — XBD0's
     // per-gate rule cannot correlate s and s̄ across the two ANDs.
-    use hfta_fta::{BddAlg, BoolAlg, StabilityAnalyzer};
+    use hfta_fta::{BddAlg, BoolAlg, StabilityOracle};
     let check_vector = |netlist: &Netlist, vector: [bool; 3]| -> bool {
-        let mut an = StabilityAnalyzer::new(netlist, &arrivals, BddAlg::new()).unwrap();
+        let mut an = StabilityOracle::new(netlist.clone(), &arrivals, BddAlg::new()).unwrap();
         let out = netlist.outputs()[0];
         let (s0, s1) = an.characteristic(out, t(11));
         let settled = an.alg_mut().or(s0, s1);

@@ -1,11 +1,11 @@
 //! Property test for the persistent stability oracle: across random
-//! circuits, arrival conditions, and query times, [`StabilityOracle`]
-//! answers exactly like a fresh [`StabilityAnalyzer`] built per
+//! circuits, arrival conditions, and query times, one long-lived
+//! [`StabilityOracle`] answers exactly like a fresh one built per
 //! condition. This is the observable contract solver reuse must not
 //! disturb — learnt clauses and memoized `(net, t)` nodes may only
 //! change *how fast* an answer arrives, never *which* answer.
 
-use hfta_fta::{SatAlg, StabilityAnalyzer, StabilityOracle};
+use hfta_fta::{SatAlg, StabilityOracle};
 use hfta_netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 use hfta_netlist::Time;
 use hfta_testkit::{from_fn_with_shrink, prop, vec_of, Rng, Strategy};
@@ -63,19 +63,20 @@ prop!(cases = 48, fn oracle_equals_fresh_analyzer(
         mix: GateMix::NandHeavy,
     };
     let nl = random_circuit("oracle_prop", spec);
-    let mut oracle = StabilityOracle::new_sat(nl.clone(), &conditions[0]).unwrap();
+    let mut oracle = StabilityOracle::new(nl.clone(), &conditions[0], SatAlg::new()).unwrap();
     // Visit every condition, then revisit the first — the oracle by
     // then carries memo entries and learnt clauses from *other*
     // conditions, the state a fresh analyzer never sees.
     let mut schedule: Vec<&Vec<Time>> = conditions.iter().collect();
     schedule.push(&conditions[0]);
     for cond in schedule {
-        let mut fresh = StabilityAnalyzer::new(&nl, cond, SatAlg::new()).unwrap();
+        let mut fresh = StabilityOracle::new(nl.clone(), cond, SatAlg::new()).unwrap();
+        oracle.set_arrivals(cond);
         for &out in nl.outputs() {
             for t in [-3i64, 0, 2, 5, 9, 14] {
                 let t = Time::new(t);
                 assert_eq!(
-                    oracle.query(cond, out, t),
+                    oracle.is_stable_at(out, t),
                     fresh.is_stable_at(out, t),
                     "seed {seed}, condition {cond:?}, net {out:?}, t {t}"
                 );

@@ -33,7 +33,7 @@ fn c432_like() -> Netlist {
     random_circuit("c432_like", RandomCircuitSpec::iscas_like(160, 432))
 }
 
-fn arrivals(an: &mut DelayAnalyzer<'_, hfta_fta::SatAlg>) -> Vec<i64> {
+fn arrivals(an: &mut DelayAnalyzer<hfta_fta::SatAlg>) -> Vec<i64> {
     an.output_arrivals()
         .iter()
         .map(|t| t.finite().expect("finite arrival"))

@@ -12,7 +12,7 @@
 //! on every backend shape, and across rebinds of one oracle, against a
 //! bisection that knows nothing but `try_is_stable_at`.
 
-use hfta_fta::{BddAlg, BoolAlg, DelayAnalyzer, StabilityAnalyzer, StabilityOracle};
+use hfta_fta::{BddAlg, BoolAlg, DelayAnalyzer, SatAlg, StabilityOracle};
 use hfta_netlist::gen::{carry_skip_block, random_circuit, CsaDelays, GateMix, RandomCircuitSpec};
 use hfta_netlist::{sim, GateKind, NetId, Netlist, Time};
 use hfta_testkit::{prop, Rng};
@@ -126,7 +126,7 @@ prop!(cases = 48, fn settle_matches_the_stability_recursion(seed in 0u64..=u64::
     let topo = hfta_fta::TopoSta::new(&nl).expect("acyclic").arrival_times(&arr);
     let first = first_events(&nl, &arr);
     let (wlo, whi) = window(&nl, &arr);
-    let mut an = StabilityAnalyzer::new(&nl, &arr, BddAlg::new()).expect("acyclic");
+    let mut an = StabilityOracle::new(nl.clone(), &arr, BddAlg::new()).expect("acyclic");
     for _ in 0..4 {
         let v = vector(&mut rng, inputs);
         let (values, settle) = sim::settle_all(&nl, &arr, &v).expect("acyclic");
@@ -169,7 +169,7 @@ prop!(cases = 48, fn sensitizing_vectors_settle_at_the_arrival(seed in 0u64..=u6
 /// The reference: bisection over the whole [`window`], knowing nothing
 /// but `try_is_stable_at` (no event bounds, no witnesses).
 fn plain_arrival<A: BoolAlg>(
-    an: &mut StabilityAnalyzer<'_, A>,
+    an: &mut StabilityOracle<A>,
     net: NetId,
     (lo, hi): (i64, i64),
 ) -> Time {
@@ -196,12 +196,13 @@ fn plain_arrival<A: BoolAlg>(
 }
 
 /// Every shape of the search — analyzer over the shared SAT solver,
-/// per-cone SAT and BDD, and one oracle rebound across conditions —
-/// against [`plain_arrival`].
+/// the plain SAT solver and BDDs, and one oracle rebound across
+/// conditions — against [`plain_arrival`].
 fn check_search(nl: &Netlist, conditions: &[Vec<Time>], what: &str) {
-    let mut oracle = StabilityOracle::new_sat_shared(nl.clone(), &conditions[0]).expect("acyclic");
+    let mut oracle =
+        StabilityOracle::new(nl.clone(), &conditions[0], SatAlg::new_shared()).expect("acyclic");
     for arr in conditions {
-        let mut reference = StabilityAnalyzer::new(nl, arr, BddAlg::new()).expect("acyclic");
+        let mut reference = StabilityOracle::new(nl.clone(), arr, BddAlg::new()).expect("acyclic");
         let want: Vec<Time> = nl
             .outputs()
             .iter()
@@ -210,7 +211,7 @@ fn check_search(nl: &Netlist, conditions: &[Vec<Time>], what: &str) {
         let shared = DelayAnalyzer::new_sat_shared(nl, arr)
             .expect("acyclic")
             .output_arrivals();
-        let per_cone = DelayAnalyzer::new_sat(nl, arr)
+        let plain = DelayAnalyzer::new_sat(nl, arr)
             .expect("acyclic")
             .output_arrivals();
         let bdd = DelayAnalyzer::new(nl, arr, BddAlg::new())
@@ -224,7 +225,7 @@ fn check_search(nl: &Netlist, conditions: &[Vec<Time>], what: &str) {
             .collect();
         for (name, got) in [
             ("shared", shared),
-            ("per-cone", per_cone),
+            ("plain", plain),
             ("bdd", bdd),
             ("oracle", rebound),
         ] {

@@ -325,9 +325,9 @@ impl ModelDb {
 
     /// Persists the refinement verdicts of one cone-signature class,
     /// merged with whatever the file already holds. Only exact
-    /// (unlimited-budget) verdicts may be stored — the caller enforces
-    /// this, mirroring the in-memory memo's rule. Returns whether the
-    /// file was written.
+    /// (decided, never budget-interrupted) verdicts may be stored — the
+    /// caller enforces this, mirroring the in-memory memo's rule.
+    /// Returns whether the file was written.
     pub fn store_verdicts(&mut self, sig: u128, memo: &HashMap<Vec<Time>, bool>) -> bool {
         if !self.writable || memo.is_empty() {
             return false;

@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hfta_core::{HierAnalysis, IncrementalAnalyzer, WarmSnapshot};
-use hfta_fta::{AnalysisConfig, SolveBudget, StabilityOracle};
+use hfta_fta::{AnalysisConfig, SatAlg, SolveBudget, StabilityOracle};
 use hfta_netlist::{bench_format, Design, NetId, Netlist, NetlistError, Time};
 use hfta_trace::{TraceSink, Value};
 
@@ -67,19 +67,13 @@ pub(crate) struct ModuleOracle {
 }
 
 impl ModuleOracle {
-    /// Builds the oracle. Under an unlimited session budget the backend
-    /// shares one incremental instance across the whole module, each
-    /// probe domain-restricted to its output's transitive fanin
-    /// ([`StabilityOracle::new_sat_shared`]); a budgeted session keeps
-    /// the plain backend, so a degraded probe leaves no shared state
-    /// behind. Answers agree wherever the budget does not bind.
-    fn new(leaf: &Netlist, budget: SolveBudget) -> Result<ModuleOracle, NetlistError> {
+    /// Builds the oracle: one incremental instance for every output of
+    /// the module, each probe domain-restricted to its output's
+    /// transitive fanin ([`SatAlg::new_shared`]). Each what-if sets
+    /// its own budget, which only caps the probes it runs.
+    fn new(leaf: &Netlist) -> Result<ModuleOracle, NetlistError> {
         let zeros = vec![Time::ZERO; leaf.inputs().len()];
-        let oracle = if budget.is_unlimited() {
-            StabilityOracle::new_sat_shared(leaf.clone(), &zeros)?
-        } else {
-            StabilityOracle::new_sat(leaf.clone(), &zeros)?
-        };
+        let oracle = StabilityOracle::new(leaf.clone(), &zeros, SatAlg::new_shared())?;
         Ok(ModuleOracle {
             oracle,
             hash: leaf.content_hash(),
@@ -656,10 +650,9 @@ impl ServeSession {
         }
     }
 
-    /// Runs one top-level analysis under the request's budget. A
-    /// deadline-tightened budget clears the signature cache (its
-    /// entries replay the outcomes of the budget that filled them) but
-    /// never the model cache — only undegraded models live there.
+    /// Runs one top-level analysis under the request's budget. No cache
+    /// is cleared: the model and signature caches hold only undegraded,
+    /// budget-independent results.
     fn analyze(&mut self, request: &Request, arrivals: &[Time]) -> Result<HierAnalysis, String> {
         let budget = self.budget_for(request);
         self.analyzer.set_budget(budget);
@@ -797,7 +790,7 @@ impl ServeSession {
             // A stale oracle (the module was ECO-edited while the
             // oracle sat idle) is silently rebuilt.
             Some(oracle) if oracle.hash == hash => Ok(oracle),
-            _ => ModuleOracle::new(leaf, self.base_budget).map_err(|e| e.to_string()),
+            _ => ModuleOracle::new(leaf).map_err(|e| e.to_string()),
         }
     }
 

@@ -124,6 +124,42 @@ DEMAND="$(./target/release/hfta hier tests/corpus/csa_pair.hnl --algo demand \
 grep -F "8 verdicts loaded" <<<"$DEMAND"
 grep -F "estimated delay: 13" <<<"$DEMAND"
 
+echo "== budgeted runs on the corpus =="
+# A budget only caps queries on the shared solver state, so a binding
+# one must still give sound answers through the real CLI: both
+# hierarchical algorithms and the flat report, under a one-conflict
+# budget, exit 0 without a panic, and every delay (per output and the
+# circuit's) lies between the unbudgeted flat functional delay and the
+# topological one, both from `hfta report` on the flattened design.
+BUDGETED="$(mktemp -d -t hfta_budgeted_XXXXXX)"
+trap 'rm -f "$GATE_JSON"; rm -rf "$MODELDB" "$STORED" "$FRESH" "$BUDGETED"' EXIT
+./target/release/hfta flatten tests/corpus/csa_pair.hnl -o "$BUDGETED/flat.bench" >/dev/null
+BOUNDS="$(./target/release/hfta report "$BUDGETED/flat.bench" | awk '
+    $2 ~ /^-?[0-9]+$/ && $3 ~ /^-?[0-9]+$/ { print $1, $3, $2 }
+    /^circuit delay:/ { gsub(",", ""); print "circuit", $6, $4 }')"
+# Reads "name delay" lines; fails on a name without bounds, a delay
+# outside them, or no lines at all.
+between() {
+    awk -v what="$1" 'NR == FNR { lo[$1] = $2; hi[$1] = $3; next }
+        { n++ }
+        !($1 in lo) || $2 + 0 < lo[$1] + 0 || $2 + 0 > hi[$1] + 0 {
+            print what ": " $1 " at " $2 " outside [" lo[$1] ", " hi[$1] "]"; bad = 1 }
+        END { exit bad || n == 0 }' <(echo "$BOUNDS") -
+}
+for algo in two-step demand; do
+    ./target/release/hfta hier tests/corpus/csa_pair.hnl --algo "$algo" \
+        --budget-conflicts 1 > "$BUDGETED/hier.out" 2> "$BUDGETED/hier.err"
+    if grep -F panicked "$BUDGETED/hier.err"; then exit 1; fi
+    awk '/^  / { print $1, $2 } /^estimated delay:/ { print "circuit", $3 }' \
+        "$BUDGETED/hier.out" | between "hier --algo $algo"
+done
+./target/release/hfta report "$BUDGETED/flat.bench" --budget-conflicts 1 \
+    > "$BUDGETED/report.out" 2> "$BUDGETED/report.err"
+if grep -F panicked "$BUDGETED/report.err"; then exit 1; fi
+awk '$2 ~ /^-?[0-9]+$/ && $3 ~ /^-?[0-9]+$/ { print $1, $3 }
+    /^circuit delay:/ { gsub(",", ""); print "circuit", $6 }' "$BUDGETED/report.out" \
+    | between "report --budget-conflicts 1"
+
 echo "== serve end-to-end protocol gate =="
 # Start the daemon warm from the corpus-seeded database, pipe the
 # checked-in request transcript through it, and diff the response
@@ -132,7 +168,7 @@ echo "== serve end-to-end protocol gate =="
 SERVEDB="$(mktemp -d -t hfta_servedb_XXXXXX)"
 SERVE_OUT="$(mktemp -t hfta_serve_out_XXXXXX.ndjson)"
 SERVE_ERR="$(mktemp -t hfta_serve_err_XXXXXX.txt)"
-trap 'rm -f "$GATE_JSON" "$SERVE_OUT" "$SERVE_ERR"; rm -rf "$MODELDB" "$STORED" "$FRESH" "$SERVEDB"' EXIT
+trap 'rm -f "$GATE_JSON" "$SERVE_OUT" "$SERVE_ERR"; rm -rf "$MODELDB" "$STORED" "$FRESH" "$BUDGETED" "$SERVEDB"' EXIT
 ./target/release/hfta characterize tests/corpus/csa_pair.hnl --emit-model "$SERVEDB" >/dev/null
 ./target/release/hfta serve tests/corpus/csa_pair.hnl --use-models "$SERVEDB" \
     < tests/corpus/serve_transcript.ndjson > "$SERVE_OUT" 2> "$SERVE_ERR"

@@ -57,6 +57,6 @@ pub use hfta_core::{
     HierAnalyzer, IncrementalAnalyzer, ModelDb, ModelDbSpec, ModelDbStats, ModelSource,
     ModuleTiming, TimingModel, TimingTuple, Trace, TraceSink, Tracer, WarmSnapshot,
 };
-pub use hfta_fta::{functional_circuit_delay, DelayAnalyzer, StabilityAnalyzer, TopoSta};
+pub use hfta_fta::{functional_circuit_delay, DelayAnalyzer, StabilityOracle, TopoSta};
 pub use hfta_netlist::{Composite, Design, GateKind, NetId, Netlist, NetlistError, Time};
 pub use hfta_sat::{BudgetExhausted, SolveBudget};

@@ -4,8 +4,8 @@ use hfta::netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 use hfta::netlist::partition::cascade_bipartition;
 use hfta::netlist::{cone_signature, sim};
 use hfta::{
-    AnalysisConfig, DelayAnalyzer, DemandDrivenAnalyzer, GateKind, Netlist, StabilityAnalyzer,
-    Time, TopoSta,
+    AnalysisConfig, DelayAnalyzer, DemandDrivenAnalyzer, GateKind, Netlist, StabilityOracle, Time,
+    TopoSta,
 };
 use hfta_testkit::{from_fn_with_shrink, prop, Rng, Strategy};
 
@@ -62,7 +62,7 @@ prop!(cases = 64, fn functional_delay_bounded_by_topological(spec in spec_strate
     let functional = an.circuit_delay();
     assert!(functional <= topo);
     // Every output must be stable at the functional circuit delay.
-    let mut stab = StabilityAnalyzer::new(&nl, &arrivals, hfta::fta::SatAlg::new())
+    let mut stab = StabilityOracle::new(nl.clone(), &arrivals, hfta::fta::SatAlg::new())
         .expect("acyclic");
     for &o in nl.outputs() {
         assert!(stab.is_stable_at(o, functional));
@@ -74,7 +74,7 @@ prop!(cases = 64, fn stability_monotone(spec in spec_strategy()) {
     let nl = random_circuit("p", spec);
     let arrivals = vec![Time::ZERO; nl.inputs().len()];
     let out = nl.outputs()[0];
-    let mut stab = StabilityAnalyzer::new(&nl, &arrivals, hfta::fta::SatAlg::new())
+    let mut stab = StabilityOracle::new(nl.clone(), &arrivals, hfta::fta::SatAlg::new())
         .expect("acyclic");
     let mut prev = false;
     for time in 0..=12 {

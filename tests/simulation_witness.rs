@@ -12,7 +12,7 @@ use hfta::netlist::event_sim::monte_carlo_settle;
 use hfta::netlist::gen::{
     carry_skip_adder_flat, random_circuit, CsaDelays, GateMix, RandomCircuitSpec,
 };
-use hfta::{DelayAnalyzer, StabilityAnalyzer, Time, TopoSta};
+use hfta::{DelayAnalyzer, StabilityOracle, Time, TopoSta};
 
 fn t(v: i64) -> Time {
     Time::new(v)
@@ -23,7 +23,7 @@ fn check_sandwich(nl: &hfta::Netlist, samples: usize, seed: u64) {
     let observed = monte_carlo_settle(nl, &arrivals, samples, seed).expect("simulates");
     let mut an = DelayAnalyzer::new_sat(nl, &arrivals).expect("valid");
     let mut shared = DelayAnalyzer::new_sat_shared(nl, &arrivals).expect("valid");
-    let mut bdd = StabilityAnalyzer::new(nl, &arrivals, BddAlg::new()).expect("valid");
+    let mut bdd = StabilityOracle::new(nl.clone(), &arrivals, BddAlg::new()).expect("valid");
     let sta = TopoSta::new(nl).expect("valid");
     let topo = sta.arrival_times(&arrivals);
     for (k, &out) in nl.outputs().iter().enumerate() {

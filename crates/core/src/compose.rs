@@ -22,9 +22,9 @@
 use std::collections::HashMap;
 
 use hfta_netlist::{Composite, Design, ModuleBody, NetlistError, Time};
-use hfta_sched::Scheduler;
 
 use crate::hier::{propagate, HierAnalysis};
+use crate::models::ModelTable;
 use crate::module_timing::ModuleTiming;
 use crate::{AnalysisConfig, TimingModel, TimingTuple};
 
@@ -52,7 +52,10 @@ impl Default for ComposeOptions {
 
 /// Recursively characterizes `module` (leaf or composite) into a
 /// [`ModuleTiming`] over its own ports, caching by module name. Leaves
-/// are characterized under `config`.
+/// missing from `cache` get their models from one leaf-model table
+/// under `config` (the two-step analyzer's schedule, its signature
+/// cache and model databases included); composites compose from their
+/// children.
 ///
 /// # Errors
 ///
@@ -65,25 +68,11 @@ pub fn characterize_recursive(
     opts: &ComposeOptions,
     cache: &mut HashMap<String, ModuleTiming>,
 ) -> Result<ModuleTiming, NetlistError> {
-    if let Some(m) = cache.get(module) {
-        return Ok(m.clone());
+    if !cache.contains_key(module) {
+        let mut table = ModelTable::new(config)?;
+        characterize_wavefronts(design, [module], &mut table, opts, cache)?;
     }
-    let def = design.module(module).ok_or_else(|| NetlistError::Unknown {
-        what: "module",
-        name: module.to_string(),
-    })?;
-    let timing = match &def.body {
-        ModuleBody::Leaf(nl) => ModuleTiming::characterize(nl, config)?,
-        ModuleBody::Composite(c) => {
-            for idx in c.instance_topo_order()? {
-                let inst = &c.instances()[idx];
-                characterize_recursive(design, &inst.module, config, opts, cache)?;
-            }
-            compose_composite(c, opts, cache)?
-        }
-    };
-    cache.insert(module.to_string(), timing.clone());
-    Ok(timing)
+    Ok(cache[module].clone())
 }
 
 /// Composes a composite's timing abstraction from its children's
@@ -246,18 +235,14 @@ fn truncate_ranked(mut set: Vec<TimingTuple>, cap: usize) -> Vec<TimingTuple> {
 
 /// Analyzes a design whose top-level composite may instantiate other
 /// composites (arbitrary hierarchy depth), by recursive timing-model
-/// composition followed by the usual top-level propagation. Leaves are
-/// characterized under `config`.
+/// composition followed by the usual top-level propagation.
 ///
-/// Modules are characterized wavefront by wavefront over the module
-/// dependency DAG — every leaf of a wavefront is an independent task,
-/// so sibling subtrees characterize concurrently on the config's
-/// seated pool (or, with [`AnalysisConfig::threads`] above one, a pool
-/// of the effective clamped size for the duration of this analysis) —
-/// and composite models are composed from their children's models once
-/// the wave below them is done. Models merge back in deterministic
-/// (sorted name) order, so the analysis is bit-identical to the serial
-/// one.
+/// Every leaf below `top` gets its model from one leaf-model table under
+/// `config` — the two-step analyzer's schedule: signature groups, inline
+/// or on the config's pool, with its signature cache and model
+/// databases — and composite models are then composed wave by wave over
+/// the module dependency DAG, each from its children's models. The
+/// thread count changes only the wall time.
 ///
 /// # Errors
 ///
@@ -279,120 +264,74 @@ pub fn analyze_multilevel(
         what: "top-level composite module",
         name: top.to_string(),
     })?;
-    let pool = config.scheduler.get().cloned().or_else(|| {
-        (config.threads > 1)
-            .then(|| hfta_sched::effective_parallelism(config.threads, config.clamp_threads))
-            .filter(|&effective| effective > 1)
-            .map(Scheduler::new)
-    });
+    let mut table = ModelTable::new(config)?;
     let mut cache = HashMap::new();
-    characterize_wavefronts(design, composite, config, opts, pool.as_ref(), &mut cache)?;
-    let mut models = HashMap::new();
-    for inst in composite.instances() {
-        if !models.contains_key(&inst.module) {
-            let m = cache
-                .get(&inst.module)
-                .ok_or_else(|| NetlistError::Unknown {
-                    what: "module",
-                    name: inst.module.clone(),
-                })?;
-            models.insert(inst.module.clone(), m.clone());
-        }
-    }
-    propagate(composite, &models, pi_arrivals)
+    let children = composite.instances().iter().map(|i| i.module.as_str());
+    characterize_wavefronts(design, children, &mut table, opts, &mut cache)?;
+    propagate(composite, &cache, pi_arrivals)
 }
 
-/// Characterizes every module reachable from `top`'s instances into
-/// `cache`, layering the module dependency DAG into wavefronts: wave 0
-/// holds the leaves, wave k the composites whose children all sit in
-/// earlier waves. Within a wave, leaf characterizations (the expensive,
-/// solver-bound work) run as independent tasks on `pool`; composites
-/// (cheap tuple algebra over cached child models) compose serially.
-fn characterize_wavefronts(
-    design: &Design,
-    top: &Composite,
-    config: &AnalysisConfig,
+/// Characterizes every module reachable from `roots` into `cache`: all
+/// leaves first, from `table`, then the composites wave by wave over
+/// the module dependency DAG (wave k holds the composites whose
+/// children all sit in earlier waves), each composed from its
+/// children's models.
+fn characterize_wavefronts<'d>(
+    design: &'d Design,
+    roots: impl IntoIterator<Item = &'d str>,
+    table: &mut ModelTable,
     opts: &ComposeOptions,
-    pool: Option<&Scheduler>,
     cache: &mut HashMap<String, ModuleTiming>,
 ) -> Result<(), NetlistError> {
-    // Reachable modules, indexed; deps point at instanced children.
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut names: Vec<String> = Vec::new();
+    // Reachable modules, indexed breadth-first (`names` doubles as the
+    // queue); deps point at instanced children.
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    let mut names: Vec<&str> = Vec::new();
     let mut deps: Vec<Vec<usize>> = Vec::new();
-    let mut queue: Vec<String> = Vec::new();
-    for inst in top.instances() {
-        if !index.contains_key(&inst.module) {
-            index.insert(inst.module.clone(), names.len());
-            names.push(inst.module.clone());
+    let mut reach = |name: &'d str, names: &mut Vec<&'d str>, deps: &mut Vec<Vec<usize>>| {
+        *index.entry(name).or_insert_with(|| {
+            names.push(name);
             deps.push(Vec::new());
-            queue.push(inst.module.clone());
-        }
+            names.len() - 1
+        })
+    };
+    for root in roots {
+        reach(root, &mut names, &mut deps);
     }
-    while let Some(name) = queue.pop() {
-        let def = design.module(&name).ok_or_else(|| NetlistError::Unknown {
+    let mut next = 0;
+    while next < names.len() {
+        let (me, name) = (next, names[next]);
+        next += 1;
+        let def = design.module(name).ok_or_else(|| NetlistError::Unknown {
             what: "module",
-            name: name.clone(),
+            name: name.to_string(),
         })?;
         if let ModuleBody::Composite(c) = &def.body {
-            let me = index[&name];
             for inst in c.instances() {
-                let child = match index.get(&inst.module) {
-                    Some(&i) => i,
-                    None => {
-                        let i = names.len();
-                        index.insert(inst.module.clone(), i);
-                        names.push(inst.module.clone());
-                        deps.push(Vec::new());
-                        queue.push(inst.module.clone());
-                        i
-                    }
-                };
+                let child = reach(&inst.module, &mut names, &mut deps);
                 deps[me].push(child);
             }
         }
     }
+    let leaves: Vec<&str> = names
+        .iter()
+        .copied()
+        .filter(|&n| !cache.contains_key(n) && design.leaf(n).is_some())
+        .collect();
+    table.ensure(design, leaves.iter().copied())?;
+    for name in leaves {
+        let timing = table.model(name).expect("ensured above").clone();
+        cache.insert(name.to_string(), timing);
+    }
     for wave in hfta_sched::wavefronts(names.len(), |i| deps[i].clone()) {
-        // Split the wave: leaves fan out, composites compose in place.
-        let mut leaves: Vec<(String, hfta_netlist::Netlist)> = Vec::new();
-        let mut composites: Vec<&str> = Vec::new();
-        for &i in &wave {
-            let name = names[i].as_str();
-            if cache.contains_key(name) {
-                continue;
+        for i in wave {
+            let name = names[i];
+            if let ModuleBody::Composite(c) = &design.module(name).expect("indexed above").body {
+                if !cache.contains_key(name) {
+                    let timing = compose_composite(c, opts, cache)?;
+                    cache.insert(name.to_string(), timing);
+                }
             }
-            match &design.module(name).expect("indexed above").body {
-                ModuleBody::Leaf(nl) => leaves.push((name.to_string(), nl.clone())),
-                ModuleBody::Composite(_) => composites.push(name),
-            }
-        }
-        leaves.sort_by(|a, b| a.0.cmp(&b.0));
-        let characterized: Vec<(String, Result<ModuleTiming, NetlistError>)> = match pool {
-            Some(pool) if leaves.len() > 1 => {
-                let config = config.clone();
-                pool.run(leaves, move |(name, nl)| {
-                    let r = ModuleTiming::characterize(&nl, &config);
-                    (name, r)
-                })
-            }
-            _ => leaves
-                .into_iter()
-                .map(|(name, nl)| {
-                    let r = ModuleTiming::characterize(&nl, config);
-                    (name, r)
-                })
-                .collect(),
-        };
-        for (name, result) in characterized {
-            cache.insert(name, result?);
-        }
-        for name in composites {
-            let def = design.module(name).expect("indexed above");
-            let ModuleBody::Composite(c) = &def.body else {
-                unreachable!("partitioned as composite above");
-            };
-            let timing = compose_composite(c, opts, cache)?;
-            cache.insert(name.to_string(), timing);
         }
     }
     Ok(())
@@ -526,9 +465,8 @@ mod tests {
         assert_eq!(min_cin_delay, t(8), "2 per block × 4 blocks");
     }
 
-    /// Wavefront-parallel characterization is bit-identical to the
-    /// serial recursion — on a seated pool and on the auto-pool taken
-    /// from the thread count.
+    /// Pooled characterization is bit-identical to the serial one — on
+    /// a seated pool and on the auto-pool taken from the thread count.
     #[test]
     fn wavefront_parallel_matches_serial() {
         let design = three_level_design();
@@ -542,7 +480,7 @@ mod tests {
         )
         .unwrap();
 
-        let seated = AnalysisConfig::default().with_scheduler(Scheduler::new(4));
+        let seated = AnalysisConfig::default().with_scheduler(hfta_sched::Scheduler::new(4));
         let parallel = analyze_multilevel(
             &design,
             "pair16",

@@ -61,7 +61,7 @@ use hfta_fta::{
     solve_episode_fields, AnalysisConfig, BoolAlg, PhaseWall, SatAlg, SolveBudget, StabilityOracle,
     StabilityStats, TopoSta, LENGTHS_CAP,
 };
-use hfta_modeldb::{ModelDb, ModelDbStats};
+use hfta_modeldb::ModelDbStats;
 use hfta_netlist::{
     cone_signature, Composite, ConeKey, Design, NetId, Netlist, NetlistError, Time,
 };
@@ -69,7 +69,7 @@ use hfta_sched::Scheduler;
 use hfta_trace::{Tracer, Value};
 
 use crate::deadline::DeadlineToken;
-use crate::hier::open_model_dbs;
+use crate::models::{depth1_top, micros_since, ModelDbs, Pool};
 
 /// Work counters and result of a demand-driven analysis.
 #[derive(Clone, PartialEq, Debug)]
@@ -211,14 +211,13 @@ pub struct DemandDrivenAnalyzer<'a> {
     /// worker for the duration of a round, like the verdict memo;
     /// persists across rounds and `analyze` calls.
     class_oracles: HashMap<u128, ClassOracle>,
-    /// Persistent verdict store ([`AnalysisConfig::model_db`]'s read
-    /// side), probed once per signature class: stored verdicts are
-    /// exact (a memo never holds an interrupted probe), so a warm run
-    /// answers from disk what a cold one solves.
-    db_use: Option<ModelDb>,
-    /// Persistent store the memo is flushed into after each `analyze`
-    /// (merged with whatever is already on disk).
-    db_emit: Option<ModelDb>,
+    /// Persistent verdict stores ([`AnalysisConfig::model_db`]). The
+    /// read side is probed once per signature class: stored verdicts
+    /// are exact (a memo never holds an interrupted probe), so a warm
+    /// run answers from disk what a cold one solves. The memo is
+    /// flushed into the write side after each `analyze` (merged with
+    /// whatever is already on disk).
+    dbs: ModelDbs,
     /// Signature classes whose persisted verdicts were already folded
     /// into `verdict_memo` this session (one disk read per class).
     verdicts_loaded: HashSet<u128>,
@@ -229,9 +228,7 @@ pub struct DemandDrivenAnalyzer<'a> {
     /// Persistent worker pool for parallel rounds: created once (first
     /// parallel round) or seated in the config, then reused across
     /// rounds and across `analyze` calls — never re-spawned per round.
-    scheduler: Option<Scheduler>,
-    /// The `threads_clamped` event is emitted at most once.
-    clamp_reported: bool,
+    pool: Pool,
 }
 
 /// Invariant message for the `Option<OutputState>` slots.
@@ -240,10 +237,6 @@ const STATE_PRESENT: &str = "cone state present (only checked out inside refine_
 /// Invariant message for probes: `refine_round` builds a view before
 /// it probes an output's edges.
 const VIEW_BUILT: &str = "cone view built before the first probe";
-
-fn micros_since(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
 
 impl<'a> DemandDrivenAnalyzer<'a> {
     /// Creates an analyzer for module `top` of `design` (depth-1
@@ -261,11 +254,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         top: &str,
         config: &AnalysisConfig,
     ) -> Result<DemandDrivenAnalyzer<'a>, NetlistError> {
-        design.validate()?;
-        let top = design.composite(top).ok_or_else(|| NetlistError::Unknown {
-            what: "top-level composite module",
-            name: top.to_string(),
-        })?;
+        let top = depth1_top(design, top)?;
         let order = top.instance_topo_order()?;
         let mut module_names: Vec<String> = Vec::new();
         let mut module_index: HashMap<String, usize> = HashMap::new();
@@ -277,12 +266,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 inst_module.push(mi);
                 continue;
             }
-            let leaf = design
-                .leaf(&inst.module)
-                .ok_or_else(|| NetlistError::Unknown {
-                    what: "leaf module (demand-driven analysis requires depth-1 hierarchy)",
-                    name: inst.module.clone(),
-                })?;
+            let leaf = design.leaf(&inst.module).expect("depth-1 checked above");
             // One topological sort per leaf and one longest-path pass per
             // output give every topological weight; cones are extracted
             // only when refinement probes them.
@@ -299,7 +283,6 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             leaves.push(leaf);
             inst_module.push(mi);
         }
-        let (db_use, db_emit) = open_model_dbs(&config.model_db)?;
         Ok(DemandDrivenAnalyzer {
             top,
             order,
@@ -310,15 +293,13 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             modules,
             verdict_memo: HashMap::new(),
             class_oracles: HashMap::new(),
-            db_use,
-            db_emit,
+            dbs: ModelDbs::open(&config.model_db)?,
             verdicts_loaded: HashSet::new(),
             config: config.clone(),
             checks: 0,
             refinements: 0,
             wall: PhaseWall::default(),
-            scheduler: config.scheduler.get().cloned(),
-            clamp_reported: false,
+            pool: Pool::new(config),
         })
     }
 
@@ -326,14 +307,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
     /// the read and emit sides (all zero when no database is attached).
     #[must_use]
     pub fn model_db_stats(&self) -> ModelDbStats {
-        let mut s = ModelDbStats::default();
-        if let Some(db) = &self.db_use {
-            s.merge(&db.stats());
-        }
-        if let Some(db) = &self.db_emit {
-            s.merge(&db.stats());
-        }
-        s
+        self.dbs.stats()
     }
 
     /// The worker pool parallel rounds run on, if one exists yet
@@ -341,7 +315,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
     /// round).
     #[must_use]
     pub fn scheduler_handle(&self) -> Option<&Scheduler> {
-        self.scheduler.as_ref()
+        self.pool.handle()
     }
 
     /// Runs the refinement loop to fixpoint and returns the analysis.
@@ -447,7 +421,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         // whatever is already on disk). The memo holds decided verdicts
         // only, so everything flushed here is exact and safe to replay
         // in any later session, under any budget.
-        if let Some(db) = self.db_emit.as_mut() {
+        if let Some(db) = self.dbs.write.as_mut() {
             for (&sig, memo) in &self.verdict_memo {
                 db.store_verdicts(sig, memo);
             }
@@ -665,37 +639,6 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         edges
     }
 
-    /// The pool this round's classes run on, or `None` to probe
-    /// serially. A seated pool wins unchanged; otherwise the first
-    /// parallel round creates one with [`AnalysisConfig::threads`]
-    /// workers — clamped to the machine's parallelism unless
-    /// [`AnalysisConfig::clamp_threads`] is off — and the analyzer
-    /// keeps it from then on.
-    fn scheduler_for_round(&mut self, tracer: &mut Tracer) -> Option<Scheduler> {
-        let threads = self.config.threads;
-        if self.scheduler.is_none() && threads > 1 {
-            let effective = hfta_sched::effective_parallelism(threads, self.config.clamp_threads);
-            if effective < threads && tracer.is_enabled() && !self.clamp_reported {
-                self.clamp_reported = true;
-                tracer.event(
-                    "threads_clamped",
-                    vec![
-                        ("requested", Value::from(threads)),
-                        ("effective", Value::from(effective)),
-                        (
-                            "available",
-                            Value::from(hfta_sched::available_parallelism()),
-                        ),
-                    ],
-                );
-            }
-            if effective > 1 {
-                self.scheduler = Some(Scheduler::new(effective));
-            }
-        }
-        self.scheduler.clone().filter(|pool| pool.threads() > 1)
-    }
-
     /// Probes one round's critical edges. Edges are grouped by
     /// `(module, output)` — probes within a group read each other's
     /// accepted weights and stay in their serial order. Groups whose
@@ -724,7 +667,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             }
             entry.push(j);
         }
-        let pool = self.scheduler_for_round(tracer);
+        let pool = self.pool.get(tracer);
         // Check the probed cones out of their slots, in ascending
         // (module, output) order, building the view of any cone probed
         // for the first time. The build is infallible, so no slot is
@@ -779,7 +722,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             // verdicts. They are exact (a memo never holds an
             // interrupted probe), so a warm start answers the same
             // probes the solver would — just without the solver.
-            if let Some(db) = self.db_use.as_mut() {
+            if let Some(db) = self.dbs.read.as_mut() {
                 if self.verdicts_loaded.insert(sig) {
                     let stored = db.load_verdicts(sig);
                     let count = stored.len();

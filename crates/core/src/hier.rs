@@ -13,55 +13,31 @@
 //! both bounds on every workload.
 
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hfta_fta::{AnalysisConfig, ConeSigCache, ModelDbSpec, PhaseWall, StabilityStats};
-use hfta_modeldb::{ModelDb, ModelDbStats};
-use hfta_netlist::{Composite, Design, Netlist, NetlistError, Time};
+use hfta_fta::{AnalysisConfig, StabilityStats};
+use hfta_modeldb::ModelDbStats;
+use hfta_netlist::{Composite, Design, NetlistError, Time};
 use hfta_sched::Scheduler;
-use hfta_trace::{Tracer, Value};
+use hfta_trace::Value;
 
-use crate::deadline::DeadlineToken;
-use crate::module_timing::{ModelSource, ModuleTiming};
-
-fn micros_since(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Opens the `(use, emit)` database handles named by a
-/// [`ModelDbSpec`]. The read handle tolerates a missing directory
-/// (probes miss); the write handle creates its directory, so creation
-/// failures surface as [`NetlistError::Io`].
-pub(crate) fn open_model_dbs(
-    spec: &ModelDbSpec,
-) -> Result<(Option<ModelDb>, Option<ModelDb>), NetlistError> {
-    let use_db = spec.read.as_ref().map(ModelDb::open_read_only);
-    let emit_db = match &spec.write {
-        Some(dir) => {
-            let mut db = ModelDb::open(dir).map_err(|e| NetlistError::Io {
-                path: dir.display().to_string(),
-                message: e.to_string(),
-            })?;
-            db.set_limit(spec.limit);
-            Some(db)
-        }
-        None => None,
-    };
-    Ok((use_db, emit_db))
-}
+use crate::models::{depth1_top, micros_since, ModelTable};
+use crate::module_timing::ModuleTiming;
 
 /// Work counters for the two-step analysis.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct HierStats {
     /// Distinct leaf modules characterized (cache misses).
     pub modules_characterized: u64,
-    /// Modules whose characterization was degraded — wholesale to
-    /// topological models by the analysis deadline, or partially (some
-    /// outputs at their topological tuples) by the per-query budget.
-    /// See [`HierAnalyzer::degraded_modules`] for the names.
+    /// Degraded models the analysis propagated through — wholly
+    /// topological ones (the analysis deadline passed before the module
+    /// was characterized) or partly topological ones (the per-query
+    /// budget interrupted some outputs). A degraded model is kept until
+    /// the budget changes. See [`HierAnalyzer::degraded_modules`] for
+    /// the names.
     pub modules_degraded: u64,
     /// Instances propagated through.
     pub instances_propagated: u64,
@@ -113,56 +89,10 @@ pub struct HierAnalysis {
 pub struct HierAnalyzer<'a> {
     design: &'a Design,
     top: &'a Composite,
-    /// The configuration every characterization runs under, shared
-    /// with the tasks of parallel phases.
-    config: Arc<AnalysisConfig>,
-    cache: HashMap<Arc<str>, ModuleTiming>,
-    /// Module-name interner: cache keys, alias pairs and degradation
-    /// records all share one `Arc<str>` per distinct name instead of
-    /// cloning `String`s on every probe/insert.
-    names: HashSet<Arc<str>>,
-    /// Structural cone-signature cache shared by all characterizations
-    /// of this analyzer (serial ones directly; parallel workers fill
-    /// private caches that are merged back).
-    sig_cache: ConeSigCache,
-    /// `(alias, owner)` pairs: modules whose every output model was
-    /// replayed from `owner`'s characterization.
-    sig_aliases: Vec<(Arc<str>, Arc<str>)>,
-    characterized: u64,
-    stability: StabilityStats,
-    /// Shared wall-clock cutoff for characterization, derived from the
-    /// characterization budget's deadline. Workers check it before
-    /// starting a module; the same deadline interrupts in-flight SAT
-    /// queries from inside the solver.
-    token: DeadlineToken,
-    /// Names of modules whose characterization was degraded, with the
-    /// reason ("deadline" or "budget").
-    degraded: Vec<(Arc<str>, &'static str)>,
-    wall: PhaseWall,
-    /// Persistent worker pool for parallel characterization: created
-    /// once (first parallel phase) or seated in the config, then reused
-    /// across `characterize_all`/`analyze` calls.
-    scheduler: Option<Scheduler>,
-    /// The `threads_clamped` event is emitted at most once.
-    clamp_reported: bool,
-    /// Persistent model database probed before every characterization
-    /// (warm start); hits are booked without counting a
-    /// characterization.
-    db_use: Option<ModelDb>,
-    /// Persistent model database that freshly characterized,
-    /// undegraded models are stored into.
-    db_emit: Option<ModelDb>,
-}
-
-/// What characterizing one module produced.
-#[derive(Debug)]
-struct CharOutcome {
-    timing: ModuleTiming,
-    stats: StabilityStats,
-    why: Option<&'static str>,
-    /// Set when every output model was replayed from another module's
-    /// characterization via the signature cache.
-    alias_owner: Option<String>,
+    /// Step 1: every leaf model, filled by the table's one schedule.
+    table: ModelTable,
+    /// Wall-clock of step 2.
+    propagate_micros: u64,
 }
 
 impl<'a> HierAnalyzer<'a> {
@@ -185,37 +115,11 @@ impl<'a> HierAnalyzer<'a> {
         top: &str,
         config: &AnalysisConfig,
     ) -> Result<HierAnalyzer<'a>, NetlistError> {
-        design.validate()?;
-        let top = design.composite(top).ok_or_else(|| NetlistError::Unknown {
-            what: "top-level composite module",
-            name: top.to_string(),
-        })?;
-        for inst in top.instances() {
-            if design.leaf(&inst.module).is_none() {
-                return Err(NetlistError::Unknown {
-                    what: "leaf module (hierarchical analysis requires depth-1 hierarchy)",
-                    name: inst.module.clone(),
-                });
-            }
-        }
-        let (db_use, db_emit) = open_model_dbs(&config.model_db)?;
         Ok(HierAnalyzer {
             design,
-            top,
-            config: Arc::new(config.clone()),
-            cache: HashMap::new(),
-            names: HashSet::new(),
-            sig_cache: ConeSigCache::new(),
-            sig_aliases: Vec::new(),
-            characterized: 0,
-            stability: StabilityStats::default(),
-            token: DeadlineToken::new(config.budget.deadline),
-            degraded: Vec::new(),
-            wall: PhaseWall::default(),
-            scheduler: config.scheduler.get().cloned(),
-            clamp_reported: false,
-            db_use,
-            db_emit,
+            top: depth1_top(design, top)?,
+            table: ModelTable::new(config)?,
+            propagate_micros: 0,
         })
     }
 
@@ -225,116 +129,23 @@ impl<'a> HierAnalyzer<'a> {
     /// [`StabilityStats::model_db_hits`]/[`StabilityStats::model_db_misses`].
     #[must_use]
     pub fn model_db_stats(&self) -> ModelDbStats {
-        let mut s = ModelDbStats::default();
-        if let Some(db) = &self.db_use {
-            s.merge(&db.stats());
-        }
-        if let Some(db) = &self.db_emit {
-            s.merge(&db.stats());
-        }
-        s
+        self.table.db_stats()
     }
 
-    /// Probes the persistent database for `name`'s model. On a hit the
-    /// model is booked straight into the cache — no characterization
-    /// counted — and the hit lands in
-    /// [`StabilityStats::model_db_hits`].
-    fn db_probe(&mut self, nl: &Netlist, name: &str, tracer: &mut Tracer) -> bool {
-        let Some(db) = self.db_use.as_mut() else {
-            return false;
-        };
-        match db.probe(nl, self.config.source, &self.config.characterize) {
-            Some(timing) => {
-                self.stability.model_db_hits += 1;
-                if tracer.is_enabled() {
-                    tracer.event("model_db_hit", vec![("module", Value::from(name))]);
-                }
-                let key = self.intern(name);
-                self.cache.insert(key, timing);
-                true
-            }
-            None => {
-                self.stability.model_db_misses += 1;
-                if tracer.is_enabled() {
-                    tracer.event("model_db_miss", vec![("module", Value::from(name))]);
-                }
-                false
-            }
-        }
-    }
-
-    /// Offers a fresh characterization outcome to the emit database
-    /// (which refuses degraded models).
-    fn db_store(&mut self, nl: &Netlist, name: &str, outcome: &CharOutcome, tracer: &mut Tracer) {
-        let Some(db) = self.db_emit.as_mut() else {
-            return;
-        };
-        let stored = db.store(
-            nl,
-            self.config.source,
-            &self.config.characterize,
-            &outcome.timing,
-            outcome.why.is_some(),
-        );
-        if stored && tracer.is_enabled() {
-            tracer.event("model_db_store", vec![("module", Value::from(name))]);
-        }
-    }
-
-    /// The worker pool parallel characterization runs on, if one
-    /// exists yet (seated in the config or lazily created by the first
-    /// parallel phase).
+    /// The worker pool characterization runs on, if one exists yet
+    /// (seated in the config or created by the first characterization
+    /// with more than one task).
     #[must_use]
     pub fn scheduler_handle(&self) -> Option<&Scheduler> {
-        self.scheduler.as_ref()
-    }
-
-    /// The pool a parallel phase runs on, or `None` to run serially.
-    /// A seated pool wins unchanged; otherwise the first parallel
-    /// phase creates one with `threads` workers — clamped to the
-    /// machine's parallelism unless [`AnalysisConfig::clamp_threads`]
-    /// is off — and the analyzer keeps it from then on.
-    fn scheduler_for_phase(&mut self, threads: usize, tracer: &mut Tracer) -> Option<Scheduler> {
-        if self.scheduler.is_none() && threads > 1 {
-            let effective = hfta_sched::effective_parallelism(threads, self.config.clamp_threads);
-            if effective < threads && tracer.is_enabled() && !self.clamp_reported {
-                self.clamp_reported = true;
-                tracer.event(
-                    "threads_clamped",
-                    vec![
-                        ("requested", Value::from(threads)),
-                        ("effective", Value::from(effective)),
-                        (
-                            "available",
-                            Value::from(hfta_sched::available_parallelism()),
-                        ),
-                    ],
-                );
-            }
-            if effective > 1 {
-                self.scheduler = Some(Scheduler::new(effective));
-            }
-        }
-        self.scheduler.clone().filter(|pool| pool.threads() > 1)
-    }
-
-    /// Interns a module name, so every cache key, alias pair and
-    /// degradation record for the same module shares one allocation.
-    fn intern(&mut self, name: &str) -> Arc<str> {
-        if let Some(existing) = self.names.get(name) {
-            return Arc::clone(existing);
-        }
-        let fresh: Arc<str> = Arc::from(name);
-        self.names.insert(Arc::clone(&fresh));
-        fresh
+        self.table.pool()
     }
 
     /// Stability/solver work accumulated by all characterizations so
     /// far.
     #[must_use]
     pub fn stability_stats(&self) -> StabilityStats {
-        let mut s = self.stability;
-        s.wall = self.wall;
+        let mut s = self.table.total().stability;
+        s.wall.propagate_micros = self.propagate_micros;
         s
     }
 
@@ -345,7 +156,7 @@ impl<'a> HierAnalyzer<'a> {
     /// those outputs fell back to their topological tuples).
     #[must_use]
     pub fn degraded_modules(&self) -> &[(Arc<str>, &'static str)] {
-        &self.degraded
+        self.table.degraded()
     }
 
     /// `(alias, owner)` pairs recorded by the structural signature
@@ -354,279 +165,43 @@ impl<'a> HierAnalyzer<'a> {
     /// own.
     #[must_use]
     pub fn sig_aliases(&self) -> &[(Arc<str>, Arc<str>)] {
-        &self.sig_aliases
-    }
-
-    /// Characterizes one module under this analyzer's config, checking
-    /// the deadline token first: an expired deadline degrades the whole
-    /// module to its topological model (counted per output in
-    /// [`StabilityStats::degraded`]).
-    fn characterize_one(
-        nl: &Netlist,
-        name: &str,
-        config: &AnalysisConfig,
-        token: &DeadlineToken,
-        sig_cache: &mut ConeSigCache,
-        tracer: &mut Tracer,
-    ) -> Result<CharOutcome, NetlistError> {
-        let span = tracer
-            .is_enabled()
-            .then(|| tracer.begin("characterize_module"));
-        let result = HierAnalyzer::characterize_one_impl(nl, config, token, sig_cache, tracer);
-        if let Some(span) = span {
-            match &result {
-                Ok(outcome) => {
-                    if let Some(owner) = outcome.alias_owner.as_deref() {
-                        tracer.event(
-                            "module_alias",
-                            vec![("module", Value::from(name)), ("owner", Value::from(owner))],
-                        );
-                    }
-                    tracer.end_with(
-                        span,
-                        vec![
-                            ("module", Value::from(name)),
-                            ("outputs", Value::from(outcome.timing.models().len())),
-                            ("degraded", Value::from(outcome.why.unwrap_or("no"))),
-                            ("aliased", Value::from(outcome.alias_owner.is_some())),
-                        ],
-                    );
-                }
-                Err(_) => tracer.end_with(span, vec![("module", Value::from(name))]),
-            }
-        }
-        result
-    }
-
-    /// The untraced characterization body of [`HierAnalyzer::characterize_one`].
-    fn characterize_one_impl(
-        nl: &Netlist,
-        config: &AnalysisConfig,
-        token: &DeadlineToken,
-        sig_cache: &mut ConeSigCache,
-        tracer: &mut Tracer,
-    ) -> Result<CharOutcome, NetlistError> {
-        let name = nl.name();
-        let wants_functional = config.source == ModelSource::Functional;
-        if wants_functional && token.expired() {
-            let topological = AnalysisConfig::default().with_source(ModelSource::Topological);
-            let (timing, mut stats) = ModuleTiming::characterize_with_stats(nl, &topological)?;
-            stats.degraded += nl.outputs().len() as u64;
-            return Ok(CharOutcome {
-                timing,
-                stats,
-                why: Some("deadline"),
-                alias_owner: None,
-            });
-        }
-        let (timing, stats, owners) =
-            ModuleTiming::characterize_traced(nl, config, sig_cache, tracer)?;
-        let why = (wants_functional && stats.degraded > 0).then_some("budget");
-        // The module is an alias when every output was replayed from
-        // one (other) module's characterization.
-        let alias_owner = match owners.first() {
-            Some(Some(owner))
-                if owner != name && owners.iter().all(|o| o.as_deref() == Some(owner)) =>
-            {
-                Some(owner.clone())
-            }
-            _ => None,
-        };
-        Ok(CharOutcome {
-            timing,
-            stats,
-            why,
-            alias_owner,
-        })
+        self.table.aliases()
     }
 
     /// Step 1 for all distinct leaf modules referenced by the top
-    /// composite, serial or parallel per [`AnalysisConfig::threads`].
-    /// [`HierAnalyzer::analyze`] calls this lazily; calling it eagerly
-    /// separates characterization cost from propagation cost (useful
-    /// for the paper's "analyze the same circuit under many
+    /// composite. [`HierAnalyzer::analyze`] calls this lazily; calling
+    /// it eagerly separates characterization cost from propagation cost
+    /// (useful for the paper's "analyze the same circuit under many
     /// arrival-time conditions" scenario, Section 3.3).
     ///
-    /// With `threads == 1` modules are characterized serially in
-    /// instance order, sharing this analyzer's signature cache
-    /// directly; with more threads, distinct uncached modules fan out
-    /// to scoped workers (characterizations are independent) whose
-    /// private caches merge back deterministically in chunk order.
+    /// Modules missing from the table are characterized in signature
+    /// groups (leaves sharing a cone signature run together, in name
+    /// order), inline or on the pool per [`AnalysisConfig::threads`];
+    /// the thread count changes nothing but the wall time.
     ///
     /// # Errors
     ///
     /// Returns the first characterization error.
     pub fn characterize_all(&mut self) -> Result<(), NetlistError> {
-        if self.config.threads > 1 {
-            return self.characterize_parallel(self.config.threads);
-        }
-        let top = self.top;
-        for inst in top.instances() {
-            self.module_timing(&inst.module)?;
-        }
-        Ok(())
-    }
-
-    /// The parallel step-1 fan-out: one task per distinct uncached
-    /// module on the persistent pool. Each task owns a clone of its
-    /// leaf netlist (persistent workers need `'static` tasks), a
-    /// private signature cache and a forked tracer; caches and trace
-    /// buffers merge back deterministically in sorted-name order, so
-    /// the result is independent of how the pool schedules the tasks.
-    fn characterize_parallel(&mut self, threads: usize) -> Result<(), NetlistError> {
-        let design = self.design;
-        let mut names: Vec<&str> = self
-            .top
-            .instances()
-            .iter()
-            .map(|i| i.module.as_str())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        names.retain(|n| !self.cache.contains_key(*n));
-        // Warm start: serve what the persistent database already has
-        // (serially — probes are I/O + validation, far cheaper than
-        // characterization) and fan out only the true misses.
-        if self.db_use.is_some() && !names.is_empty() {
-            let mut tracer = self.config.trace.tracer();
-            let mut remaining = Vec::with_capacity(names.len());
-            for &name in &names {
-                let nl = design.leaf(name).ok_or_else(|| NetlistError::Unknown {
-                    what: "leaf module",
-                    name: name.to_string(),
-                })?;
-                if !self.db_probe(nl, name, &mut tracer) {
-                    remaining.push(name);
-                }
-            }
-            self.config.trace.absorb(tracer);
-            names = remaining;
-        }
-        if names.is_empty() {
-            return Ok(());
-        }
-        let mut tracer = self.config.trace.tracer();
-        let pool = self.scheduler_for_phase(threads, &mut tracer);
-        let t0 = Instant::now();
-        struct CharTask {
-            name: String,
-            nl: Netlist,
-            config: Arc<AnalysisConfig>,
-            token: DeadlineToken,
-            tracer: Tracer,
-        }
-        type TaskOut = (
-            String,
-            Result<CharOutcome, NetlistError>,
-            ConeSigCache,
-            Tracer,
-        );
-        let run = |mut task: CharTask| -> TaskOut {
-            let mut sig_cache = ConeSigCache::new();
-            let r = HierAnalyzer::characterize_one(
-                &task.nl,
-                &task.name,
-                &task.config,
-                &task.token,
-                &mut sig_cache,
-                &mut task.tracer,
-            );
-            (task.name, r, sig_cache, task.tracer)
-        };
-        let mut tasks = Vec::with_capacity(names.len());
-        for (i, &name) in names.iter().enumerate() {
-            let nl = design
-                .leaf(name)
-                .ok_or_else(|| NetlistError::Unknown {
-                    what: "leaf module",
-                    name: name.to_string(),
-                })?
-                .clone();
-            tasks.push(CharTask {
-                name: name.to_string(),
-                nl,
-                config: Arc::clone(&self.config),
-                token: self.token.clone(),
-                tracer: tracer.fork(i as u32 + 1),
-            });
-        }
-        let results: Vec<TaskOut> = match pool {
-            Some(pool) if tasks.len() > 1 => pool.run(tasks, run),
-            _ => tasks.into_iter().map(run).collect(),
-        };
-        self.wall.characterize_micros += micros_since(t0);
-        for (name, result, sig_cache, task_tracer) in results {
-            tracer.absorb(task_tracer);
-            self.sig_cache.merge(sig_cache);
-            let outcome = result?;
-            if self.db_emit.is_some() {
-                if let Some(nl) = design.leaf(&name) {
-                    self.db_store(nl, &name, &outcome, &mut tracer);
-                }
-            }
-            self.record(&name, outcome);
-        }
-        self.config.trace.absorb(tracer);
-        Ok(())
-    }
-
-    /// Books one characterization outcome into the analyzer's caches,
-    /// counters and alias/degradation records.
-    fn record(&mut self, name: &str, outcome: CharOutcome) {
-        let key = self.intern(name);
-        self.characterized += 1;
-        self.stability.merge(&outcome.stats);
-        if let Some(why) = outcome.why {
-            self.degraded.push((Arc::clone(&key), why));
-        }
-        if let Some(owner) = outcome.alias_owner.as_deref() {
-            let owner = self.intern(owner);
-            self.sig_aliases.push((Arc::clone(&key), owner));
-        }
-        self.cache.insert(key, outcome.timing);
+        let modules = self.top.instances().iter().map(|i| i.module.as_str());
+        self.table.ensure(self.design, modules).map(|_| ())
     }
 
     /// The (cached) timing abstraction of a leaf module.
     ///
     /// # Errors
     ///
-    /// Returns characterization errors.
+    /// Returns characterization errors, and [`NetlistError::Unknown`]
+    /// if `name` is not a leaf of the design.
     pub fn module_timing(&mut self, name: &str) -> Result<&ModuleTiming, NetlistError> {
-        if !self.cache.contains_key(name) {
-            let design = self.design;
-            let nl = design.leaf(name).ok_or_else(|| NetlistError::Unknown {
-                what: "leaf module",
-                name: name.to_string(),
-            })?;
-            let mut tracer = self.config.trace.tracer();
-            if self.db_probe(nl, name, &mut tracer) {
-                self.config.trace.absorb(tracer);
-                return Ok(&self.cache[name]);
-            }
-            let t0 = Instant::now();
-            let outcome = HierAnalyzer::characterize_one(
-                nl,
-                name,
-                &self.config,
-                &self.token,
-                &mut self.sig_cache,
-                &mut tracer,
-            );
-            self.wall.characterize_micros += micros_since(t0);
-            if let Ok(outcome) = &outcome {
-                self.db_store(nl, name, outcome, &mut tracer);
-            }
-            self.config.trace.absorb(tracer);
-            self.record(name, outcome?);
-        }
-        Ok(&self.cache[name])
+        self.table.ensure(self.design, [name])?;
+        Ok(self.table.model(name).expect("ensured above"))
     }
 
     /// Injects a pre-built abstraction (e.g. a black-box IP model
     /// loaded from text), bypassing characterization for that module.
     pub fn install_model(&mut self, timing: ModuleTiming) {
-        let key = self.intern(timing.module());
-        self.cache.insert(key, timing);
+        self.table.install(timing);
     }
 
     /// Step 2: propagates the given primary-input arrivals through the
@@ -642,9 +217,10 @@ impl<'a> HierAnalyzer<'a> {
     /// count.
     pub fn analyze(&mut self, pi_arrivals: &[Time]) -> Result<HierAnalysis, NetlistError> {
         self.characterize_all()?;
-        if self.config.trace.is_enabled() {
+        let trace = &self.table.config().trace;
+        if trace.is_enabled() {
             let s = self.stability_stats();
-            let mut tracer = self.config.trace.tracer();
+            let mut tracer = trace.tracer();
             tracer.event(
                 "shared_solver_stats",
                 vec![
@@ -653,20 +229,17 @@ impl<'a> HierAnalyzer<'a> {
                     ("learnts_imported", Value::from(s.learnts_imported)),
                 ],
             );
-            self.config.trace.absorb(tracer);
+            trace.absorb(tracer);
         }
-        let before = self.characterized;
         let t0 = Instant::now();
-        let result = propagate(self.top, &self.cache, pi_arrivals)?;
-        self.wall.propagate_micros += micros_since(t0);
-        debug_assert_eq!(before, self.characterized, "analyze must not characterize");
+        let result = self.table.propagate(self.top, pi_arrivals)?;
+        self.propagate_micros += micros_since(t0);
         Ok(HierAnalysis {
             stats: HierStats {
-                modules_characterized: self.characterized,
-                modules_degraded: self.degraded.len() as u64,
-                instances_propagated: result.stats.instances_propagated,
-                modules_aliased: self.sig_aliases.len() as u64,
+                modules_characterized: self.table.total().characterized,
+                modules_aliased: self.table.aliases().len() as u64,
                 stability: self.stability_stats(),
+                ..result.stats
             },
             ..result
         })
@@ -741,6 +314,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelSource;
     use hfta_netlist::gen::{carry_skip_adder, CsaDelays};
 
     fn t(v: i64) -> Time {
@@ -848,6 +422,7 @@ mod tests {
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
+    use crate::ModelSource;
     use hfta_netlist::gen::{carry_skip_block, CsaDelays};
     use hfta_netlist::{Composite, Design};
 
@@ -922,9 +497,13 @@ mod parallel_tests {
         parallel.characterize_all().unwrap();
         let p = parallel.analyze(&arrivals).unwrap();
 
-        assert_eq!(s.delay, p.delay);
-        assert_eq!(s.output_arrivals, p.output_arrivals);
+        assert_eq!(s, p, "the whole analysis, counters included");
+        assert_eq!(serial.sig_aliases(), parallel.sig_aliases());
         assert_eq!(p.stats.modules_characterized, 4);
+        let pool = parallel
+            .scheduler_handle()
+            .expect("several groups ran on a pool");
+        assert_eq!(pool.stats().batches, 1);
     }
 
     /// An already-expired analysis deadline degrades every module to
@@ -1023,9 +602,10 @@ mod parallel_tests {
     }
 
     /// Signature sharing must not perturb results whichever schedule
-    /// produces the models: parallel characterization of a replicated
-    /// design stays bit-identical to the serial path, per module and
-    /// for the whole analysis.
+    /// produces the models: characterization of a replicated design on
+    /// four workers is bit-identical to the serial run, per module and
+    /// for the whole analysis, counters, aliases and degradation
+    /// records included.
     #[test]
     fn parallel_signature_sharing_equals_serial() {
         let copies = 4usize;
@@ -1043,17 +623,16 @@ mod parallel_tests {
         parallel.characterize_all().unwrap();
         let p = parallel.analyze(&arrivals).unwrap();
 
-        assert_eq!(s.delay, p.delay);
-        assert_eq!(s.output_arrivals, p.output_arrivals);
+        assert_eq!(s, p, "the whole analysis, counters included");
+        assert_eq!(serial.sig_aliases(), parallel.sig_aliases());
+        assert_eq!(serial.degraded_modules(), parallel.degraded_modules());
         for k in 0..copies {
             let name = format!("blk{k}");
             let sm = serial.module_timing(&name).unwrap().clone();
             let pm = parallel.module_timing(&name).unwrap().clone();
             assert_eq!(sm, pm, "models diverged for {name}");
         }
-        // The serial path shares one characterization across all
-        // copies. (The parallel path may alias fewer — workers race to
-        // publish — which is why the equality above is on the models.)
+        // Both share one characterization across all copies.
         assert_eq!(s.stats.modules_aliased, copies as u64 - 1);
     }
 
@@ -1071,7 +650,8 @@ mod parallel_tests {
 
     /// Tracing is an observer: with a sink installed the analysis stays
     /// bit-identical (serial and parallel), and the trace carries the
-    /// promised `characterize_module` spans and `module_alias` events.
+    /// promised `characterize_module` spans and `module_alias` events,
+    /// in the same record sequence at every thread count.
     #[test]
     fn traced_hier_is_bit_identical_and_records() {
         use hfta_trace::TraceSink;
@@ -1084,10 +664,12 @@ mod parallel_tests {
             HierAnalyzer::with_config(&design, "rep", &AnalysisConfig::default()).unwrap();
         let want = plain.analyze(&arrivals).unwrap();
 
+        let mut sequences = Vec::new();
         for threads in [1usize, 4] {
             let sink = TraceSink::enabled();
             let config = AnalysisConfig::default()
                 .with_threads(threads)
+                .with_thread_clamp(false)
                 .with_trace(sink.clone());
             let mut traced = HierAnalyzer::with_config(&design, "rep", &config).unwrap();
             let got = traced.analyze(&arrivals).unwrap();
@@ -1103,14 +685,18 @@ mod parallel_tests {
                     >= 1,
                 "threads={threads}: {names:?}"
             );
-            if threads == 1 {
-                // Serial sharing replays copies−1 modules from the
-                // first characterization — each records an alias event.
-                assert_eq!(
-                    names.iter().filter(|n| **n == "module_alias").count(),
-                    copies - 1
-                );
-            }
+            // Sharing replays copies−1 modules from the first
+            // characterization — each records an alias event.
+            assert_eq!(
+                names.iter().filter(|n| **n == "module_alias").count(),
+                copies - 1,
+                "threads={threads}"
+            );
+            sequences.push(names);
         }
+        assert_eq!(
+            sequences[0], sequences[1],
+            "record names at 1 and 4 threads"
+        );
     }
 }

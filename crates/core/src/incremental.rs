@@ -4,18 +4,26 @@
 //! matter what changes elsewhere, so a module edit only requires (1)
 //! re-characterizing the edited module and (2) re-running the cheap
 //! top-level propagation. [`IncrementalAnalyzer`] owns the design and a
-//! content-hash-keyed model cache to deliver exactly that contract —
-//! compare with flat analysis, where any edit invalidates everything.
+//! leaf-model table to deliver exactly that contract — compare with
+//! flat analysis, where any edit invalidates everything.
 //!
-//! Two soundness rules guard the cache:
+//! The table is the one [`crate::HierAnalyzer`] uses, with the same
+//! schedule: the leaves a call lacks are characterized in signature
+//! groups, inline or on the pool per [`AnalysisConfig::threads`], and
+//! the thread count changes nothing but the wall time. Three rules keep
+//! it exact:
 //!
-//! * **Degraded models are never cached.** A model produced under a
-//!   finite [`SolveBudget`] that actually
-//!   degraded is an artifact of that budget; replaying it in a later
-//!   run (possibly under a looser budget) would not be bit-identical
-//!   to a fresh analysis. Only undegraded — budget-independent —
-//!   models enter the cache, the structural signature cache, or the
-//!   persistent database, so every cache survives a budget change.
+//! * **An edit evicts exactly the edited module.** A replacement whose
+//!   content hash differs drops that module's model; every other model,
+//!   and the structural signature cache, stay valid.
+//! * **A degraded model lives until the budget changes.** A model a
+//!   finite [`SolveBudget`] degraded is an artifact of that budget: it
+//!   answers later calls under the same budget (each result counts it
+//!   in [`HierStats::modules_degraded`]),
+//!   [`IncrementalAnalyzer::set_budget`] evicts it, it never enters the
+//!   signature cache or the persistent database, and
+//!   [`IncrementalAnalyzer::warm_snapshot`] refuses a session holding
+//!   one.
 //! * **Per-run vs. session counters are distinct.** The
 //!   [`HierStats`] on each [`HierAnalysis`] report what *that call*
 //!   did; [`IncrementalAnalyzer::characterizations`] is the session
@@ -23,13 +31,12 @@
 
 use std::collections::HashMap;
 
-use hfta_fta::{AnalysisConfig, ConeSigCache, SolveBudget, StabilityStats};
-use hfta_modeldb::{ModelDb, ModelDbStats};
-use hfta_netlist::{Design, Netlist, NetlistError, Time};
+use hfta_fta::{AnalysisConfig, SolveBudget, StabilityStats};
+use hfta_modeldb::ModelDbStats;
+use hfta_netlist::{Composite, Design, Netlist, NetlistError, Time};
 
-use hfta_netlist::Composite;
-
-use crate::hier::{open_model_dbs, propagate, HierAnalysis, HierStats};
+use crate::hier::{propagate, HierAnalysis, HierStats};
+use crate::models::{depth1_top, ModelTable};
 use crate::module_timing::ModuleTiming;
 
 /// An immutable snapshot of a fully-warm analysis session: the top
@@ -99,20 +106,10 @@ impl WarmSnapshot {
 pub struct IncrementalAnalyzer {
     design: Design,
     top: String,
-    /// Model source, characterization options and budget of every
-    /// characterization (the budget changes via [`Self::set_budget`]).
-    config: AnalysisConfig,
-    /// Model cache keyed by module name; the hash detects edits. Holds
-    /// only undegraded models (see the module docs).
-    cache: HashMap<String, (u64, ModuleTiming)>,
-    /// Structural signature cache shared across modules and runs — the
-    /// same sig-sharing path [`crate::HierAnalyzer`] uses, so
-    /// isomorphic leaves characterize once.
-    sig_cache: ConeSigCache,
-    characterizations: u64,
-    session_stability: StabilityStats,
-    db_use: Option<ModelDb>,
-    db_emit: Option<ModelDb>,
+    /// Every leaf model of the session, with the configuration it is
+    /// characterized under (the budget changes via
+    /// [`Self::set_budget`]).
+    table: ModelTable,
 }
 
 impl IncrementalAnalyzer {
@@ -131,32 +128,11 @@ impl IncrementalAnalyzer {
         config: &AnalysisConfig,
     ) -> Result<IncrementalAnalyzer, NetlistError> {
         let top = top.into();
-        design.validate()?;
-        let composite = design
-            .composite(&top)
-            .ok_or_else(|| NetlistError::Unknown {
-                what: "top-level composite module",
-                name: top.clone(),
-            })?;
-        for inst in composite.instances() {
-            if design.leaf(&inst.module).is_none() {
-                return Err(NetlistError::Unknown {
-                    what: "leaf module (incremental analysis requires depth-1 hierarchy)",
-                    name: inst.module.clone(),
-                });
-            }
-        }
-        let (db_use, db_emit) = open_model_dbs(&config.model_db)?;
+        depth1_top(&design, &top)?;
         Ok(IncrementalAnalyzer {
             design,
             top,
-            config: config.clone(),
-            cache: HashMap::new(),
-            sig_cache: ConeSigCache::new(),
-            characterizations: 0,
-            session_stability: StabilityStats::default(),
-            db_use,
-            db_emit,
+            table: ModelTable::new(config)?,
         })
     }
 
@@ -171,44 +147,36 @@ impl IncrementalAnalyzer {
     /// in each result's [`HierStats::modules_characterized`].
     #[must_use]
     pub fn characterizations(&self) -> u64 {
-        self.characterizations
+        self.table.total().characterized
     }
 
     /// Cumulative stability/solver work across the session (per-run
     /// figures are in each result's [`HierStats::stability`]).
     #[must_use]
     pub fn session_stability(&self) -> &StabilityStats {
-        &self.session_stability
+        &self.table.total().stability
     }
 
     /// Counters of the attached model-database handles, merged across
     /// the read and emit sides (all zero when no database is attached).
     #[must_use]
     pub fn model_db_stats(&self) -> ModelDbStats {
-        let mut s = ModelDbStats::default();
-        if let Some(db) = &self.db_use {
-            s.merge(&db.stats());
-        }
-        if let Some(db) = &self.db_emit {
-            s.merge(&db.stats());
-        }
-        s
+        self.table.db_stats()
     }
 
-    /// Changes the per-query solve budget for subsequent analyses.
-    ///
-    /// Every cache survives: the model cache, the structural signature
-    /// cache and the persistent database only ever hold undegraded,
-    /// budget-independent results.
+    /// Changes the per-query solve budget for subsequent analyses and
+    /// evicts every degraded model. The undegraded models, the
+    /// structural signature cache and the persistent database only ever
+    /// hold budget-independent results, so they survive.
     pub fn set_budget(&mut self, budget: SolveBudget) {
-        self.config.budget = budget;
+        self.table.set_budget(budget);
     }
 
     /// Takes a read-only [`WarmSnapshot`] of the session, or `None`
-    /// unless **every** instantiated module's model is cached at its
-    /// current content hash (i.e. the session is fully warm — a cold
-    /// or partially-degraded session would have to characterize, which
-    /// a snapshot cannot).
+    /// unless **every** instantiated module has an undegraded model
+    /// (i.e. the session is fully warm — a cold session would have to
+    /// characterize, which a snapshot cannot, and a degraded model
+    /// answers only for the budget that made it).
     ///
     /// The snapshot is detached: later edits to this analyzer do not
     /// invalidate it (it keeps answering for the design it captured),
@@ -216,21 +184,19 @@ impl IncrementalAnalyzer {
     /// [`Self::replace_module`].
     #[must_use]
     pub fn warm_snapshot(&self) -> Option<WarmSnapshot> {
+        if !self.table.degraded().is_empty() {
+            return None;
+        }
         let composite = self
             .design
             .composite(&self.top)
             .expect("validated in constructor");
         let mut models: HashMap<String, ModuleTiming> = HashMap::new();
         for inst in composite.instances() {
-            if models.contains_key(&inst.module) {
-                continue;
+            if !models.contains_key(&inst.module) {
+                let m = self.table.model(&inst.module)?;
+                models.insert(inst.module.clone(), m.clone());
             }
-            let leaf = self.design.leaf(&inst.module)?;
-            let (hash, m) = self.cache.get(&inst.module)?;
-            if *hash != leaf.content_hash() {
-                return None;
-            }
-            models.insert(inst.module.clone(), m.clone());
         }
         Some(WarmSnapshot {
             composite: composite.clone(),
@@ -239,19 +205,27 @@ impl IncrementalAnalyzer {
     }
 
     /// Replaces the body of a leaf module (same name, same ports). Its
-    /// stale model is re-characterized on the next [`Self::analyze`];
-    /// all other modules' models stay valid.
+    /// stale model is re-characterized on the next [`Self::analyze`]
+    /// (unless the new body hashes like the old one); all other
+    /// modules' models stay valid.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::Unknown`] if no leaf of that name
     /// exists.
     pub fn replace_module(&mut self, netlist: Netlist) -> Result<(), NetlistError> {
-        self.design.replace_leaf(netlist)
+        let name = netlist.name().to_string();
+        let old = self.design.leaf(&name).map(Netlist::content_hash);
+        let edited = old != Some(netlist.content_hash());
+        self.design.replace_leaf(netlist)?;
+        if edited {
+            self.table.evict(&name);
+        }
+        Ok(())
     }
 
     /// Analyzes the design under the given top-level arrivals, reusing
-    /// every cached model whose module is unchanged.
+    /// every model the table holds.
     ///
     /// The returned [`HierStats`] describe **this call only**; use
     /// [`Self::characterizations`] for the session total.
@@ -269,88 +243,15 @@ impl IncrementalAnalyzer {
             .design
             .composite(&self.top)
             .expect("validated in constructor");
-        let mut run_characterized = 0u64;
-        let mut run_degraded = 0u64;
-        let mut run_aliased = 0u64;
-        let mut run_stability = StabilityStats::default();
-        // Refresh stale / missing models.
-        let mut fresh: HashMap<String, ModuleTiming> = HashMap::new();
-        for inst in composite.instances() {
-            if fresh.contains_key(&inst.module) {
-                continue;
-            }
-            let leaf = self
-                .design
-                .leaf(&inst.module)
-                .ok_or_else(|| NetlistError::Unknown {
-                    what: "leaf module",
-                    name: inst.module.clone(),
-                })?;
-            let hash = leaf.content_hash();
-            if let Some(m) = self
-                .cache
-                .get(&inst.module)
-                .filter(|(h, _)| *h == hash)
-                .map(|(_, m)| m.clone())
-            {
-                fresh.insert(inst.module.clone(), m);
-                continue;
-            }
-            // Cold in this session: probe the persistent database
-            // before characterizing. A hit is exact by construction
-            // (the store refuses degraded models), so it enters the
-            // session cache like any undegraded fresh model.
-            if let Some(db) = self.db_use.as_mut() {
-                if let Some(m) = db.probe(leaf, self.config.source, &self.config.characterize) {
-                    run_stability.model_db_hits += 1;
-                    self.cache.insert(inst.module.clone(), (hash, m.clone()));
-                    fresh.insert(inst.module.clone(), m);
-                    continue;
-                }
-                run_stability.model_db_misses += 1;
-            }
-            let (m, stats, owners) =
-                ModuleTiming::characterize_cached(leaf, &self.config, &mut self.sig_cache)?;
-            self.characterizations += 1;
-            run_characterized += 1;
-            let degraded = stats.degraded > 0;
-            if degraded {
-                run_degraded += 1;
-            }
-            // The module is an alias when every output was replayed
-            // from one (other) module's characterization.
-            if let Some(Some(owner)) = owners.first() {
-                if owner != &inst.module && owners.iter().all(|o| o.as_deref() == Some(owner)) {
-                    run_aliased += 1;
-                }
-            }
-            run_stability.merge(&stats);
-            if !degraded {
-                // Degraded models are artifacts of the current budget
-                // and must never outlive this run (module docs); exact
-                // ones are cached and persisted.
-                self.cache.insert(inst.module.clone(), (hash, m.clone()));
-                if let Some(db) = self.db_emit.as_mut() {
-                    db.store(
-                        leaf,
-                        self.config.source,
-                        &self.config.characterize,
-                        &m,
-                        false,
-                    );
-                }
-            }
-            fresh.insert(inst.module.clone(), m);
-        }
-        self.session_stability.merge(&run_stability);
-        let result = propagate(composite, &fresh, pi_arrivals)?;
+        let modules = composite.instances().iter().map(|i| i.module.as_str());
+        let work = self.table.ensure(&self.design, modules)?;
+        let result = self.table.propagate(composite, pi_arrivals)?;
         Ok(HierAnalysis {
             stats: HierStats {
-                modules_characterized: run_characterized,
-                modules_degraded: run_degraded,
-                instances_propagated: result.stats.instances_propagated,
-                modules_aliased: run_aliased,
-                stability: run_stability,
+                modules_characterized: work.characterized,
+                modules_aliased: work.aliased,
+                stability: work.stability,
+                ..result.stats
             },
             ..result
         })
@@ -568,6 +469,34 @@ mod tests {
             h.stats.stability.cone_sig_hits,
             a.stats.stability.cone_sig_hits
         );
+    }
+
+    /// A cold session over several leaves runs its characterization on
+    /// a seated pool, and the pool changes nothing: the first run, an
+    /// edit and the run after it all equal the serial session's.
+    #[test]
+    fn pooled_session_equals_serial_session() {
+        let mkdesign = || block_chain(&mixed_flavours(), "mixed");
+        let arrivals = vec![t(0); 17];
+        let pool = crate::Scheduler::new(2);
+        let pooled = AnalysisConfig::default()
+            .with_threads(2)
+            .with_scheduler(pool.clone());
+        let run = |config: &AnalysisConfig| {
+            let mut session =
+                IncrementalAnalyzer::with_config(mkdesign(), "mixed", config).unwrap();
+            let cold = session.analyze(&arrivals).unwrap();
+            let mut block = carry_skip_block(2, mixed_flavours()[3]);
+            block.set_name("blk1");
+            session.replace_module(block).unwrap();
+            let edited = session.analyze(&arrivals).unwrap();
+            (cold, edited, *session.session_stability())
+        };
+        let serial = run(&AnalysisConfig::default());
+        let got = run(&pooled);
+        assert!(pool.stats().batches > 0, "{:?}", pool.stats());
+        assert_eq!(got, serial);
+        assert_eq!(got.1.stats.modules_characterized, 1);
     }
 
     /// A warm snapshot answers bit-identically to the session it came

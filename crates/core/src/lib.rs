@@ -12,7 +12,10 @@
 //!   tuples via required-time analysis, capturing false paths *inside*
 //!   the module while remaining valid under any environment. Also the
 //!   paper's black-box IP abstraction (Section 7), with a text
-//!   serialization.
+//!   serialization. The two-step, incremental and multi-level analyses
+//!   all get their leaf models from one leaf-model table with one
+//!   characterization schedule (signature groups, inline or on the
+//!   worker pool), so the thread count changes only the wall time.
 //! * [`HierAnalyzer`] ([`hier`]) — step 2: min–max propagation of
 //!   arrival times through the instance DAG (Section 3). Conservative
 //!   with respect to flat analysis (Theorem 1).
@@ -51,6 +54,7 @@ pub mod deadline;
 pub mod demand;
 pub mod hier;
 pub mod incremental;
+mod models;
 pub mod module_timing;
 pub mod naive;
 

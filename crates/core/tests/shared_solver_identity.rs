@@ -14,14 +14,17 @@
 //! ones depends on the module's or class's probe history. The last
 //! property pins what still holds: every output arrival of every
 //! hierarchical and flat analysis lies between the exact flat arrival
-//! and the topological one, a two-worker run equals the serial one, and
-//! a rerun on a fresh analyzer equals the first.
+//! and the topological one, a two-worker run equals the serial one
+//! (whole results, counters included), and a rerun on a fresh analyzer
+//! equals the first. Its two-step half also runs renamed replicated
+//! blocks, whose copies replay each other's cones through the signature
+//! cache on every schedule.
 
 use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer, IncrementalAnalyzer};
 use hfta_fta::{DelayAnalyzer, SolveBudget, TimingReport, TopoSta};
 use hfta_netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 use hfta_netlist::partition::cascade_bipartition;
-use hfta_netlist::{Design, GateId, Netlist, Time};
+use hfta_netlist::{Composite, Design, GateId, NetId, Netlist, Time};
 use hfta_testkit::{from_fn_with_shrink, prop, Rng, Strategy};
 
 /// Random partitionable circuits (≥ 2 gates); shrinking reduces gate
@@ -244,6 +247,35 @@ fn slowed_leaf(design: &Design, seed: u64) -> Netlist {
     edited
 }
 
+/// Each leaf of `design` twice under fresh names, side by side on fresh
+/// top-level inputs: renamed replicated blocks, so the copies share
+/// every cone signature pairwise.
+fn renamed_twins(design: &Design) -> Design {
+    let mut twins = Design::new();
+    let mut top = Composite::new("twins");
+    let leaves = design.modules().iter().filter_map(|m| design.leaf(&m.name));
+    for (k, leaf) in leaves.enumerate() {
+        for copy in 0..2 {
+            let name = format!("blk{k}_{copy}");
+            let ins: Vec<NetId> = (0..leaf.inputs().len())
+                .map(|i| top.add_input(format!("{name}_i{i}")))
+                .collect();
+            let outs: Vec<NetId> = (0..leaf.outputs().len())
+                .map(|o| top.add_net(format!("{name}_o{o}")))
+                .collect();
+            top.add_instance(format!("u_{name}"), name.clone(), &ins, &outs);
+            for &out in &outs {
+                top.mark_output(out);
+            }
+            let mut block = leaf.clone();
+            block.set_name(name);
+            twins.add_leaf(block).expect("fresh name");
+        }
+    }
+    twins.add_composite(top).expect("valid top");
+    twins
+}
+
 // A budget that binds (1–12 conflicts) degrades verdicts on shared
 // solver state: which probes it interrupts depends on what the module
 // or class probed before. Every analysis must stay sound and
@@ -275,13 +307,22 @@ prop!(cases = 24, fn binding_budget_is_sound_and_deterministic(
     };
     let h = two_step(&serial);
     assert_between(&h.output_arrivals, &before, &what("two-step"));
-    let h2 = two_step(&two_workers);
-    assert_eq!(
-        (&h2.output_arrivals, &h2.net_arrivals),
-        (&h.output_arrivals, &h.net_arrivals),
-        "{}", what("two-step on two workers")
-    );
+    assert_eq!(two_step(&two_workers), h, "{}", what("two-step on two workers"));
     assert_eq!(two_step(&serial), h, "{}", what("two-step rerun"));
+
+    let twins = renamed_twins(&design);
+    let twin_inputs = twins.composite("twins").expect("top").inputs().len();
+    let twin_arrivals = arrivals_strategy(twin_inputs).generate(&mut rng);
+    let on_twins = |config: &AnalysisConfig| {
+        let mut an = HierAnalyzer::with_config(&twins, "twins", config).expect("valid");
+        let analysis = an.analyze(&twin_arrivals).expect("analyzes");
+        (analysis, an.sig_aliases().to_vec(), an.degraded_modules().to_vec())
+    };
+    let tw = on_twins(&serial);
+    let twin_bounds = bounds(&twins.flatten("twins").expect("flattens"), &twin_arrivals);
+    assert_between(&tw.0.output_arrivals, &twin_bounds, &what("two-step on twins"));
+    assert_eq!(on_twins(&two_workers), tw, "{}", what("two-step on twins, two workers"));
+    assert_eq!(on_twins(&serial), tw, "{}", what("two-step on twins, rerun"));
 
     let demand = |config: &AnalysisConfig| {
         DemandDrivenAnalyzer::with_config(&design, "s_top", config)

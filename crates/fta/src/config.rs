@@ -163,8 +163,11 @@ impl ModelDbSpec {
 pub struct AnalysisConfig {
     /// Where hierarchical analysis gets module timing models.
     pub source: ModelSource,
-    /// Worker threads for characterization / refinement fan-out
-    /// (1 = serial; results are bit-identical either way).
+    /// Worker threads for leaf characterization (two-step,
+    /// incremental and multi-level analysis: signature groups) and
+    /// demand-driven refinement (signature classes); 1 = inline. The
+    /// count changes only the wall time: models, verdicts, counters and
+    /// answers under a binding budget are the same at any count.
     pub threads: usize,
     /// Clamp [`AnalysisConfig::threads`] to
     /// [`hfta_sched::available_parallelism`] when the pool is created

@@ -71,8 +71,7 @@ pub use oracle::StabilityOracle;
 pub use paths::{longest_true_path, worst_paths, TimedPath};
 pub use report::{OutputReport, TimingReport};
 pub use required::{
-    characterize_module, characterize_module_cached, characterize_module_traced,
-    characterize_module_with_stats, topological_delays, CachedCharacterization,
+    characterize_module, characterize_module_traced, topological_delays, CachedCharacterization,
     CharacterizeOptions, Characterizer, ConeSigCache, LENGTHS_CAP,
 };
 pub use sequential::{SequentialAnalysis, SequentialAnalyzer, SequentialEngine};

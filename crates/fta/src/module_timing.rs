@@ -18,14 +18,12 @@
 use std::error::Error;
 use std::fmt;
 
-use hfta_netlist::{Netlist, NetlistError, Time};
+use hfta_netlist::{ConeKey, NetId, Netlist, NetlistError, Time};
 use hfta_trace::Tracer;
 
 use crate::config::{AnalysisConfig, ModelSource};
 use crate::model::{TimingModel, TimingTuple};
-use crate::required::{
-    characterize_module_traced, characterize_module_with_stats, topological_delays, ConeSigCache,
-};
+use crate::required::{characterize_module_traced, topological_delays, ConeSigCache};
 use crate::stability::StabilityStats;
 
 /// The timing abstraction of one module: a timing model per output.
@@ -48,75 +46,23 @@ impl ModuleTiming {
         netlist: &Netlist,
         config: &AnalysisConfig,
     ) -> Result<ModuleTiming, NetlistError> {
-        ModuleTiming::characterize_with_stats(netlist, config).map(|(m, _)| m)
+        ModuleTiming::characterize_traced(netlist, config, None, &mut Tracer::disabled())
+            .map(|(timing, _, _)| timing)
     }
 
     /// Like [`ModuleTiming::characterize`], also returning the
     /// stability/solver work spent (zero for topological models, which
-    /// need no stability checks). Stats ride alongside rather than in
+    /// need no stability checks) and, per output, the module that
+    /// originally characterized a cone replayed from the signature cache
+    /// (`None` for fresh outputs). Stats ride alongside rather than in
     /// the struct so abstractions remain pure data (serializable,
     /// comparable).
     ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-    pub fn characterize_with_stats(
-        netlist: &Netlist,
-        config: &AnalysisConfig,
-    ) -> Result<(ModuleTiming, StabilityStats), NetlistError> {
-        let (models, stats) = match config.source {
-            ModelSource::Functional => characterize_module_with_stats(netlist, config)?,
-            ModelSource::Topological => (
-                netlist
-                    .outputs()
-                    .iter()
-                    .map(|&o| Ok(TimingModel::topological(topological_delays(netlist, o)?)))
-                    .collect::<Result<Vec<_>, NetlistError>>()?,
-                StabilityStats::default(),
-            ),
-        };
-        let timing = ModuleTiming {
-            module: netlist.name().to_string(),
-            input_names: netlist
-                .inputs()
-                .iter()
-                .map(|&n| netlist.net_name(n).to_string())
-                .collect(),
-            output_names: netlist
-                .outputs()
-                .iter()
-                .map(|&n| netlist.net_name(n).to_string())
-                .collect(),
-            models,
-        };
-        Ok((timing, stats))
-    }
-
-    /// Like [`ModuleTiming::characterize_with_stats`], sharing
-    /// functional characterization work across structurally isomorphic
-    /// cones through `cache` (a no-op for topological models).
-    ///
-    /// The third component names, per output, the module that
-    /// originally characterized the shared cone (`None` for fresh
-    /// outputs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-    pub fn characterize_cached(
-        netlist: &Netlist,
-        config: &AnalysisConfig,
-        cache: &mut ConeSigCache,
-    ) -> Result<(ModuleTiming, StabilityStats, Vec<Option<String>>), NetlistError> {
-        let mut tracer = Tracer::disabled();
-        ModuleTiming::characterize_traced(netlist, config, cache, &mut tracer)
-    }
-
-    /// Like [`ModuleTiming::characterize_cached`], recording
+    /// `shared` is [`characterize_module_traced`]'s signature cache with
+    /// one cone key per output (a no-op for topological models);
     /// characterization spans and events (cone-signature hits,
-    /// relaxation steps, SAT episodes) into `tracer` when it is
-    /// enabled. With a disabled tracer this is exactly
-    /// [`ModuleTiming::characterize_cached`].
+    /// relaxation steps, SAT episodes) are recorded into `tracer` when it
+    /// is enabled.
     ///
     /// # Errors
     ///
@@ -124,28 +70,30 @@ impl ModuleTiming {
     pub fn characterize_traced(
         netlist: &Netlist,
         config: &AnalysisConfig,
-        cache: &mut ConeSigCache,
+        shared: Option<(&mut ConeSigCache, &[ConeKey])>,
         tracer: &mut Tracer,
     ) -> Result<(ModuleTiming, StabilityStats, Vec<Option<String>>), NetlistError> {
-        if config.source == ModelSource::Topological {
-            let (timing, stats) = ModuleTiming::characterize_with_stats(netlist, config)?;
-            let owners = vec![None; netlist.outputs().len()];
-            return Ok((timing, stats, owners));
-        }
-        let (models, stats, owners) =
-            characterize_module_traced(netlist, config, Some(cache), tracer)?;
+        let (models, stats, owners) = match config.source {
+            ModelSource::Functional => characterize_module_traced(netlist, config, shared, tracer)?,
+            ModelSource::Topological => (
+                netlist
+                    .outputs()
+                    .iter()
+                    .map(|&o| Ok(TimingModel::topological(topological_delays(netlist, o)?)))
+                    .collect::<Result<Vec<_>, NetlistError>>()?,
+                StabilityStats::default(),
+                vec![None; netlist.outputs().len()],
+            ),
+        };
+        let names = |nets: &[NetId]| {
+            nets.iter()
+                .map(|&n| netlist.net_name(n).to_string())
+                .collect()
+        };
         let timing = ModuleTiming {
             module: netlist.name().to_string(),
-            input_names: netlist
-                .inputs()
-                .iter()
-                .map(|&n| netlist.net_name(n).to_string())
-                .collect(),
-            output_names: netlist
-                .outputs()
-                .iter()
-                .map(|&n| netlist.net_name(n).to_string())
-                .collect(),
+            input_names: names(netlist.inputs()),
+            output_names: names(netlist.outputs()),
             models,
         };
         Ok((timing, stats, owners))

@@ -24,8 +24,7 @@
 
 use std::collections::HashMap;
 
-use hfta_netlist::strash::cone_signature;
-use hfta_netlist::{NetId, Netlist, NetlistError, Time};
+use hfta_netlist::{ConeKey, ConeSig, NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
 
 use hfta_trace::Tracer;
@@ -61,7 +60,7 @@ impl Default for CharacterizeOptions {
 }
 
 /// A cache of per-cone characterization results keyed by structural
-/// signature ([`ConeSig`](hfta_netlist::strash::ConeSig)).
+/// signature ([`ConeSig`]).
 ///
 /// The cache stores only characterizations the budget never
 /// interrupted. Every check of such a run was decided, so its tuples
@@ -93,7 +92,7 @@ pub struct ConeSigCache {
     misses: u64,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct SigEntry {
     /// Unpruned cone tuples (greedy passes + topological floor) with
     /// delays indexed by canonical slot.
@@ -121,6 +120,22 @@ impl ConeSigCache {
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// A fresh cache (counters at zero) holding copies of this cache's
+    /// entries for `sigs`: what a characterization that only meets
+    /// those signatures can replay, detached so it can run on another
+    /// thread and [`merge`](Self::merge) back.
+    #[must_use]
+    pub fn seeded(&self, sigs: &[ConeSig]) -> ConeSigCache {
+        let entries = sigs
+            .iter()
+            .filter_map(|s| Some((s.0, self.entries.get(&s.0)?.clone())))
+            .collect();
+        ConeSigCache {
+            entries,
+            ..ConeSigCache::default()
+        }
     }
 
     /// Folds `other` into `self`: counters add, entries merge with
@@ -257,7 +272,10 @@ impl<'a> Characterizer<'a> {
     }
 
     /// Like [`Characterizer::output_model`], consulting (and feeding) a
-    /// [`ConeSigCache`].
+    /// [`ConeSigCache`] under `key`, the structural signature of the
+    /// output's fanin cone (`cone_signature` of the cone
+    /// [`Netlist::cone`] extracts; the caller signs it once, for its own
+    /// use and this one).
     ///
     /// On a cache hit the second component names the module that
     /// originally paid for the shared cone (possibly this one, for
@@ -270,23 +288,24 @@ impl<'a> Characterizer<'a> {
         &mut self,
         output: NetId,
         cache: &mut ConeSigCache,
+        key: &ConeKey,
     ) -> Result<(TimingModel, Option<String>), NetlistError> {
-        self.output_model_inner(output, Some(cache))
+        self.output_model_inner(output, Some((cache, key)))
     }
 
     fn output_model_inner(
         &mut self,
         output: NetId,
-        cache: Option<&mut ConeSigCache>,
+        shared: Option<(&mut ConeSigCache, &ConeKey)>,
     ) -> Result<(TimingModel, Option<String>), NetlistError> {
         if !self.tracer.is_enabled() {
-            return self.output_model_impl(output, cache);
+            return self.output_model_impl(output, shared);
         }
         let span = self.tracer.begin("characterize_output");
         let checks_before = self.checks;
         let implied_before = self.implied;
         let degraded_before = self.stability.degraded;
-        let result = self.output_model_impl(output, cache);
+        let result = self.output_model_impl(output, shared);
         let fields = vec![
             ("output", self.netlist.net_name(output).into()),
             ("checks", (self.checks - checks_before).into()),
@@ -303,7 +322,7 @@ impl<'a> Characterizer<'a> {
     fn output_model_impl(
         &mut self,
         output: NetId,
-        cache: Option<&mut ConeSigCache>,
+        shared: Option<(&mut ConeSigCache, &ConeKey)>,
     ) -> Result<(TimingModel, Option<String>), NetlistError> {
         let (cone, sources) = self.netlist.cone(output);
         let cone_out = cone.outputs()[0];
@@ -355,11 +374,7 @@ impl<'a> Characterizer<'a> {
             TimingModel::from_tuples(expanded)
         };
 
-        let key = match &cache {
-            Some(_) => Some(cone_signature(&cone)?),
-            None => None,
-        };
-        if let (Some(cache), Some(key)) = (cache, key) {
+        if let Some((cache, key)) = shared {
             let crit_slots: Vec<usize> = by_criticality.iter().map(|&i| key.perm[i]).collect();
             if let Some(entry) = cache
                 .entries
@@ -626,89 +641,59 @@ pub fn characterize_module(
     netlist: &Netlist,
     config: &AnalysisConfig,
 ) -> Result<Vec<TimingModel>, NetlistError> {
-    characterize_module_with_stats(netlist, config).map(|(models, _)| models)
+    characterize_module_traced(netlist, config, None, &mut Tracer::disabled())
+        .map(|(models, _, _)| models)
 }
 
-/// Like [`characterize_module`], also returning the stability/solver
-/// work the characterization cost.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-pub fn characterize_module_with_stats(
-    netlist: &Netlist,
-    config: &AnalysisConfig,
-) -> Result<(Vec<TimingModel>, StabilityStats), NetlistError> {
-    let mut ch = Characterizer::new(netlist, config);
-    let models = netlist
-        .outputs()
-        .iter()
-        .map(|&o| ch.output_model(o))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((models, ch.stability_stats()))
-}
-
-/// What [`characterize_module_cached`] produces: per-output models, the
+/// What [`characterize_module_traced`] produces: per-output models, the
 /// stability work spent, and — per output — the module that originally
 /// characterized the shared cone (`None` for fresh characterizations).
 pub type CachedCharacterization = (Vec<TimingModel>, StabilityStats, Vec<Option<String>>);
 
-/// Like [`characterize_module_with_stats`], sharing work through a
-/// [`ConeSigCache`] (isomorphic outputs within the module, and across
-/// modules when the same cache is reused).
+/// The one characterization entry point: every output of `netlist`,
+/// optionally sharing work through a [`ConeSigCache`] (isomorphic
+/// outputs within the module, and across modules when the same cache is
+/// reused). `shared` pairs the cache with the structural signature of
+/// every output's fanin cone, in output order, so no cone is signed
+/// twice; pass `None` to skip the cache. Spans and events
+/// (`characterize_output`, `relax_step`, `cone_sig_hit`/`cone_sig_miss`,
+/// `sat_episode`) are recorded into `tracer`; with a disabled tracer
+/// this performs exactly the work of an untraced run — tracing only ever
+/// appends to the side buffer.
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-pub fn characterize_module_cached(
-    netlist: &Netlist,
-    config: &AnalysisConfig,
-    cache: &mut ConeSigCache,
-) -> Result<CachedCharacterization, NetlistError> {
-    let mut tracer = Tracer::disabled();
-    characterize_module_traced(netlist, config, Some(cache), &mut tracer)
-}
-
-/// The fully-instrumented characterization entry point: like
-/// [`characterize_module_cached`] (pass `None` to skip the signature
-/// cache), recording spans and events (`characterize_output`,
-/// `relax_step`, `cone_sig_hit`/`cone_sig_miss`, `sat_episode`) into
-/// `tracer`. With a disabled tracer this performs exactly the work of
-/// the untraced path — tracing only ever appends to the side buffer.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+/// Panics if `shared` holds a key count other than the output count.
 pub fn characterize_module_traced(
     netlist: &Netlist,
     config: &AnalysisConfig,
-    cache: Option<&mut ConeSigCache>,
+    mut shared: Option<(&mut ConeSigCache, &[ConeKey])>,
     tracer: &mut Tracer,
 ) -> Result<CachedCharacterization, NetlistError> {
+    if let Some((_, keys)) = &shared {
+        assert_eq!(
+            keys.len(),
+            netlist.outputs().len(),
+            "one cone key per output"
+        );
+    }
     let mut ch = Characterizer::new(netlist, config);
     ch.set_tracer(std::mem::take(tracer));
-    let result = (|| {
-        let mut models = Vec::with_capacity(netlist.outputs().len());
-        let mut owners = Vec::with_capacity(netlist.outputs().len());
-        match cache {
-            Some(cache) => {
-                for &o in netlist.outputs() {
-                    let (model, owner) = ch.output_model_cached(o, cache)?;
-                    models.push(model);
-                    owners.push(owner);
-                }
-            }
-            None => {
-                for &o in netlist.outputs() {
-                    models.push(ch.output_model(o)?);
-                    owners.push(None);
-                }
-            }
-        }
-        Ok((models, owners))
-    })();
+    let outputs: Result<Vec<_>, _> = netlist
+        .outputs()
+        .iter()
+        .enumerate()
+        .map(|(k, &o)| match shared.as_mut() {
+            Some((cache, keys)) => ch.output_model_cached(o, cache, &keys[k]),
+            None => ch.output_model(o).map(|model| (model, None)),
+        })
+        .collect();
     *tracer = ch.take_tracer();
-    let (models, owners) = result?;
+    let (models, owners) = outputs?.into_iter().unzip();
     Ok((models, ch.stability_stats(), owners))
 }
 
@@ -720,6 +705,28 @@ mod tests {
 
     fn t(v: i64) -> Time {
         Time::new(v)
+    }
+
+    /// Models and stability work of an uncached characterization.
+    fn with_stats(nl: &Netlist, config: &AnalysisConfig) -> (Vec<TimingModel>, StabilityStats) {
+        let (models, stats, _) =
+            characterize_module_traced(nl, config, None, &mut Tracer::disabled()).unwrap();
+        (models, stats)
+    }
+
+    /// Characterizes `nl` through `cache`, signing each output cone.
+    fn cached(
+        nl: &Netlist,
+        config: &AnalysisConfig,
+        cache: &mut ConeSigCache,
+    ) -> CachedCharacterization {
+        let keys: Vec<ConeKey> = nl
+            .outputs()
+            .iter()
+            .map(|&o| hfta_netlist::cone_signature(&nl.cone(o).0).unwrap())
+            .collect();
+        characterize_module_traced(nl, config, Some((cache, &keys)), &mut Tracer::disabled())
+            .unwrap()
     }
 
     /// Section 4 of the paper: the timing models of the 2-bit
@@ -869,7 +876,7 @@ mod tests {
         let nl = carry_skip_block(2, CsaDelays::default());
         let config =
             AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(0));
-        let (models, stats) = characterize_module_with_stats(&nl, &config).unwrap();
+        let (models, stats) = with_stats(&nl, &config);
         assert!(stats.budget_hits > 0, "{stats:?}");
         assert!(stats.degraded > 0, "{stats:?}");
         // c_out loses the false-path refinement (2 → 6 on the c_in pin)
@@ -892,8 +899,7 @@ mod tests {
             }
         }
         // An unlimited budget leaves the results and counters untouched.
-        let (unbudgeted, s) =
-            characterize_module_with_stats(&nl, &AnalysisConfig::default()).unwrap();
+        let (unbudgeted, s) = with_stats(&nl, &AnalysisConfig::default());
         assert_eq!(unbudgeted, exact);
         assert_eq!(s.budget_hits, 0);
         assert_eq!(s.degraded, 0);
@@ -908,8 +914,8 @@ mod tests {
         b.set_name("renamed_copy");
         let config = AnalysisConfig::default();
         let mut cache = ConeSigCache::new();
-        let (ma, _, owners_a) = characterize_module_cached(&a, &config, &mut cache).unwrap();
-        let (mb, sb, owners_b) = characterize_module_cached(&b, &config, &mut cache).unwrap();
+        let (ma, _, owners_a) = cached(&a, &config, &mut cache);
+        let (mb, sb, owners_b) = cached(&b, &config, &mut cache);
         assert_eq!(ma, characterize_module(&a, &config).unwrap());
         assert_eq!(mb, characterize_module(&b, &config).unwrap());
         // The three output cones of the block are structurally distinct,
@@ -948,8 +954,8 @@ mod tests {
         // Unlimited budget: the permuted isomorph shares.
         let config = AnalysisConfig::default();
         let mut cache = ConeSigCache::new();
-        let _ = characterize_module_cached(&base, &config, &mut cache).unwrap();
-        let (mp, _, _) = characterize_module_cached(&permuted, &config, &mut cache).unwrap();
+        let _ = cached(&base, &config, &mut cache);
+        let (mp, _, _) = cached(&permuted, &config, &mut cache);
         assert_eq!(cache.hits(), 1);
         assert_eq!(mp, characterize_module(&permuted, &config).unwrap());
 
@@ -959,10 +965,9 @@ mod tests {
             .clone()
             .with_budget(SolveBudget::default().with_conflicts(1_000_000));
         let mut cache = ConeSigCache::new();
-        let (_, sb, _) = characterize_module_cached(&base, &limited, &mut cache).unwrap();
+        let (_, sb, _) = cached(&base, &limited, &mut cache);
         assert_eq!(sb.degraded, 0);
-        let (mp_limited, _, owners) =
-            characterize_module_cached(&permuted, &limited, &mut cache).unwrap();
+        let (mp_limited, _, owners) = cached(&permuted, &limited, &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(owners, vec![Some(base.name().to_string())]);
         assert_eq!(mp_limited, mp);
@@ -974,9 +979,9 @@ mod tests {
             .clone()
             .with_budget(SolveBudget::default().with_conflicts(0));
         let mut cache = ConeSigCache::new();
-        let (mb, sb, _) = characterize_module_cached(&base, &zero, &mut cache).unwrap();
+        let (mb, sb, _) = cached(&base, &zero, &mut cache);
         assert_eq!(sb.degraded, 1, "{sb:?}");
-        let (_, sp, owners) = characterize_module_cached(&permuted, &zero, &mut cache).unwrap();
+        let (_, sp, owners) = cached(&permuted, &zero, &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         assert_eq!(owners, vec![None]);
         assert_eq!(sp.degraded, 1, "{sp:?}");

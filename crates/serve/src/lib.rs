@@ -3,8 +3,7 @@
 //! The paper's hierarchical flow exists so a design is characterized
 //! *once* and then queried *many times* by many consumers. Every
 //! ingredient of that contract already lives in the workspace — the
-//! incremental session with its content-hash model cache
-//! (`hfta-core`), persistent stability oracles (`hfta-fta`), the
+//! incremental session with its leaf-model table (`hfta-core`), persistent stability oracles (`hfta-fta`), the
 //! work-stealing pool (`hfta-sched`), budgets/deadlines, structured
 //! tracing and the on-disk model database — but nothing kept them warm
 //! across requests. This crate is that missing long-lived process:

@@ -1,18 +1,22 @@
 //! The warm analysis session behind the daemon.
 //!
 //! [`ServeSession`] owns an [`IncrementalAnalyzer`] (which owns the
-//! design, the content-hash-keyed model cache and the shared
-//! cone-signature cache) plus one persistent [`StabilityOracle`] per
-//! leaf module touched by a what-if query. Every request is one method
-//! call; every answer is a deterministic single-line JSON string.
+//! design and its leaf-model table, shared cone-signature cache
+//! included) plus one persistent [`StabilityOracle`] per leaf module
+//! touched by a what-if query. Every request is one method call; every
+//! answer is a deterministic single-line JSON string. The session is
+//! serial: its warm-up and ECO re-characterizations run inline, and a
+//! worker pool only shards read-only batches (DESIGN.md, "Concurrent
+//! serving").
 //!
 //! Cache-warmth invariants (also tabulated in DESIGN.md):
 //!
 //! * a malformed or semantically invalid request mutates **nothing** —
 //!   the next good request answers bit-identically to a fresh analysis;
 //! * a per-request deadline rides the solver budget: on expiry the
-//!   answer degrades soundly (`"degraded":true`) and, because degraded
-//!   models are never cached, later un-deadlined requests recompute
+//!   answer degrades soundly (`"degraded":true`) and, because the
+//!   session restores its base budget after the request, which evicts
+//!   every degraded model, later un-deadlined requests recompute
 //!   exactly;
 //! * an ECO edit invalidates exactly the edited module: its model
 //!   (by content hash) and its what-if oracle; all other warm state
@@ -35,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use hfta_core::{HierAnalysis, IncrementalAnalyzer, WarmSnapshot};
 use hfta_fta::{AnalysisConfig, SatAlg, SolveBudget, StabilityOracle};
-use hfta_netlist::{bench_format, Design, NetId, Netlist, NetlistError, Time};
+use hfta_netlist::{bench_format, Composite, Design, NetId, Netlist, NetlistError, Time};
 use hfta_trace::{TraceSink, Value};
 
 use crate::json::{Json, ObjBuilder};
@@ -192,6 +196,17 @@ enum ResponseKey {
     },
 }
 
+impl ResponseKey {
+    /// The resolved arrival vector the answer is computed under.
+    fn arrivals(&self) -> &[Time] {
+        match self {
+            ResponseKey::Report { arrivals }
+            | ResponseKey::Delay { arrivals, .. }
+            | ResponseKey::Slack { arrivals, .. } => arrivals,
+        }
+    }
+}
+
 /// The arrivals-keyed response cache, contention-safe so sharded read
 /// workers and the exclusive writer half share one instance. Entries
 /// are deterministic functions of their key, so a racing double-insert
@@ -237,18 +252,183 @@ impl ResponseCache {
     }
 }
 
+/// The top-level composite's name and port names, shared by the session
+/// and its read views.
+#[derive(Debug)]
+struct Ports {
+    top: String,
+    /// Primary-input names, in input order.
+    input_names: Vec<String>,
+    /// Primary-output names, in output order.
+    output_names: Vec<String>,
+}
+
+/// Whether `request`'s response may come from (and feed) the response
+/// cache: the session's base budget must be unlimited and the request
+/// deadline-free (its own or the session default), so the answer is a
+/// pure function of the cache key. Budgeted/deadlined answers can
+/// degrade and depend on solver history — they are never cached or
+/// replayed.
+fn cache_eligible(
+    base_unlimited: bool,
+    default_deadline_ms: Option<u64>,
+    request: &Request,
+) -> bool {
+    base_unlimited && request.deadline_ms.or(default_deadline_ms).is_none()
+}
+
+/// Where a read request's analysis comes from: the exclusive path's
+/// analyzer, or a read view's snapshot.
+trait ReadSource {
+    /// The top-level composite (`slack` resolves its net here).
+    fn composite(&self) -> &Composite;
+    /// The analysis under `arrivals`.
+    fn analyze(&mut self, arrivals: &[Time]) -> Result<HierAnalysis, String>;
+}
+
+impl ReadSource for &WarmSnapshot {
+    fn composite(&self) -> &Composite {
+        WarmSnapshot::composite(self)
+    }
+
+    fn analyze(&mut self, arrivals: &[Time]) -> Result<HierAnalysis, String> {
+        WarmSnapshot::analyze(self, arrivals).map_err(|e| e.to_string())
+    }
+}
+
+/// The exclusive path's source: the session's analyzer, under the
+/// request's budget.
+struct Exclusive<'a> {
+    analyzer: &'a mut IncrementalAnalyzer,
+    top: &'a str,
+    base_budget: SolveBudget,
+    deadline_ms: Option<u64>,
+}
+
+impl ReadSource for Exclusive<'_> {
+    fn composite(&self) -> &Composite {
+        self.analyzer
+            .design()
+            .composite(self.top)
+            .expect("validated by the analyzer constructor")
+    }
+
+    fn analyze(&mut self, arrivals: &[Time]) -> Result<HierAnalysis, String> {
+        analyze_under(self.analyzer, self.base_budget, self.deadline_ms, arrivals)
+    }
+}
+
+/// The budget one request runs under: the base budget, tightened by the
+/// request's (or the session's default) deadline.
+fn budget_for(base: SolveBudget, deadline_ms: Option<u64>) -> SolveBudget {
+    match deadline_ms {
+        Some(ms) => base.with_deadline(Instant::now() + Duration::from_millis(ms)),
+        None => base,
+    }
+}
+
+/// Runs one top-level analysis under a request's budget, then restores
+/// the base budget. Each budget change evicts the degraded models the
+/// last one left; undegraded models and the signature cache survive.
+fn analyze_under(
+    analyzer: &mut IncrementalAnalyzer,
+    base: SolveBudget,
+    deadline_ms: Option<u64>,
+    arrivals: &[Time],
+) -> Result<HierAnalysis, String> {
+    analyzer.set_budget(budget_for(base, deadline_ms));
+    let result = analyzer.analyze(arrivals);
+    analyzer.set_budget(base);
+    result.map_err(|e| e.to_string())
+}
+
+/// Answers one `report`/`delay`/`slack` request from `source`: resolves
+/// the request, replays its response from the cache or renders
+/// `source`'s analysis, and caches what it rendered when `eligible`. The
+/// one body behind the exclusive path and [`ReadView`], so both answer
+/// byte-identically.
+fn answer_read(
+    request: &Request,
+    ports: &Ports,
+    cache: &ResponseCache,
+    eligible: bool,
+    source: &mut impl ReadSource,
+) -> Result<Response, String> {
+    type Render<'r> = Box<dyn Fn(&HierAnalysis) -> Vec<(String, Json)> + 'r>;
+    let resolve = |arrivals: &Option<Arrivals>| {
+        resolve_arrivals(arrivals.as_ref(), &ports.input_names, &ports.top)
+    };
+    let (kind, key, render): (&str, ResponseKey, Render<'_>) = match &request.kind {
+        RequestKind::Report { arrivals } => (
+            "report",
+            ResponseKey::Report {
+                arrivals: resolve(arrivals)?,
+            },
+            Box::new(|analysis| report_fields(&ports.output_names, analysis)),
+        ),
+        RequestKind::Delay { output, arrivals } => {
+            let pos = ports
+                .output_names
+                .iter()
+                .position(|n| n == output)
+                .ok_or_else(|| format!("no primary output `{output}` in module `{}`", ports.top))?;
+            let key = ResponseKey::Delay {
+                output: output.clone(),
+                arrivals: resolve(arrivals)?,
+            };
+            (
+                "delay",
+                key,
+                Box::new(move |analysis| delay_fields(output, pos, analysis)),
+            )
+        }
+        RequestKind::Slack {
+            net,
+            required,
+            arrivals,
+        } => {
+            let net_id = source
+                .composite()
+                .find_net(net)
+                .ok_or_else(|| format!("no net `{net}` in module `{}`", ports.top))?;
+            let key = ResponseKey::Slack {
+                net: net.clone(),
+                required: *required,
+                arrivals: resolve(arrivals)?,
+            };
+            (
+                "slack",
+                key,
+                Box::new(move |analysis| slack_fields(net, net_id, *required, analysis)),
+            )
+        }
+        _ => unreachable!("only report/delay/slack are reads"),
+    };
+    if let Some(fields) = cache.lookup(&key, eligible) {
+        return Ok(Response::ok(&request.id, kind, fields));
+    }
+    let analysis = source.analyze(key.arrivals())?;
+    let fields = render(&analysis);
+    // Only fully-warm answers are cached: a response that reports
+    // `characterized > 0` would replay that stale counter. (A view's
+    // snapshot never characterizes.)
+    if eligible && analysis.stats.modules_characterized == 0 {
+        cache.insert(key, &fields);
+    }
+    Ok(Response::ok(&request.id, kind, fields))
+}
+
 /// The shared read-only core of a fully-warm session: a detached
 /// [`WarmSnapshot`] plus everything needed to answer
 /// `report`/`delay`/`slack` byte-identically to the exclusive path —
 /// from any thread, concurrently. Handed out by
-/// [`ServeSession::read_view`] only when every module model is warm,
-/// which is exactly when those answers involve no solver work (pure
-/// propagation: `characterized` is 0 and nothing can degrade).
+/// [`ServeSession::read_view`] only when every module model is warm and
+/// undegraded, which is exactly when those answers involve no solver
+/// work (pure propagation: `characterized` is 0 and nothing can
+/// degrade).
 #[derive(Debug)]
 pub(crate) struct ReadView {
-    top: String,
-    input_names: Vec<String>,
-    output_names: Vec<String>,
+    ports: Arc<Ports>,
     snapshot: WarmSnapshot,
     /// Whether the session's base budget is unlimited (the static half
     /// of response-cache eligibility).
@@ -258,105 +438,18 @@ pub(crate) struct ReadView {
 }
 
 impl ReadView {
-    fn cache_eligible(&self, request: &Request) -> bool {
-        self.cache_base && request.deadline_ms.or(self.default_deadline_ms).is_none()
-    }
-
     /// Answers one read-only request. Panics on any other kind — the
     /// dispatcher routes only `report`/`delay`/`slack` here.
     pub(crate) fn respond(&self, request: &Request) -> Response {
-        let result = match &request.kind {
-            RequestKind::Report { arrivals } => self.report(request, arrivals.as_ref()),
-            RequestKind::Delay { output, arrivals } => {
-                self.delay(request, output, arrivals.as_ref())
-            }
-            RequestKind::Slack {
-                net,
-                required,
-                arrivals,
-            } => self.slack(request, net, *required, arrivals.as_ref()),
-            _ => unreachable!("ReadView serves only report/delay/slack"),
-        };
-        result.unwrap_or_else(|message| Response::error(&request.id, message))
-    }
-
-    fn analyze(&self, arrivals: &[Time]) -> Result<HierAnalysis, String> {
-        self.snapshot.analyze(arrivals).map_err(|e| e.to_string())
-    }
-
-    fn report(&self, request: &Request, arrivals: Option<&Arrivals>) -> Result<Response, String> {
-        let arr = resolve_arrivals(arrivals, &self.input_names, &self.top)?;
-        let key = ResponseKey::Report {
-            arrivals: arr.clone(),
-        };
-        let eligible = self.cache_eligible(request);
-        if let Some(fields) = self.cache.lookup(&key, eligible) {
-            return Ok(Response::ok(&request.id, "report", fields));
-        }
-        let analysis = self.analyze(&arr)?;
-        let fields = report_fields(&self.output_names, &analysis);
-        if eligible {
-            self.cache.insert(key, &fields);
-        }
-        Ok(Response::ok(&request.id, "report", fields))
-    }
-
-    fn delay(
-        &self,
-        request: &Request,
-        output: &str,
-        arrivals: Option<&Arrivals>,
-    ) -> Result<Response, String> {
-        let pos = self
-            .output_names
-            .iter()
-            .position(|n| n == output)
-            .ok_or_else(|| format!("no primary output `{output}` in module `{}`", self.top))?;
-        let arr = resolve_arrivals(arrivals, &self.input_names, &self.top)?;
-        let key = ResponseKey::Delay {
-            output: output.to_string(),
-            arrivals: arr.clone(),
-        };
-        let eligible = self.cache_eligible(request);
-        if let Some(fields) = self.cache.lookup(&key, eligible) {
-            return Ok(Response::ok(&request.id, "delay", fields));
-        }
-        let analysis = self.analyze(&arr)?;
-        let fields = delay_fields(output, pos, &analysis);
-        if eligible {
-            self.cache.insert(key, &fields);
-        }
-        Ok(Response::ok(&request.id, "delay", fields))
-    }
-
-    fn slack(
-        &self,
-        request: &Request,
-        net: &str,
-        required: Option<Time>,
-        arrivals: Option<&Arrivals>,
-    ) -> Result<Response, String> {
-        let net_id = self
-            .snapshot
-            .composite()
-            .find_net(net)
-            .ok_or_else(|| format!("no net `{net}` in module `{}`", self.top))?;
-        let arr = resolve_arrivals(arrivals, &self.input_names, &self.top)?;
-        let key = ResponseKey::Slack {
-            net: net.to_string(),
-            required,
-            arrivals: arr.clone(),
-        };
-        let eligible = self.cache_eligible(request);
-        if let Some(fields) = self.cache.lookup(&key, eligible) {
-            return Ok(Response::ok(&request.id, "slack", fields));
-        }
-        let analysis = self.analyze(&arr)?;
-        let fields = slack_fields(net, net_id, required, &analysis);
-        if eligible {
-            self.cache.insert(key, &fields);
-        }
-        Ok(Response::ok(&request.id, "slack", fields))
+        let eligible = cache_eligible(self.cache_base, self.default_deadline_ms, request);
+        answer_read(
+            request,
+            &self.ports,
+            &self.cache,
+            eligible,
+            &mut &self.snapshot,
+        )
+        .unwrap_or_else(|message| Response::error(&request.id, message))
     }
 }
 
@@ -364,11 +457,7 @@ impl ReadView {
 #[derive(Debug)]
 pub struct ServeSession {
     analyzer: IncrementalAnalyzer,
-    top: String,
-    /// Top-level primary-input names, in input order.
-    input_names: Vec<String>,
-    /// Top-level primary-output names, in output order.
-    output_names: Vec<String>,
+    ports: Arc<Ports>,
     base_budget: SolveBudget,
     /// Deadline applied to requests that don't carry their own.
     default_deadline_ms: Option<u64>,
@@ -418,9 +507,11 @@ impl ServeSession {
             .collect();
         Ok(ServeSession {
             analyzer,
-            top: top.to_string(),
-            input_names,
-            output_names,
+            ports: Arc::new(Ports {
+                top: top.to_string(),
+                input_names,
+                output_names,
+            }),
             base_budget: config.budget,
             default_deadline_ms: None,
             oracles: HashMap::new(),
@@ -486,9 +577,7 @@ impl ServeSession {
         if self.view.is_none() {
             let snapshot = self.analyzer.warm_snapshot()?;
             self.view = Some(Arc::new(ReadView {
-                top: self.top.clone(),
-                input_names: self.input_names.clone(),
-                output_names: self.output_names.clone(),
+                ports: Arc::clone(&self.ports),
                 snapshot,
                 cache_base: self.base_budget.is_unlimited(),
                 default_deadline_ms: self.default_deadline_ms,
@@ -513,7 +602,7 @@ impl ServeSession {
     ///
     /// Returns characterization/propagation errors.
     pub fn warm(&mut self) -> Result<HierAnalysis, NetlistError> {
-        let arrivals = vec![Time::ZERO; self.input_names.len()];
+        let arrivals = vec![Time::ZERO; self.ports.input_names.len()];
         self.analyzer.analyze(&arrivals)
     }
 
@@ -603,15 +692,20 @@ impl ServeSession {
     /// models are cold or degraded).
     fn respond_exclusive(&mut self, request: &Request) -> Result<Response, String> {
         match &request.kind {
-            RequestKind::Report { arrivals } => self.do_report(request, arrivals.as_ref()),
-            RequestKind::Delay { output, arrivals } => {
-                self.do_delay(request, output, arrivals.as_ref())
+            RequestKind::Report { .. } | RequestKind::Delay { .. } | RequestKind::Slack { .. } => {
+                let eligible = cache_eligible(
+                    self.base_budget.is_unlimited(),
+                    self.default_deadline_ms,
+                    request,
+                );
+                let mut source = Exclusive {
+                    analyzer: &mut self.analyzer,
+                    top: &self.ports.top,
+                    base_budget: self.base_budget,
+                    deadline_ms: request.deadline_ms.or(self.default_deadline_ms),
+                };
+                answer_read(request, &self.ports, &self.cache, eligible, &mut source)
             }
-            RequestKind::Slack {
-                net,
-                required,
-                arrivals,
-            } => self.do_slack(request, net, *required, arrivals.as_ref()),
             RequestKind::WhatIf {
                 module,
                 output,
@@ -621,127 +715,6 @@ impl ServeSession {
             RequestKind::Stats => Ok(self.do_stats(request)),
             RequestKind::Shutdown => Ok(Response::ok(&request.id, "shutdown", Vec::new())),
         }
-    }
-
-    /// Resolves the optional top-level arrival payload (default:
-    /// all-zero).
-    fn top_arrivals(&self, arrivals: Option<&Arrivals>) -> Result<Vec<Time>, String> {
-        resolve_arrivals(arrivals, &self.input_names, &self.top)
-    }
-
-    /// Whether `request`'s response may come from (and feed) the
-    /// response cache: its effective budget must be unlimited and
-    /// deadline-free, so the answer is a pure function of the cache
-    /// key. Budgeted/deadlined answers can degrade and depend on solver
-    /// history — they are never cached or replayed.
-    fn cache_eligible(&self, request: &Request) -> bool {
-        self.base_budget.is_unlimited()
-            && request.deadline_ms.or(self.default_deadline_ms).is_none()
-    }
-
-    /// The budget one request runs under: the base budget, tightened by
-    /// the request's (or the session's default) deadline.
-    fn budget_for(&self, request: &Request) -> SolveBudget {
-        match request.deadline_ms.or(self.default_deadline_ms) {
-            Some(ms) => self
-                .base_budget
-                .with_deadline(Instant::now() + Duration::from_millis(ms)),
-            None => self.base_budget,
-        }
-    }
-
-    /// Runs one top-level analysis under the request's budget. No cache
-    /// is cleared: the model and signature caches hold only undegraded,
-    /// budget-independent results.
-    fn analyze(&mut self, request: &Request, arrivals: &[Time]) -> Result<HierAnalysis, String> {
-        let budget = self.budget_for(request);
-        self.analyzer.set_budget(budget);
-        let result = self.analyzer.analyze(arrivals);
-        self.analyzer.set_budget(self.base_budget);
-        result.map_err(|e| e.to_string())
-    }
-
-    fn do_report(
-        &mut self,
-        request: &Request,
-        arrivals: Option<&Arrivals>,
-    ) -> Result<Response, String> {
-        let arr = self.top_arrivals(arrivals)?;
-        let key = ResponseKey::Report {
-            arrivals: arr.clone(),
-        };
-        let eligible = self.cache_eligible(request);
-        if let Some(fields) = self.cache.lookup(&key, eligible) {
-            return Ok(Response::ok(&request.id, "report", fields));
-        }
-        let analysis = self.analyze(request, &arr)?;
-        let fields = report_fields(&self.output_names, &analysis);
-        // Only fully-warm answers are cached: a response that reports
-        // `characterized > 0` would replay that stale counter.
-        if eligible && analysis.stats.modules_characterized == 0 {
-            self.cache.insert(key, &fields);
-        }
-        Ok(Response::ok(&request.id, "report", fields))
-    }
-
-    fn do_delay(
-        &mut self,
-        request: &Request,
-        output: &str,
-        arrivals: Option<&Arrivals>,
-    ) -> Result<Response, String> {
-        let pos = self
-            .output_names
-            .iter()
-            .position(|n| n == output)
-            .ok_or_else(|| format!("no primary output `{output}` in module `{}`", self.top))?;
-        let arr = self.top_arrivals(arrivals)?;
-        let key = ResponseKey::Delay {
-            output: output.to_string(),
-            arrivals: arr.clone(),
-        };
-        let eligible = self.cache_eligible(request);
-        if let Some(fields) = self.cache.lookup(&key, eligible) {
-            return Ok(Response::ok(&request.id, "delay", fields));
-        }
-        let analysis = self.analyze(request, &arr)?;
-        let fields = delay_fields(output, pos, &analysis);
-        if eligible && analysis.stats.modules_characterized == 0 {
-            self.cache.insert(key, &fields);
-        }
-        Ok(Response::ok(&request.id, "delay", fields))
-    }
-
-    fn do_slack(
-        &mut self,
-        request: &Request,
-        net: &str,
-        required: Option<Time>,
-        arrivals: Option<&Arrivals>,
-    ) -> Result<Response, String> {
-        let net_id = self
-            .analyzer
-            .design()
-            .composite(&self.top)
-            .expect("validated")
-            .find_net(net)
-            .ok_or_else(|| format!("no net `{net}` in module `{}`", self.top))?;
-        let arr = self.top_arrivals(arrivals)?;
-        let key = ResponseKey::Slack {
-            net: net.to_string(),
-            required,
-            arrivals: arr.clone(),
-        };
-        let eligible = self.cache_eligible(request);
-        if let Some(fields) = self.cache.lookup(&key, eligible) {
-            return Ok(Response::ok(&request.id, "slack", fields));
-        }
-        let analysis = self.analyze(request, &arr)?;
-        let fields = slack_fields(net, net_id, required, &analysis);
-        if eligible && analysis.stats.modules_characterized == 0 {
-            self.cache.insert(key, &fields);
-        }
-        Ok(Response::ok(&request.id, "slack", fields))
     }
 
     /// Resolves a what-if request against the named leaf module,
@@ -773,7 +746,10 @@ impl ServeSession {
             output: output.to_string(),
             net,
             arrivals: times,
-            budget: self.budget_for(request),
+            budget: budget_for(
+                self.base_budget,
+                request.deadline_ms.or(self.default_deadline_ms),
+            ),
         })
     }
 
@@ -881,8 +857,9 @@ impl ServeSession {
         self.view = None;
         self.cache.clear();
         self.booked.eco_edits += 1;
-        let arrivals = vec![Time::ZERO; self.input_names.len()];
-        let analysis = self.analyze(request, &arrivals)?;
+        let arrivals = vec![Time::ZERO; self.ports.input_names.len()];
+        let deadline_ms = request.deadline_ms.or(self.default_deadline_ms);
+        let analysis = analyze_under(&mut self.analyzer, self.base_budget, deadline_ms, &arrivals)?;
         Ok(Response::ok(
             &request.id,
             "eco",

@@ -160,6 +160,25 @@ awk '$2 ~ /^-?[0-9]+$/ && $3 ~ /^-?[0-9]+$/ { print $1, $3 }
     /^circuit delay:/ { gsub(",", ""); print "circuit", $6 }' "$BUDGETED/report.out" \
     | between "report --budget-conflicts 1"
 
+echo "== thread count changes wall time only =="
+# Two-step characterization and demand-driven refinement run the same
+# tasks on the same inputs at any thread count, so every delay and
+# `--stats` counter (the wall clock aside) must match between one worker
+# and two, with and without a binding budget.
+THREADS="$(mktemp -d -t hfta_threads_XXXXXX)"
+trap 'rm -f "$GATE_JSON"; rm -rf "$MODELDB" "$STORED" "$FRESH" "$BUDGETED" "$THREADS"' EXIT
+for algo in two-step demand; do
+    for budget in "" "--budget-conflicts 1"; do
+        # shellcheck disable=SC2086 # an empty budget adds no argument
+        ./target/release/hfta hier tests/corpus/csa_pair.hnl --algo "$algo" $budget \
+            --stats --threads 1 | grep -v '^wall:' > "$THREADS/serial.out"
+        # shellcheck disable=SC2086
+        ./target/release/hfta hier tests/corpus/csa_pair.hnl --algo "$algo" $budget \
+            --stats --threads 2 --no-thread-clamp | grep -v '^wall:' > "$THREADS/pooled.out"
+        diff "$THREADS/serial.out" "$THREADS/pooled.out"
+    done
+done
+
 echo "== serve end-to-end protocol gate =="
 # Start the daemon warm from the corpus-seeded database, pipe the
 # checked-in request transcript through it, and diff the response
@@ -168,7 +187,7 @@ echo "== serve end-to-end protocol gate =="
 SERVEDB="$(mktemp -d -t hfta_servedb_XXXXXX)"
 SERVE_OUT="$(mktemp -t hfta_serve_out_XXXXXX.ndjson)"
 SERVE_ERR="$(mktemp -t hfta_serve_err_XXXXXX.txt)"
-trap 'rm -f "$GATE_JSON" "$SERVE_OUT" "$SERVE_ERR"; rm -rf "$MODELDB" "$STORED" "$FRESH" "$BUDGETED" "$SERVEDB"' EXIT
+trap 'rm -f "$GATE_JSON" "$SERVE_OUT" "$SERVE_ERR"; rm -rf "$MODELDB" "$STORED" "$FRESH" "$BUDGETED" "$THREADS" "$SERVEDB"' EXIT
 ./target/release/hfta characterize tests/corpus/csa_pair.hnl --emit-model "$SERVEDB" >/dev/null
 ./target/release/hfta serve tests/corpus/csa_pair.hnl --use-models "$SERVEDB" \
     < tests/corpus/serve_transcript.ndjson > "$SERVE_OUT" 2> "$SERVE_ERR"

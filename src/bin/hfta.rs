@@ -36,17 +36,22 @@
 //! signatures: H hits, M misses` plus (two-step) the modules aliased to
 //! a structural twin.
 //!
-//! The budget alone picks how stability queries are solved. Without
-//! one, a single incremental SAT instance per module (or signature
-//! class) answers every cone's queries, each restricted to the cone's
-//! transitive-fanin variable domain, so learnt clauses transfer across
-//! cones and queries (see DESIGN.md, "Why domain-restricted sharing is
-//! sound"); `--stats` reports this as `shared solver: D domains built,
-//! S clauses subsumed, L learnts imported`. With `--budget-conflicts`
-//! or `--budget-ms`, every cone gets a fresh solver of its own and the
-//! demand verdict memo stays off, so a degraded verdict never
-//! contaminates shared state. Verdicts agree wherever the budget does
-//! not bind.
+//! A single incremental SAT instance per module (or signature class)
+//! answers every cone's stability queries, each restricted to the
+//! cone's transitive-fanin variable domain, so learnt clauses transfer
+//! across cones and queries (see DESIGN.md, "Why domain-restricted
+//! sharing is sound"); `--stats` reports this as `shared solver: D
+//! domains built, S clauses subsumed, L learnts imported`. A budget
+//! picks nothing: `--budget-conflicts` and `--budget-ms` only cap each
+//! query on that same instance. An interrupted query is never cached
+//! (the signature cache, the demand verdict memo and the model database
+//! hold decided results only), so a degraded verdict never contaminates
+//! shared state, and verdicts agree wherever the budget does not bind.
+//!
+//! `hier --threads N` spreads characterization (two-step) or
+//! refinement (demand) over `N` workers; it changes the wall time and
+//! nothing else: every delay and `--stats` counter but the wall clock
+//! is the same at any thread count, under a budget too.
 //!
 //! `--use-models DIR` warm-starts an analysis from a persistent model
 //! database: characterized models (and demand-driven stability
@@ -667,6 +672,8 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         wrap_flat(leaf.clone())
     };
 
+    // `--threads` sizes the pool read-only batches shard across; the
+    // session itself (warm-up and ECO re-characterization) stays serial.
     let threads = match opts.value("--threads") {
         Some(t) => t
             .parse::<usize>()
@@ -681,9 +688,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
             .with_trace(tr.sink.clone()),
         opts,
     )?;
-    if threads > 1 {
-        config = config.with_threads(threads);
-    }
     // Write-through model store: a daemon started from `--use-models`
     // persists its own fresh (ECO-recharacterized, undegraded) models
     // back into that database, so a restart after edits warm-starts

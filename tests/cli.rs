@@ -237,8 +237,8 @@ fn unknown_flags_are_rejected() {
     rejects("--no-such-flag", &["report", &c17, "--no-such-flag"]);
     rejects("--bogus", &["hier", &pair, "--algo", "demand", "--bogus"]);
     rejects("--thread", &["hier", &pair, "--thread", "4"]);
-    // Removed sharing switches: the budget picks the stability path, so
-    // every subcommand rejects them.
+    // Removed sharing switches: every analysis shares solver state and
+    // a budget only caps each query, so every subcommand rejects them.
     for removed in ["no-shared-solver", "shared-solver", "no-cone-sig"] {
         let flag = format!("--{removed}");
         rejects(&flag, &["report", &c17, &flag]);

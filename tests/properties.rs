@@ -245,7 +245,7 @@ prop!(cases = 48, fn cone_signature_distinguishes_modified_cones(spec in spec_st
 // fresh characterization, for the original cone and any structural
 // twin of it.
 prop!(cases = 16, fn signature_shared_characterization_is_bit_identical(spec in spec_strategy()) {
-    use hfta::fta::{characterize_module, ConeSigCache};
+    use hfta::fta::{characterize_module, characterize_module_traced, ConeSigCache, Tracer};
     let nl = random_circuit("p", spec);
     let out = nl.outputs()[0];
     let (cone, _) = nl.cone(out);
@@ -255,10 +255,18 @@ prop!(cases = 16, fn signature_shared_characterization_is_bit_identical(spec in 
     let fresh_twin = characterize_module(&twin, &config).expect("characterizes");
 
     let mut cache = ConeSigCache::new();
-    let (shared_cone, _, _) =
-        hfta::fta::characterize_module_cached(&cone, &config, &mut cache).expect("characterizes");
-    let (shared_twin, _, _) =
-        hfta::fta::characterize_module_cached(&twin, &config, &mut cache).expect("characterizes");
+    let mut shared = |module: &Netlist| {
+        let keys: Vec<_> = module
+            .outputs()
+            .iter()
+            .map(|&o| cone_signature(&module.cone(o).0).expect("acyclic"))
+            .collect();
+        characterize_module_traced(module, &config, Some((&mut cache, &keys)), &mut Tracer::disabled())
+            .expect("characterizes")
+            .0
+    };
+    let shared_cone = shared(&cone);
+    let shared_twin = shared(&twin);
     assert_eq!(shared_cone, fresh_cone, "cache changed the original's models");
     assert_eq!(shared_twin, fresh_twin, "sharing changed the twin's models");
 });

@@ -31,7 +31,7 @@ fn main() {
                 an.analyze(&arrivals).expect("analyzes").delay
             });
             group.bench(&format!("flat_xbd0/{bits}"), || {
-                let mut an = DelayAnalyzer::new_sat(&flat, &arrivals).expect("valid");
+                let mut an = DelayAnalyzer::new_sat_shared(&flat, &arrivals).expect("valid");
                 an.circuit_delay()
             });
             group.bench(&format!("topological/{bits}"), || {

@@ -76,7 +76,8 @@ fn main() {
         let hier_carry = analysis.net_arrivals[carry.index()];
 
         let flat = carry_skip_adder_flat(bits, 2, delays).expect("flattens");
-        let mut an = DelayAnalyzer::new_sat(&flat, &vec![t(0); 2 * bits + 1]).expect("valid");
+        let mut an =
+            DelayAnalyzer::new_sat_shared(&flat, &vec![t(0); 2 * bits + 1]).expect("valid");
         let flat_carry = an.output_arrival(flat.find_net(&format!("c{bits}")).expect("exists"));
         let formula = t(2 * blocks as i64 + 6);
         println!("  {blocks} | {hier_carry:>4} | {flat_carry:>4} | {formula:>4}");
@@ -88,7 +89,7 @@ fn main() {
     println!("\nFigure 5: arr(c_in)=5, other inputs 0");
     let arrivals = vec![t(5), t(0), t(0), t(0), t(0)];
     let stable = t_cout.stable_time(&arrivals);
-    let mut flat_an = DelayAnalyzer::new_sat(&block, &arrivals).expect("valid");
+    let mut flat_an = DelayAnalyzer::new_sat_shared(&block, &arrivals).expect("valid");
     let flat_stable = flat_an.output_arrival(block.find_net("c_out").expect("exists"));
     println!("  delay(c_out): hierarchical model {stable}, flat {flat_stable}");
     let func_slack = t_cout.input_slack(&arrivals, stable, 0);

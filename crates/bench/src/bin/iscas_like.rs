@@ -38,7 +38,7 @@ fn main() {
                 an.analyze(&arrivals).expect("analyzes").delay
             });
             group.bench(&format!("flat_xbd0/{gates}"), || {
-                let mut an = DelayAnalyzer::new_sat(&flat, &arrivals).expect("valid");
+                let mut an = DelayAnalyzer::new_sat_shared(&flat, &arrivals).expect("valid");
                 an.circuit_delay()
             });
         }

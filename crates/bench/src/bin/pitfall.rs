@@ -11,6 +11,7 @@
 
 use hfta_core::naive::{find_underapproximation, independent_relaxation_model};
 use hfta_core::{AnalysisConfig, ModuleTiming};
+use hfta_fta::OutputCone;
 use hfta_netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 
 fn main() {
@@ -39,7 +40,8 @@ fn main() {
                 sound_violations += 1;
             }
             // The naive model eventually does.
-            let naive = independent_relaxation_model(&nl, out, 16).expect("analyzes");
+            let cone = OutputCone::new(&nl, out).expect("acyclic");
+            let naive = independent_relaxation_model(&cone, 16).expect("analyzes");
             if let Some(w) = find_underapproximation(&nl, out, &naive).expect("analyzes") {
                 found += 1;
                 if found == 1 {

@@ -166,7 +166,7 @@ pub fn compare(design: &Design, top_name: &str, flat: &Netlist) -> Row {
     });
 
     let (flat_delay, flat_cpu) = timed(|| {
-        let mut an = DelayAnalyzer::new_sat(flat, &flat_arrivals).expect("acyclic");
+        let mut an = DelayAnalyzer::new_sat_shared(flat, &flat_arrivals).expect("acyclic");
         an.circuit_delay()
     });
 

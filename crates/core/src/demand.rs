@@ -24,19 +24,24 @@
 //! a conservative approximation of flat analysis (Theorem 1) while only
 //! spending characterization effort where it matters.
 //!
-//! Structurally identical cones (equal hash-consed
-//! [`hfta_netlist::ConeSig`]) form a *signature class* that shares two
-//! things: a *verdict memo* — a probe whose canonical arrival vector was
-//! already decided for an isomorphic cone is answered without touching
-//! a solver — and one class oracle, a shared-solver
-//! [`StabilityOracle`] over the class's representative cone that
-//! answers every member's probes. A member's probe is routed through
-//! the canonical slots its memo key already holds: member input order →
-//! slots → the representative's input order. Stability is a semantic
-//! property of the cone function and the arrival vector, so a memoized
-//! or routed verdict is exactly what a private solver would have
-//! returned. The solver, its learnt clauses and the settled-function
-//! caches persist across rounds and `analyze` calls.
+//! A probe asks of an output's [`OutputCone`] what characterization
+//! asks of a timing tuple: with input `j` arriving at `−w_j` and the
+//! probed input at `−l′`, is the output stable at 0? Structurally
+//! identical cones (equal [`hfta_netlist::ConeSig`]) form a *signature
+//! class* that shares two things: a *verdict memo*, one [`VerdictStore`]
+//! over delay tuples in canonical slot order that answers a probe
+//! implied by monotone speedup (at or above a valid tuple, at or below
+//! a refuted one) without touching a solver, and one class oracle, a
+//! shared-solver [`StabilityOracle`] over the class's representative
+//! cone that answers every member's probes through the same slots:
+//! member input order → slots → the representative's input order.
+//! Stability is a semantic property of the cone function and the
+//! arrival vector, so an implied or routed verdict is exactly what a
+//! private solver would have returned. The solver, its learnt clauses
+//! and the settled-function caches persist across rounds and `analyze`
+//! calls. With a model database, a class's memo starts from the
+//! verdicts stored under its signature, and each `analyze` flushes the
+//! classes that gained verdicts back, merged with what is on disk.
 //!
 //! The budget ([`AnalysisConfig::budget`]) only caps each probe. A
 //! probe it interrupts is not a verdict: it never enters the memo (so
@@ -58,13 +63,11 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use hfta_fta::{
-    solve_episode_fields, AnalysisConfig, BoolAlg, PhaseWall, SatAlg, SolveBudget, StabilityOracle,
-    StabilityStats, TopoSta, LENGTHS_CAP,
+    solve_episode_fields, AnalysisConfig, BoolAlg, OutputCone, PhaseWall, SatAlg, SolveBudget,
+    StabilityOracle, StabilityStats, TopoSta, VerdictStore, LENGTHS_CAP,
 };
 use hfta_modeldb::ModelDbStats;
-use hfta_netlist::{
-    cone_signature, Composite, ConeKey, Design, NetId, Netlist, NetlistError, Time,
-};
+use hfta_netlist::{Composite, ConeKey, Design, NetId, Netlist, NetlistError, Time};
 use hfta_sched::Scheduler;
 use hfta_trace::{Tracer, Value};
 
@@ -93,7 +96,7 @@ pub struct DemandAnalysis {
 }
 
 /// Per-(module, output) refinement state: what the timing graph reads,
-/// plus the cone view once refinement has probed this output.
+/// plus the output's cone once refinement has probed it.
 #[derive(Debug)]
 struct OutputState {
     /// Topological weight per module input: the longest path to this
@@ -102,36 +105,24 @@ struct OutputState {
     topo: Vec<Time>,
     /// Current edge weights per module input (`−∞` = no influence).
     weights: Vec<Time>,
-    /// Cursor into the view's length lists per input (index of the
-    /// current weight).
+    /// Cursor into the length lists per input (index of the current
+    /// weight).
     cursor: Vec<usize>,
     /// Edges proven accurate (no further probes).
     marked: Vec<bool>,
-    /// Built the first time one of this output's edges is critical;
+    /// Extracted the first time one of this output's edges is critical;
     /// outputs that never become critical never pay for extraction.
-    view: Option<ConeView>,
-    /// Counters booked outside the solvers: verdict-memo hits and
-    /// misses, and degraded probes.
-    probe_stats: StabilityStats,
-}
-
-/// The fanin cone of one module output, as refinement probes it.
-#[derive(Debug)]
-struct ConeView {
-    /// The single-output cone of this module output.
-    cone: Netlist,
-    /// For each module input: its position among the cone's inputs, or
-    /// `None` if the input does not reach this output.
-    cone_pos: Vec<Option<usize>>,
+    cone: Option<OutputCone>,
     /// Distinct path lengths per module input, descending (the head is
-    /// the topological weight).
+    /// the topological weight; empty for an input with no path), filled
+    /// with the cone.
     lists: Vec<Vec<Time>>,
-    /// Canonical structural signature and input correspondence of the
-    /// cone, computed when its output is first probed.
-    sig: Option<ConeKey>,
     /// Whether this cone identity has registered with its class's
     /// [`ClassOracle`].
     attached: bool,
+    /// Counters booked outside the solvers: verdict-memo hits and
+    /// misses, and degraded probes.
+    probe_stats: StabilityStats,
 }
 
 /// One signature class's stability oracle: a shared-solver oracle over
@@ -158,11 +149,13 @@ struct ClassOracle {
     learnts_imported: u64,
 }
 
-/// Outcome of one cone's probes within a refinement round.
+/// Outcome of one class's probes within a refinement round.
 #[derive(Clone, Copy, Default)]
 struct RoundWork {
     checks: u64,
     refinements: u64,
+    /// Verdicts that joined the class's memo.
+    recorded: u64,
 }
 
 /// The Section 5 analyzer.
@@ -194,8 +187,8 @@ pub struct DemandDrivenAnalyzer<'a> {
     /// Per instance (by position in `top.instances()`): its module
     /// index.
     inst_module: Vec<usize>,
-    /// Leaf netlists, index-aligned with `modules` (cone views are
-    /// extracted from them on demand).
+    /// Leaf netlists, index-aligned with `modules` (cones are extracted
+    /// from them on demand).
     leaves: Vec<&'a Netlist>,
     /// Per distinct module: refinement state per output index. Each
     /// slot is `Some` except while its cone is checked out to a worker
@@ -203,10 +196,11 @@ pub struct DemandDrivenAnalyzer<'a> {
     /// workers need owned tasks, so a round moves the probed states out
     /// and back).
     modules: Vec<Vec<Option<OutputState>>>,
-    /// Decided stability verdicts per structural signature class, keyed
-    /// by the canonical (slot-space) arrival vector. Persists across
-    /// rounds and `analyze` calls, like the class oracles.
-    verdict_memo: HashMap<u128, HashMap<Vec<Time>, bool>>,
+    /// Decided stability verdicts per structural signature class, on
+    /// delay tuples in canonical slot order. Persists across rounds and
+    /// `analyze` calls, like the class oracles; a class has an entry
+    /// from its first probe on, persisted verdicts folded in.
+    verdict_memo: HashMap<u128, VerdictStore>,
     /// One class oracle per signature class. Checked out to the class's
     /// worker for the duration of a round, like the verdict memo;
     /// persists across rounds and `analyze` calls.
@@ -214,13 +208,14 @@ pub struct DemandDrivenAnalyzer<'a> {
     /// Persistent verdict stores ([`AnalysisConfig::model_db`]). The
     /// read side is probed once per signature class: stored verdicts
     /// are exact (a memo never holds an interrupted probe), so a warm
-    /// run answers from disk what a cold one solves. The memo is
-    /// flushed into the write side after each `analyze` (merged with
-    /// whatever is already on disk).
+    /// run answers from disk what a cold one solves. After each
+    /// `analyze`, the memo of every class that gained verdicts is
+    /// flushed into the write side (merged with whatever is already on
+    /// disk).
     dbs: ModelDbs,
-    /// Signature classes whose persisted verdicts were already folded
-    /// into `verdict_memo` this session (one disk read per class).
-    verdicts_loaded: HashSet<u128>,
+    /// Signature classes whose memo gained verdicts since the last
+    /// flush.
+    unflushed: HashSet<u128>,
     config: AnalysisConfig,
     checks: u64,
     refinements: u64,
@@ -234,9 +229,9 @@ pub struct DemandDrivenAnalyzer<'a> {
 /// Invariant message for the `Option<OutputState>` slots.
 const STATE_PRESENT: &str = "cone state present (only checked out inside refine_round)";
 
-/// Invariant message for probes: `refine_round` builds a view before
+/// Invariant message for probes: `refine_round` extracts a cone before
 /// it probes an output's edges.
-const VIEW_BUILT: &str = "cone view built before the first probe";
+const CONE_BUILT: &str = "cone extracted before the first probe";
 
 impl<'a> DemandDrivenAnalyzer<'a> {
     /// Creates an analyzer for module `top` of `design` (depth-1
@@ -294,7 +289,7 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             verdict_memo: HashMap::new(),
             class_oracles: HashMap::new(),
             dbs: ModelDbs::open(&config.model_db)?,
-            verdicts_loaded: HashSet::new(),
+            unflushed: HashSet::new(),
             config: config.clone(),
             checks: 0,
             refinements: 0,
@@ -417,13 +412,13 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             );
         }
         self.config.trace.absorb(tracer);
-        // Flush decided verdicts to the persistent store (merged with
-        // whatever is already on disk). The memo holds decided verdicts
-        // only, so everything flushed here is exact and safe to replay
-        // in any later session, under any budget.
+        // Flush the classes that gained verdicts to the persistent store
+        // (merged with whatever is already on disk). The memo holds
+        // decided verdicts only, so everything flushed here is exact and
+        // safe to replay in any later session, under any budget.
         if let Some(db) = self.dbs.write.as_mut() {
-            for (&sig, memo) in &self.verdict_memo {
-                db.store_verdicts(sig, memo);
+            for sig in self.unflushed.drain() {
+                db.store_verdicts(sig, &self.verdict_memo[&sig]);
             }
         }
         let output_arrivals: Vec<Time> = self
@@ -669,45 +664,26 @@ impl<'a> DemandDrivenAnalyzer<'a> {
         }
         let pool = self.pool.get(tracer);
         // Check the probed cones out of their slots, in ascending
-        // (module, output) order, building the view of any cone probed
-        // for the first time. The build is infallible, so no slot is
-        // left empty.
+        // (module, output) order, extracting the cone of any output
+        // probed for the first time. Extraction cannot fail, so no slot
+        // is left empty.
         group_order.sort_unstable();
         let mut work: Vec<(usize, usize, OutputState, Vec<usize>)> =
             Vec::with_capacity(group_order.len());
         for &(mi, o) in &group_order {
             let mut st = self.modules[mi][o].take().expect(STATE_PRESENT);
-            if st.view.is_none() {
-                let leaf = self.leaves[mi];
-                st.view = Some(ConeView::new(leaf, leaf.outputs()[o], &st.topo));
-            }
+            st.ensure_cone(self.leaves[mi], o);
             let edges = group_edges.remove(&(mi, o)).expect("grouped above");
             work.push((mi, o, st, edges));
         }
-        // Bundle the groups into signature classes. Each class takes
-        // its verdict memo and oracle out of the analyzer for the
-        // duration of the round (workers need exclusive access) and
+        // Bundle the groups into signature classes, each taking its
+        // verdict memo and oracle out of the analyzer until the round
         // hands them back below.
         let budget = self.config.budget;
-        struct ClassTask {
-            sig: u128,
-            memo: HashMap<Vec<Time>, bool>,
-            oracle: Option<ClassOracle>,
-            work: Vec<(usize, usize, OutputState, Vec<usize>)>,
-            tracer: Tracer,
-        }
-        struct ClassDone {
-            outcome: Result<RoundWork, NetlistError>,
-            sig: u128,
-            memo: HashMap<Vec<Time>, bool>,
-            oracle: Option<ClassOracle>,
-            work: Vec<(usize, usize, OutputState, Vec<usize>)>,
-            tracer: Tracer,
-        }
         let mut class_of: HashMap<u128, usize> = HashMap::new();
         let mut classes: Vec<ClassTask> = Vec::new();
-        for (mi, o, mut st, edges) in work {
-            let sig = st.view.as_mut().expect(VIEW_BUILT).ensure_sig().sig.0;
+        for (mi, o, st, edges) in work {
+            let sig = st.cone.as_ref().expect(CONE_BUILT).key().sig.0;
             if let Some(&ci) = class_of.get(&sig) {
                 classes[ci].work.push((mi, o, st, edges));
                 continue;
@@ -717,29 +693,14 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             // index + 1); buffers merge back in class order below, so
             // the trace is identical however classes are scheduled.
             let class_tracer = tracer.fork(classes.len() as u32 + 1);
-            let mut memo = self.verdict_memo.remove(&sig).unwrap_or_default();
-            // First touch of this signature class: fold in persisted
-            // verdicts. They are exact (a memo never holds an
+            // First touch of this signature class: start from its
+            // persisted verdicts. They are exact (a memo never holds an
             // interrupted probe), so a warm start answers the same
             // probes the solver would — just without the solver.
-            if let Some(db) = self.dbs.read.as_mut() {
-                if self.verdicts_loaded.insert(sig) {
-                    let stored = db.load_verdicts(sig);
-                    let count = stored.len();
-                    for (k, v) in stored {
-                        memo.entry(k).or_insert(v);
-                    }
-                    if count > 0 && tracer.is_enabled() {
-                        tracer.event(
-                            "verdict_db_load",
-                            vec![
-                                ("sig", Value::from(format!("{sig:032x}"))),
-                                ("verdicts", Value::from(count)),
-                            ],
-                        );
-                    }
-                }
-            }
+            let memo = self
+                .verdict_memo
+                .remove(&sig)
+                .unwrap_or_else(|| self.load_verdicts(sig, tracer));
             // The class's oracle travels with its memo (both are
             // exclusive to the class's worker for the round).
             let oracle = self.class_oracles.remove(&sig);
@@ -748,32 +709,20 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 memo,
                 oracle,
                 work: vec![(mi, o, st, edges)],
+                round: RoundWork::default(),
                 tracer: class_tracer,
             });
         }
-        let run = move |mut class: ClassTask| -> ClassDone {
-            let outcome = refine_class(
-                &mut class.work,
-                &mut class.memo,
-                &mut class.oracle,
-                budget,
-                &mut class.tracer,
-            );
-            ClassDone {
-                outcome,
-                sig: class.sig,
-                memo: class.memo,
-                oracle: class.oracle,
-                work: class.work,
-                tracer: class.tracer,
-            }
+        let run = move |mut class: ClassTask| {
+            let outcome = class.refine(budget);
+            (class, outcome)
         };
-        let done: Vec<ClassDone> = match pool {
+        let done: Vec<(ClassTask, Result<(), NetlistError>)> = match pool {
             Some(pool) if classes.len() > 1 => pool.run(classes, run),
             _ => classes.into_iter().map(run).collect(),
         };
         let mut first_err = None;
-        for d in done {
+        for (d, outcome) in done {
             tracer.absorb(d.tracer);
             self.verdict_memo.insert(d.sig, d.memo);
             if let Some(oracle) = d.oracle {
@@ -785,22 +734,42 @@ impl<'a> DemandDrivenAnalyzer<'a> {
                 debug_assert!(self.modules[mi][o].is_none());
                 self.modules[mi][o] = Some(st);
             }
-            match d.outcome {
-                Ok(w) => {
-                    self.checks += w.checks;
-                    self.refinements += w.refinements;
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
+            self.checks += d.round.checks;
+            self.refinements += d.round.refinements;
+            if d.round.recorded > 0 {
+                self.unflushed.insert(d.sig);
+            }
+            if let Err(e) = outcome {
+                first_err = first_err.or(Some(e));
             }
         }
         first_err.map_or(Ok(()), Err)
     }
 
+    /// The persisted verdicts of signature class `sig` (empty without a
+    /// read database).
+    fn load_verdicts(&mut self, sig: u128, tracer: &mut Tracer) -> VerdictStore {
+        let Some(db) = self.dbs.read.as_mut() else {
+            return VerdictStore::default();
+        };
+        let stored = db.load_verdicts(sig);
+        if !stored.is_empty() && tracer.is_enabled() {
+            tracer.event(
+                "verdict_db_load",
+                vec![
+                    ("sig", Value::from(format!("{sig:032x}"))),
+                    ("verdicts", Value::from(stored.len())),
+                ],
+            );
+        }
+        stored
+    }
+
     /// Rewinds every edge to its topological weight and clears shared
     /// verdicts and counters, as if the analyzer were freshly built —
-    /// but keeps the expensive long-lived state: cone views, class
-    /// oracles (learnt clauses included), cone signatures, and the
-    /// worker pool. Benchmarks use this to
+    /// but keeps the expensive long-lived state: extracted and signed
+    /// cones, class oracles (learnt clauses included), and the worker
+    /// pool. Benchmarks use this to
     /// measure steady-state refinement without paying construction on
     /// every iteration.
     pub fn reset_refinement(&mut self) {
@@ -813,30 +782,39 @@ impl<'a> DemandDrivenAnalyzer<'a> {
             }
         }
         self.verdict_memo.clear();
-        self.verdicts_loaded.clear();
+        self.unflushed.clear();
         self.checks = 0;
         self.refinements = 0;
         self.wall = PhaseWall::default();
     }
 }
 
-/// Probes every `(cone, edges)` group of one signature class, in
-/// order, all sharing the class's verdict `memo` and its `oracle`
-/// (built by the class's first solver probe).
-fn refine_class(
-    work: &mut [(usize, usize, OutputState, Vec<usize>)],
-    memo: &mut HashMap<Vec<Time>, bool>,
-    oracle: &mut Option<ClassOracle>,
-    budget: SolveBudget,
-    tracer: &mut Tracer,
-) -> Result<RoundWork, NetlistError> {
-    let mut round = RoundWork::default();
-    for (_, _, st, edges) in work.iter_mut() {
-        for &j in edges.iter() {
-            st.refine_edge(j, budget, &mut round, memo, oracle, tracer)?;
+/// One signature class's share of a refinement round: its probed
+/// cones with their critical edges, and the verdict memo and oracle
+/// they share, checked out of the analyzer for the round (workers need
+/// exclusive access).
+struct ClassTask {
+    sig: u128,
+    memo: VerdictStore,
+    oracle: Option<ClassOracle>,
+    work: Vec<(usize, usize, OutputState, Vec<usize>)>,
+    round: RoundWork,
+    tracer: Tracer,
+}
+
+impl ClassTask {
+    /// Probes every `(cone, edges)` group in order, all sharing the
+    /// class's memo and its oracle (built by the class's first solver
+    /// probe).
+    fn refine(&mut self, budget: SolveBudget) -> Result<(), NetlistError> {
+        for (_, _, st, edges) in &mut self.work {
+            for &j in edges.iter() {
+                let (memo, oracle) = (&mut self.memo, &mut self.oracle);
+                st.refine_edge(j, budget, &mut self.round, memo, oracle, &mut self.tracer)?;
+            }
         }
+        Ok(())
     }
-    Ok(round)
 }
 
 impl OutputState {
@@ -850,9 +828,40 @@ impl OutputState {
             topo,
             cursor: vec![0; n],
             marked: vec![false; n],
-            view: None,
+            cone: None,
+            lists: Vec::new(),
+            attached: false,
             probe_stats: StabilityStats::default(),
         }
+    }
+
+    /// Extracts and signs the cone of `leaf`'s output `o` and lists its
+    /// distinct path lengths, unless that was done already.
+    fn ensure_cone(&mut self, leaf: &Netlist, o: usize) {
+        if self.cone.is_some() {
+            return;
+        }
+        const ACYCLIC: &str =
+            "the leaf was sorted when the analyzer was built, so its cones are acyclic";
+        let cone = OutputCone::new(leaf, leaf.outputs()[o]).expect(ACYCLIC);
+        let mut lists = vec![Vec::new(); self.topo.len()];
+        for (list, &p) in cone
+            .lengths(LENGTHS_CAP)
+            .expect(ACYCLIC)
+            .into_iter()
+            .zip(cone.positions())
+        {
+            lists[p] = list;
+        }
+        debug_assert!(
+            lists
+                .iter()
+                .zip(&self.topo)
+                .all(|(l, &w)| l.first().copied().unwrap_or(Time::NEG_INF) == w),
+            "each length list heads with its topological weight"
+        );
+        self.lists = lists;
+        self.cone = Some(cone);
     }
 
     /// One refinement step of the edge into input `in_idx`: probe the
@@ -864,13 +873,12 @@ impl OutputState {
         in_idx: usize,
         budget: SolveBudget,
         round: &mut RoundWork,
-        memo: &mut HashMap<Vec<Time>, bool>,
+        memo: &mut VerdictStore,
         class: &mut Option<ClassOracle>,
         tracer: &mut Tracer,
     ) -> Result<(), NetlistError> {
         debug_assert!(!self.marked[in_idx]);
-        let view = self.view.as_mut().expect(VIEW_BUILT);
-        let list = &view.lists[in_idx];
+        let list = &self.lists[in_idx];
         let next = self.cursor[in_idx] + 1;
         let candidate = if next < list.len() {
             Some(list[next])
@@ -883,75 +891,62 @@ impl OutputState {
             self.marked[in_idx] = true;
             return Ok(());
         };
-        // Build cone arrivals: input j arrives at −w_j, the probed
-        // input at −candidate.
-        let n_cone = view.cone.inputs().len();
-        let mut cone_arrivals = vec![Time::POS_INF; n_cone];
-        for (j, pos) in view.cone_pos.iter().enumerate() {
-            if let Some(p) = *pos {
-                let w = if j == in_idx {
+        round.checks += 1;
+        // The probe's delay tuple — input j at w_j, the probed input at
+        // the candidate — in the class's canonical slot order. Isomorphic
+        // cones share the memo through it, and a verdict it implies by
+        // monotone speedup is the one the solver would return.
+        let cone = self.cone.as_ref().expect(CONE_BUILT);
+        let delays: Vec<Time> = cone
+            .positions()
+            .iter()
+            .map(|&j| {
+                if j == in_idx {
                     candidate
                 } else {
                     self.weights[j]
-                };
-                cone_arrivals[p] = -w;
-            }
-        }
-        round.checks += 1;
-        // Signature-class sharing: probe the memo under the canonical
-        // (slot-space) arrival vector before spending solver time. A
-        // decided verdict is semantic, so the solver would necessarily
-        // return it again.
-        let key = view.sig.as_ref().expect("signed when its class was formed");
-        let canon = key.to_slots(&cone_arrivals, Time::POS_INF);
-        if let Some(&verdict) = memo.get(&canon) {
+                }
+            })
+            .collect();
+        let canon = cone.key().to_slots(&delays, Time::NEG_INF);
+        let implied = memo.implied(&canon);
+        let stable = if implied.is_some() {
             self.probe_stats.cone_sig_hits += 1;
-            if tracer.is_enabled() {
-                tracer.event(
-                    "refine_probe",
-                    vec![
-                        ("input", Value::from(in_idx)),
-                        ("candidate", Value::from(candidate.to_string())),
-                        ("verdict", Value::from(if verdict { "ok" } else { "fail" })),
-                        ("memo", Value::from(true)),
-                    ],
-                );
+            implied
+        } else {
+            self.probe_stats.cone_sig_misses += 1;
+            // The whole signature class answers from one incremental
+            // instance; this cone becomes its representative if it is
+            // the first to reach the solver.
+            if class.is_none() {
+                *class = Some(ClassOracle::new(cone, budget)?);
             }
-            self.apply_verdict(in_idx, candidate, Some(verdict), round);
-            return Ok(());
-        }
-        self.probe_stats.cone_sig_misses += 1;
-        // The whole signature class answers from one incremental
-        // instance; this cone becomes its representative if it is the
-        // first to reach the solver.
-        if class.is_none() {
-            *class = Some(ClassOracle::new(view.cone.clone(), key.clone(), budget)?);
-        }
-        let class = class.as_mut().expect("just created");
-        if !view.attached {
-            view.attached = true;
-            class.attach();
-        }
-        let stable = class.probe(&canon, tracer);
-        // An interrupted probe is not a verdict and is never memoized.
-        if let Some(verdict) = stable {
-            memo.insert(canon, verdict);
-        }
+            let class = class.as_mut().expect("just created");
+            if !self.attached {
+                self.attached = true;
+                class.attach();
+            }
+            let stable = class.probe(&canon, tracer);
+            // An interrupted probe is not a verdict and is never
+            // memoized.
+            if stable.is_some_and(|verdict| memo.record(&canon, verdict)) {
+                round.recorded += 1;
+            }
+            stable
+        };
         if tracer.is_enabled() {
+            let verdict = match stable {
+                Some(true) => "ok",
+                Some(false) => "fail",
+                None => "budget",
+            };
             tracer.event(
                 "refine_probe",
                 vec![
                     ("input", Value::from(in_idx)),
                     ("candidate", Value::from(candidate.to_string())),
-                    (
-                        "verdict",
-                        Value::from(match stable {
-                            Some(true) => "ok",
-                            Some(false) => "fail",
-                            None => "budget",
-                        }),
-                    ),
-                    ("memo", Value::from(false)),
+                    ("verdict", Value::from(verdict)),
+                    ("memo", Value::from(implied.is_some())),
                 ],
             );
         }
@@ -994,70 +989,17 @@ impl OutputState {
     }
 }
 
-impl ConeView {
-    /// Extracts the cone of `leaf`'s output `out` and lists its distinct
-    /// path lengths. `topo` is the output's topological weight vector,
-    /// which every list must head.
-    fn new(leaf: &Netlist, out: NetId, topo: &[Time]) -> ConeView {
-        let (cone, sources) = leaf.cone(out);
-        let cone_out = cone.outputs()[0];
-        let sta = TopoSta::new(&cone)
-            .expect("the leaf was sorted when the analyzer was built, so its cones are acyclic");
-        let mut distinct = sta.distinct_lengths_to(cone_out, LENGTHS_CAP);
-        // Cone inputs keep the leaf's input order, so one merge pass
-        // places every source.
-        let mut sources = sources.iter().enumerate().peekable();
-        let mut cone_pos = Vec::with_capacity(leaf.inputs().len());
-        let mut lists = Vec::with_capacity(leaf.inputs().len());
-        for pi in leaf.inputs() {
-            match sources.next_if(|&(_, src)| src == pi) {
-                Some((p, _)) => {
-                    cone_pos.push(Some(p));
-                    lists.push(std::mem::take(&mut distinct[cone.inputs()[p].index()]));
-                }
-                None => {
-                    cone_pos.push(None);
-                    lists.push(Vec::new());
-                }
-            }
-        }
-        debug_assert!(sources.next().is_none(), "cone sources are primary inputs");
-        debug_assert!(
-            lists
-                .iter()
-                .zip(topo)
-                .all(|(l, &w)| l.first().copied().unwrap_or(Time::NEG_INF) == w),
-            "each length list heads with its topological weight"
-        );
-        ConeView {
-            cone,
-            cone_pos,
-            lists,
-            sig: None,
-            attached: false,
-        }
-    }
-
-    /// The cone's structural signature, computed on first use.
-    fn ensure_sig(&mut self) -> &ConeKey {
-        let cone = &self.cone;
-        self.sig.get_or_insert_with(|| {
-            cone_signature(cone).expect("cone views are acyclic, and only a cycle fails signing")
-        })
-    }
-}
-
 impl ClassOracle {
-    /// Builds the class's oracle over a representative `cone` with
-    /// canonical input correspondence `key`; every probe runs under
-    /// `budget`.
-    fn new(cone: Netlist, key: ConeKey, budget: SolveBudget) -> Result<ClassOracle, NetlistError> {
-        let zeros = vec![Time::ZERO; cone.inputs().len()];
-        let mut oracle = StabilityOracle::new(cone, &zeros, SatAlg::new_shared())?;
+    /// Builds the class's oracle over a representative `cone`; every
+    /// probe runs under `budget`.
+    fn new(cone: &OutputCone, budget: SolveBudget) -> Result<ClassOracle, NetlistError> {
+        let zeros = vec![Time::ZERO; cone.positions().len()];
+        let mut oracle =
+            StabilityOracle::new(cone.netlist().clone(), &zeros, SatAlg::new_shared())?;
         oracle.set_budget(budget);
         Ok(ClassOracle {
             oracle,
-            key,
+            key: cone.key().clone(),
             members: 0,
             learnts_imported: 0,
         })
@@ -1074,19 +1016,18 @@ impl ClassOracle {
         self.members += 1;
     }
 
-    /// Answers a member's probe — is its output stable at 0 under the
-    /// arrivals `canon` holds in canonical slot order? — by rebinding
-    /// the representative to the same slots in its own input order.
-    /// `None` when the budget ran out.
+    /// Answers a member's probe — is its output stable at 0 with slot
+    /// `s` arriving at `−canon[s]`? — by rebinding the representative
+    /// to the same slots in its own input order. `None` when the budget
+    /// ran out.
     fn probe(&mut self, canon: &[Time], tracer: &mut Tracer) -> Option<bool> {
         // Missing slots (floating-net cones) are "unreached".
-        let arrivals = if canon.len() < self.key.slot_count() {
-            let mut slots = canon.to_vec();
-            slots.resize(self.key.slot_count(), Time::POS_INF);
-            self.key.from_slots(&slots)
-        } else {
-            self.key.from_slots(canon)
-        };
+        let arrivals: Vec<Time> = self
+            .key
+            .perm
+            .iter()
+            .map(|&s| canon.get(s).map_or(Time::POS_INF, |&d| -d))
+            .collect();
         self.oracle.set_arrivals(&arrivals);
         let out = self.oracle.netlist().outputs()[0];
         if !tracer.is_enabled() {
@@ -1563,6 +1504,39 @@ mod cone_sig_tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A flush writes only what a class gained and counts only the
+    /// verdicts it newly wrote: each solver verdict of the first call
+    /// is stored once, a second call on the same analyzer adds exactly
+    /// its own new verdicts, and a call that decides nothing new
+    /// stores nothing.
+    #[test]
+    fn verdict_flush_counts_only_new_verdicts() {
+        let dir = std::env::temp_dir().join(format!("hfta-demand-flush-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let design = carry_skip_adder(8, 2, CsaDelays::default());
+        let config = AnalysisConfig::default().with_emit_models(&dir);
+        let mut an = DemandDrivenAnalyzer::with_config(&design, "csa8.2", &config).unwrap();
+        let zeros = vec![Time::ZERO; 17];
+        let first = an.analyze(&zeros).unwrap();
+        let decided = first.stability.cone_sig_misses;
+        assert!(decided > 0);
+        assert_eq!(an.model_db_stats().verdicts_stored, decided);
+
+        // A late a1 sends refinement down an edge the first call never
+        // probed.
+        let mut skewed = zeros;
+        skewed[3] = Time::new(5);
+        let second = an.analyze(&skewed).unwrap();
+        let added = second.stability.cone_sig_misses - decided;
+        assert!(added > 0, "the second call decided nothing new");
+        assert_eq!(an.model_db_stats().verdicts_stored, decided + added);
+
+        let third = an.analyze(&skewed).unwrap();
+        assert_eq!(third.stability.cone_sig_misses, decided + added);
+        assert_eq!(an.model_db_stats().verdicts_stored, decided + added);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A limited budget only caps probes. The memo holds decided
     /// verdicts, which are exact under any budget: a generous budget
     /// shares them exactly like the unlimited run, and a zero budget,
@@ -1597,16 +1571,17 @@ mod cone_sig_tests {
         assert!(s.stability.budget_hits > 0, "{:?}", s.stability);
         assert_eq!(s.stability.cone_sig_hits, 0);
         assert!(
-            starved.verdict_memo.values().all(HashMap::is_empty),
+            starved.verdict_memo.values().all(VerdictStore::is_empty),
             "an interrupted probe was memoized"
         );
     }
 
     /// The `c_out` cone of a 2-bit carry-skip block, and an isomorph of
     /// it that declares the same inputs in reverse order.
-    fn cone_and_reversed_isomorph() -> (Netlist, Netlist) {
+    fn cone_and_reversed_isomorph() -> (OutputCone, Netlist) {
         let block = carry_skip_block(2, CsaDelays::default());
-        let cone = block.cone(block.find_net("c_out").unwrap()).0;
+        let rep = OutputCone::new(&block, block.find_net("c_out").unwrap()).unwrap();
+        let cone = rep.netlist();
         let mut rev = Netlist::new("reversed");
         let mut map = vec![None; cone.net_count()];
         for &pi in cone.inputs().iter().rev() {
@@ -1624,7 +1599,7 @@ mod cone_sig_tests {
             map[gate.output.index()] = Some(out);
         }
         rev.mark_output(map[cone.outputs()[0].index()].unwrap());
-        (cone, rev)
+        (rep, rev)
     }
 
     /// A class oracle over one representative answers a permuted
@@ -1633,12 +1608,11 @@ mod cone_sig_tests {
     #[test]
     fn class_oracle_matches_per_cone_oracles() {
         let (rep, member) = cone_and_reversed_isomorph();
-        let rep_key = cone_signature(&rep).unwrap();
         let member_key = cone_signature(&member).unwrap();
-        assert_eq!(rep_key.sig, member_key.sig);
-        assert_ne!(rep_key.perm, member_key.perm, "routing must permute");
+        assert_eq!(rep.key().sig, member_key.sig);
+        assert_ne!(rep.key().perm, member_key.perm, "routing must permute");
 
-        let mut class = ClassOracle::new(rep.clone(), rep_key, SolveBudget::UNLIMITED).unwrap();
+        let mut class = ClassOracle::new(&rep, SolveBudget::UNLIMITED).unwrap();
         class.attach();
         class.attach(); // a second member joins before any probe
         let member_out = member.outputs()[0];
@@ -1655,7 +1629,8 @@ mod cone_sig_tests {
                 let arrivals: Vec<Time> = cond.iter().map(|&a| a - Time::new(shift)).collect();
                 let mut fresh =
                     StabilityOracle::new(member.clone(), &arrivals, SatAlg::new()).unwrap();
-                let canon = member_key.to_slots(&arrivals, Time::POS_INF);
+                let delays: Vec<Time> = arrivals.iter().map(|&a| -a).collect();
+                let canon = member_key.to_slots(&delays, Time::NEG_INF);
                 assert_eq!(
                     class.probe(&canon, &mut tracer),
                     Some(fresh.is_stable_at(member_out, Time::ZERO)),
@@ -1671,13 +1646,12 @@ mod cone_sig_tests {
     #[test]
     fn late_attach_counts_warm_learnts() {
         let (rep, _) = cone_and_reversed_isomorph();
-        let key = cone_signature(&rep).unwrap();
-        let mut class = ClassOracle::new(rep, key.clone(), SolveBudget::UNLIMITED).unwrap();
+        let mut class = ClassOracle::new(&rep, SolveBudget::UNLIMITED).unwrap();
         class.attach();
         let mut tracer = Tracer::disabled();
         for shift in -3..13 {
-            let arrivals = vec![Time::new(-shift); 5];
-            let _ = class.probe(&key.to_slots(&arrivals, Time::POS_INF), &mut tracer);
+            let delays = vec![Time::new(shift); 5];
+            let _ = class.probe(&rep.key().to_slots(&delays, Time::NEG_INF), &mut tracer);
         }
         let warm = class.stats().learnt_clauses;
         assert!(warm > 0);
@@ -1694,12 +1668,12 @@ mod lazy_view_tests {
     use hfta_netlist::gen::{carry_skip_adder, random_circuit, CsaDelays, RandomCircuitSpec};
     use hfta_netlist::partition::cascade_bipartition_min_cut;
 
-    /// The `(module, output)` pairs whose cone view has been built.
+    /// The `(module, output)` pairs whose cone has been extracted.
     fn views(an: &DemandDrivenAnalyzer<'_>) -> BTreeSet<(usize, usize)> {
         let mut v = BTreeSet::new();
         for (mi, states) in an.modules.iter().enumerate() {
             for (o, st) in states.iter().enumerate() {
-                if st.as_ref().expect(STATE_PRESENT).view.is_some() {
+                if st.as_ref().expect(STATE_PRESENT).cone.is_some() {
                     v.insert((mi, o));
                 }
             }

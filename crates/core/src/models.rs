@@ -11,9 +11,10 @@
 //! 1. The leaves to characterize are the distinct requested leaves
 //!    missing from the table, in name order.
 //! 2. The read database is probed for each of them, serially.
-//! 3. Every leaf that misses both is signed: one structural signature
-//!    per output cone, handed on to the characterizer so no cone is
-//!    signed twice. Topological models need none.
+//! 3. The output cones of every leaf that misses both are extracted
+//!    and signed, once ([`OutputCone`]): the characterizer probes them
+//!    and the write database files them under their signatures.
+//!    Topological models need none.
 //! 4. Leaves that share any cone signature form one group, ordered by
 //!    its first leaf. A group's leaves run in name order on a private
 //!    signature cache seeded with the table's entries for the group's
@@ -41,10 +42,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hfta_fta::{
-    AnalysisConfig, ConeSigCache, ModelDbSpec, ModelSource, SolveBudget, StabilityStats,
+    AnalysisConfig, ConeSigCache, ModelDbSpec, ModelSource, OutputCone, SolveBudget, StabilityStats,
 };
 use hfta_modeldb::{ModelDb, ModelDbStats};
-use hfta_netlist::{cone_signature, Composite, ConeKey, Design, Netlist, NetlistError, Time};
+use hfta_netlist::{Composite, ConeKey, Design, Netlist, NetlistError, Time};
 use hfta_sched::Scheduler;
 use hfta_trace::{Tracer, Value};
 
@@ -231,8 +232,8 @@ struct LeafTask {
     name: Arc<str>,
     /// An owned copy: pooled tasks must be `'static`.
     nl: Netlist,
-    /// One signed cone per output (empty for topological models).
-    keys: Vec<ConeKey>,
+    /// One cone per output (empty for topological models).
+    cones: Vec<OutputCone>,
 }
 
 /// What characterizing one leaf produced.
@@ -255,11 +256,8 @@ struct Group {
     tracer: Tracer,
 }
 
-struct GroupDone {
-    outcomes: Vec<(Arc<str>, Result<Outcome, NetlistError>)>,
-    cache: ConeSigCache,
-    tracer: Tracer,
-}
+/// A group's leaf with what characterizing it produced.
+type LeafDone = (LeafTask, Result<Outcome, NetlistError>);
 
 impl ModelTable {
     /// An empty table under `config`, with its model databases open.
@@ -394,7 +392,7 @@ impl ModelTable {
                 pending.push((name, nl));
             }
         }
-        let result = self.characterize(design, &pending, &mut work, &mut tracer);
+        let result = self.characterize(&pending, &mut work, &mut tracer);
         self.config.trace.absorb(tracer);
         self.total.merge(&work);
         result.map(|()| work)
@@ -427,7 +425,6 @@ impl ModelTable {
     /// Steps 3–6 of the schedule for `leaves` (in name order).
     fn characterize(
         &mut self,
-        design: &Design,
         leaves: &[(&str, &Netlist)],
         work: &mut Work,
         tracer: &mut Tracer,
@@ -436,22 +433,23 @@ impl ModelTable {
             return Ok(());
         }
         let t0 = Instant::now();
-        let mut keys = Vec::with_capacity(leaves.len());
+        let mut cones = Vec::with_capacity(leaves.len());
         for (_, nl) in leaves {
-            keys.push(match self.config.source {
-                ModelSource::Functional => nl
-                    .outputs()
-                    .iter()
-                    .map(|&out| cone_signature(&nl.cone(out).0))
-                    .collect::<Result<Vec<_>, _>>()?,
+            cones.push(match self.config.source {
+                ModelSource::Functional => OutputCone::all(nl)?,
                 ModelSource::Topological => Vec::new(),
             });
         }
+        let keys: Vec<Vec<&ConeKey>> = cones
+            .iter()
+            .map(|leaf| leaf.iter().map(OutputCone::key).collect())
+            .collect();
+        let members_of = signature_groups(&keys);
         let mut groups = Vec::new();
-        for (g, members) in signature_groups(&keys).into_iter().enumerate() {
+        for (g, members) in members_of.into_iter().enumerate() {
             let mut sigs: Vec<_> = members
                 .iter()
-                .flat_map(|&i| keys[i].iter().map(|k| k.sig))
+                .flat_map(|&i| cones[i].iter().map(|c| c.key().sig))
                 .collect();
             sigs.sort_unstable();
             sigs.dedup();
@@ -460,7 +458,7 @@ impl ModelTable {
                 .map(|i| LeafTask {
                     name: Arc::from(leaves[i].0),
                     nl: leaves[i].1.clone(),
-                    keys: std::mem::take(&mut keys[i]),
+                    cones: std::mem::take(&mut cones[i]),
                 })
                 .collect();
             groups.push(Group {
@@ -476,18 +474,18 @@ impl ModelTable {
         } else {
             None
         };
-        let done: Vec<GroupDone> = match pool {
+        let done: Vec<(Group, Vec<LeafDone>)> = match pool {
             Some(pool) => pool.run(groups, run_group),
             None => groups.into_iter().map(run_group).collect(),
         };
         work.stability.wall.characterize_micros += micros_since(t0);
         let mut first_err = None;
-        for group in done {
+        for (group, outcomes) in done {
             tracer.absorb(group.tracer);
             self.sig_cache.merge(group.cache);
-            for (name, outcome) in group.outcomes {
+            for (leaf, outcome) in outcomes {
                 match outcome {
-                    Ok(outcome) => self.record(design, name, outcome, work, tracer),
+                    Ok(outcome) => self.record(leaf, outcome, work, tracer),
                     Err(e) => first_err = first_err.or(Some(e)),
                 }
             }
@@ -495,38 +493,34 @@ impl ModelTable {
         first_err.map_or(Ok(()), Err)
     }
 
-    /// Books one characterization: the write database, the counters,
-    /// the alias and degradation records, and the model.
-    fn record(
-        &mut self,
-        design: &Design,
-        name: Arc<str>,
-        outcome: Outcome,
-        work: &mut Work,
-        tracer: &mut Tracer,
-    ) {
-        if let (Some(db), Some(nl)) = (self.dbs.write.as_mut(), design.leaf(&name)) {
-            let stored = db.store(
-                nl,
-                self.config.source,
-                &self.config.characterize,
-                &outcome.timing,
-                outcome.why.is_some(),
-            );
+    /// Books one characterization: the write database (filed under the
+    /// signatures of the cones it characterized), the counters, the
+    /// alias and degradation records, and the model.
+    fn record(&mut self, leaf: LeafTask, outcome: Outcome, work: &mut Work, tracer: &mut Tracer) {
+        if let Some(db) = self.dbs.write.as_mut() {
+            let (source, opts) = (self.config.source, &self.config.characterize);
+            let (timing, degraded) = (&outcome.timing, outcome.why.is_some());
+            let stored = if source == ModelSource::Functional {
+                let sigs: Vec<_> = leaf.cones.iter().map(|c| c.key().sig).collect();
+                db.store_signed(&leaf.nl, &sigs, source, opts, timing, degraded)
+            } else {
+                db.store(&leaf.nl, source, opts, timing, degraded)
+            };
             if stored && tracer.is_enabled() {
-                tracer.event("model_db_store", vec![("module", Value::from(&*name))]);
+                tracer.event("model_db_store", vec![("module", Value::from(&*leaf.name))]);
             }
         }
         work.characterized += 1;
         work.stability.merge(&outcome.stats);
         if let Some(why) = outcome.why {
-            self.degraded.push((Arc::clone(&name), why));
+            self.degraded.push((Arc::clone(&leaf.name), why));
         }
         if let Some(owner) = outcome.alias_owner {
             work.aliased += 1;
-            self.aliases.push((Arc::clone(&name), Arc::from(owner)));
+            self.aliases
+                .push((Arc::clone(&leaf.name), Arc::from(owner)));
         }
-        self.models.insert(name, outcome.timing);
+        self.models.insert(leaf.name, outcome.timing);
     }
 }
 
@@ -535,7 +529,7 @@ impl ModelTable {
 /// members ascend, and groups are ordered by their first member.
 /// Constant cones (no inputs) never consult the signature cache, so
 /// they join nothing.
-fn signature_groups(keys: &[Vec<ConeKey>]) -> Vec<Vec<usize>> {
+fn signature_groups(keys: &[Vec<&ConeKey>]) -> Vec<Vec<usize>> {
     fn root(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
             parent[i] = parent[parent[i]];
@@ -575,27 +569,23 @@ fn signature_groups(keys: &[Vec<ConeKey>]) -> Vec<Vec<usize>> {
 
 /// Characterizes a group's leaves in order on its private cache,
 /// stopping at the first error.
-fn run_group(mut group: Group) -> GroupDone {
+fn run_group(mut group: Group) -> (Group, Vec<LeafDone>) {
     let mut outcomes = Vec::with_capacity(group.leaves.len());
-    for leaf in &group.leaves {
+    for leaf in std::mem::take(&mut group.leaves) {
         let outcome = characterize_leaf(
-            leaf,
+            &leaf,
             &group.config,
             &group.token,
             &mut group.cache,
             &mut group.tracer,
         );
         let failed = outcome.is_err();
-        outcomes.push((Arc::clone(&leaf.name), outcome));
+        outcomes.push((leaf, outcome));
         if failed {
             break;
         }
     }
-    GroupDone {
-        outcomes,
-        cache: group.cache,
-        tracer: group.tracer,
-    }
+    (group, outcomes)
 }
 
 /// Characterizes one leaf inside a `characterize_module` span. An
@@ -625,8 +615,8 @@ fn characterize_leaf(
             alias_owner: None,
         })
     } else {
-        ModuleTiming::characterize_traced(nl, config, Some((cache, leaf.keys.as_slice())), tracer)
-            .map(|(timing, stats, owners)| {
+        ModuleTiming::characterize_traced(nl, config, &leaf.cones, Some(cache), tracer).map(
+            |(timing, stats, owners)| {
                 // An alias: every output replayed from one other
                 // module's characterization.
                 let alias_owner = match owners.first() {
@@ -644,7 +634,8 @@ fn characterize_leaf(
                     stats,
                     alias_owner,
                 }
-            })
+            },
+        )
     };
     if let Some(span) = span {
         match &result {
@@ -691,13 +682,14 @@ mod tests {
     /// first member's place; constant cones join nothing.
     #[test]
     fn groups_close_over_shared_signatures() {
-        let keys = vec![
+        let keys = [
             vec![key(1, 2)],
             vec![key(2, 2), key(7, 0)],
             vec![key(3, 1), key(7, 0)],
             vec![key(2, 3), key(1, 2)],
             vec![],
         ];
+        let keys: Vec<Vec<&ConeKey>> = keys.iter().map(|leaf| leaf.iter().collect()).collect();
         assert_eq!(
             signature_groups(&keys),
             vec![vec![0, 1, 3], vec![2], vec![4]]

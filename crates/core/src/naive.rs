@@ -16,15 +16,15 @@
 //! relaxation step is validated by a full stability check of the whole
 //! tuple (see [`hfta_fta::Characterizer`]).
 
-use hfta_fta::{DelayAnalyzer, SatAlg, StabilityOracle, TopoSta};
+use hfta_fta::{DelayAnalyzer, OutputCone, SatAlg, StabilityOracle};
 use hfta_netlist::{NetId, Netlist, NetlistError, Time};
 
 use crate::{TimingModel, TimingTuple};
 
-/// Builds the naive model of `output`: each pin's delay is relaxed down
-/// its distinct-path-length list with *all other pins held at their
-/// topological delays*, and the per-pin results are assembled into one
-/// tuple without a joint validity check.
+/// Builds the naive model of `cone`'s output: each pin's delay is
+/// relaxed down its distinct-path-length list with *all other pins held
+/// at their topological delays*, and the per-pin results are assembled
+/// into one tuple without a joint validity check.
 ///
 /// This is **intentionally unsound** — it exists to demonstrate the
 /// paper's critique. Use [`ModuleTiming::characterize`]
@@ -36,69 +36,38 @@ use crate::{TimingModel, TimingTuple};
 ///
 /// [`ModuleTiming::characterize`]: crate::ModuleTiming::characterize
 pub fn independent_relaxation_model(
-    netlist: &Netlist,
-    output: NetId,
+    cone: &OutputCone,
     lengths_cap: usize,
 ) -> Result<TimingModel, NetlistError> {
-    let (cone, sources) = netlist.cone(output);
-    let cone_out = cone.outputs()[0];
-    let full_len = netlist.inputs().len();
-    if cone.inputs().is_empty() {
-        return Ok(TimingModel::from_tuples(vec![TimingTuple::new(vec![
-            Time::NEG_INF;
-            full_len
-        ])]));
-    }
-    let sta = TopoSta::new(&cone)?;
-    let distinct = sta.distinct_lengths_to(cone_out, lengths_cap);
-    let lists: Vec<Vec<Time>> = cone
-        .inputs()
-        .iter()
-        .map(|pi| distinct[pi.index()].clone())
-        .collect();
+    let lists = cone.lengths(lengths_cap)?;
     let topo: Vec<Time> = lists
         .iter()
         .map(|l| l.first().copied().unwrap_or(Time::NEG_INF))
         .collect();
-
+    let mut assembled = topo.clone();
     // One persistent oracle serves every per-pin probe of this cone;
     // each probe rebinds the arrivals, keeping the solver state warm.
+    let cone_out = cone.netlist().outputs()[0];
     let topo_arrivals: Vec<Time> = topo.iter().map(|&d| -d).collect();
-    let mut an = StabilityOracle::new(cone.clone(), &topo_arrivals, SatAlg::new())?;
-    let mut assembled = topo.clone();
-    for i in 0..cone.inputs().len() {
+    let mut an = StabilityOracle::new(cone.netlist().clone(), &topo_arrivals, SatAlg::new())?;
+    for (i, list) in lists.iter().enumerate() {
         // Relax pin i alone, others pinned at TOPOLOGICAL (the fixed
         // reference scenario — each step here is individually valid).
-        let mut current = topo[i];
-        for &l in &lists[i][1..] {
+        for &l in &list[1..] {
             let mut candidate = topo.clone();
             candidate[i] = l;
             let arrivals: Vec<Time> = candidate.iter().map(|&d| -d).collect();
             an.set_arrivals(&arrivals);
-            if an.is_stable_at(cone_out, Time::ZERO) {
-                current = l;
-            } else {
+            if !an.is_stable_at(cone_out, Time::ZERO) {
                 break;
             }
+            assembled[i] = l;
         }
-        assembled[i] = current;
     }
     // NO joint validation — that is the bug being demonstrated.
-    let positions: Vec<usize> = sources
-        .iter()
-        .map(|src| {
-            netlist
-                .inputs()
-                .iter()
-                .position(|pi| pi == src)
-                .expect("cone sources are primary inputs")
-        })
-        .collect();
-    let mut full = vec![Time::NEG_INF; full_len];
-    for (i, &p) in positions.iter().enumerate() {
-        full[p] = assembled[i];
-    }
-    Ok(TimingModel::from_tuples(vec![TimingTuple::new(full)]))
+    Ok(TimingModel::from_tuples(vec![TimingTuple::new(
+        cone.expand(&assembled),
+    )]))
 }
 
 /// Evidence that a model underapproximates: an arrival condition where
@@ -156,7 +125,8 @@ mod tests {
     fn carry_skip_block_is_benign() {
         let nl = carry_skip_block(2, CsaDelays::default());
         let c_out = nl.find_net("c_out").unwrap();
-        let naive = independent_relaxation_model(&nl, c_out, 32).unwrap();
+        let naive =
+            independent_relaxation_model(&OutputCone::new(&nl, c_out).unwrap(), 32).unwrap();
         assert!(find_underapproximation(&nl, c_out, &naive)
             .unwrap()
             .is_none());
@@ -181,7 +151,8 @@ mod tests {
             let nl = random_circuit("pitfall", spec);
             let sound_models = characterize_module(&nl, &AnalysisConfig::default()).unwrap();
             for (k, &out) in nl.outputs().iter().enumerate() {
-                let naive = independent_relaxation_model(&nl, out, 16).unwrap();
+                let cone = OutputCone::new(&nl, out).unwrap();
+                let naive = independent_relaxation_model(&cone, 16).unwrap();
                 // The sound model never underapproximates…
                 assert!(
                     find_underapproximation(&nl, out, &sound_models[k])

@@ -12,6 +12,9 @@
 //!   [`oracle::StabilityOracle`].
 //! * [`delay`] — exact functional (false-path-aware) delay by monotone
 //!   binary search over stability probes.
+//! * [`cone`] — a module output's fanin cone, extracted and signed
+//!   once ([`OutputCone`]), and the monotone store of the verdicts
+//!   decided on it ([`VerdictStore`]).
 //! * [`required`] — approximate required-time analysis (Kukimoto &
 //!   Brayton, DAC 1997): characterizes module outputs into
 //!   [`TimingModel`]s of incomparable delay tuples.
@@ -43,6 +46,7 @@
 
 pub mod boolalg;
 pub mod conditional;
+pub mod cone;
 pub mod config;
 pub mod delay;
 pub mod exact;
@@ -59,6 +63,7 @@ pub mod stability;
 
 pub use boolalg::{BackendCounters, BddAlg, BoolAlg, SatAlg};
 pub use conditional::{ConditionalCase, ConditionalModel};
+pub use cone::{OutputCone, VerdictStore};
 pub use config::{solve_episode_fields, AnalysisConfig, ModelDbSpec, ModelSource, SchedulerSeat};
 pub use delay::{functional_circuit_delay, DelayAnalyzer};
 pub use exact::{exact_model, exact_vector_relation, ExactError, ExactOptions};
@@ -71,8 +76,8 @@ pub use oracle::StabilityOracle;
 pub use paths::{longest_true_path, worst_paths, TimedPath};
 pub use report::{OutputReport, TimingReport};
 pub use required::{
-    characterize_module, characterize_module_traced, topological_delays, CachedCharacterization,
-    CharacterizeOptions, Characterizer, ConeSigCache, LENGTHS_CAP,
+    characterize_module, topological_delays, CharacterizeOptions, Characterizer, ConeSigCache,
+    LENGTHS_CAP,
 };
 pub use sequential::{SequentialAnalysis, SequentialAnalyzer, SequentialEngine};
 pub use sta::TopoSta;

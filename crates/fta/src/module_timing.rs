@@ -18,12 +18,13 @@
 use std::error::Error;
 use std::fmt;
 
-use hfta_netlist::{ConeKey, NetId, Netlist, NetlistError, Time};
+use hfta_netlist::{NetId, Netlist, NetlistError, Time};
 use hfta_trace::Tracer;
 
+use crate::cone::OutputCone;
 use crate::config::{AnalysisConfig, ModelSource};
 use crate::model::{TimingModel, TimingTuple};
-use crate::required::{characterize_module_traced, topological_delays, ConeSigCache};
+use crate::required::{topological_delays, Characterizer, ConeSigCache};
 use crate::stability::StabilityStats;
 
 /// The timing abstraction of one module: a timing model per output.
@@ -46,35 +47,52 @@ impl ModuleTiming {
         netlist: &Netlist,
         config: &AnalysisConfig,
     ) -> Result<ModuleTiming, NetlistError> {
-        ModuleTiming::characterize_traced(netlist, config, None, &mut Tracer::disabled())
+        let cones = match config.source {
+            ModelSource::Functional => OutputCone::all(netlist)?,
+            ModelSource::Topological => Vec::new(),
+        };
+        ModuleTiming::characterize_traced(netlist, config, &cones, None, &mut Tracer::disabled())
             .map(|(timing, _, _)| timing)
     }
 
-    /// Like [`ModuleTiming::characterize`], also returning the
-    /// stability/solver work spent (zero for topological models, which
-    /// need no stability checks) and, per output, the module that
-    /// originally characterized a cone replayed from the signature cache
-    /// (`None` for fresh outputs). Stats ride alongside rather than in
-    /// the struct so abstractions remain pure data (serializable,
-    /// comparable).
-    ///
-    /// `shared` is [`characterize_module_traced`]'s signature cache with
-    /// one cone key per output (a no-op for topological models);
-    /// characterization spans and events (cone-signature hits,
-    /// relaxation steps, SAT episodes) are recorded into `tracer` when it
-    /// is enabled.
+    /// The one characterization entry point: [`ModuleTiming::characterize`]
+    /// over `cones` (one per output, in output order; topological models
+    /// read none), sharing work through `cache` when one is given, and
+    /// also returning the stability and solver work spent and, per
+    /// output, the module that originally characterized a cone replayed
+    /// from the cache (`None` for fresh outputs). Spans and events
+    /// (`characterize_output`, `relax_step`, `cone_sig_hit`/`cone_sig_miss`,
+    /// `sat_episode`) go to `tracer`; a disabled one does exactly the
+    /// work of an untraced run.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a functional characterization gets a cone count other
+    /// than the output count.
     pub fn characterize_traced(
         netlist: &Netlist,
         config: &AnalysisConfig,
-        shared: Option<(&mut ConeSigCache, &[ConeKey])>,
+        cones: &[OutputCone],
+        mut cache: Option<&mut ConeSigCache>,
         tracer: &mut Tracer,
     ) -> Result<(ModuleTiming, StabilityStats, Vec<Option<String>>), NetlistError> {
         let (models, stats, owners) = match config.source {
-            ModelSource::Functional => characterize_module_traced(netlist, config, shared, tracer)?,
+            ModelSource::Functional => {
+                assert_eq!(cones.len(), netlist.outputs().len(), "one cone per output");
+                let mut ch = Characterizer::new(netlist, config);
+                ch.set_tracer(std::mem::take(tracer));
+                let outputs: Result<Vec<_>, _> = cones
+                    .iter()
+                    .map(|cone| ch.cone_model(cone, cache.as_deref_mut()))
+                    .collect();
+                *tracer = ch.take_tracer();
+                let (models, owners) = outputs?.into_iter().unzip();
+                (models, ch.stability_stats(), owners)
+            }
             ModelSource::Topological => (
                 netlist
                     .outputs()

@@ -16,20 +16,19 @@
 //! tuple); dominated results are pruned by
 //! [`TimingModel::from_tuples`].
 //!
-//! Monotone speedup also makes validity monotone in every input's
-//! delay, so the passes over one cone decide each candidate tuple at
-//! most once: a candidate at or above (componentwise) a tuple already
-//! proven valid is valid, one at or below a refuted tuple is refuted,
-//! and only the rest reach the stability check.
+//! The passes over one cone decide each candidate tuple at most once: a
+//! [`VerdictStore`] answers every candidate its proven verdicts imply by
+//! monotone speedup, and only the rest reach the stability check.
 
 use std::collections::HashMap;
 
-use hfta_netlist::{ConeKey, ConeSig, NetId, Netlist, NetlistError, Time};
+use hfta_netlist::{ConeSig, NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
 
 use hfta_trace::Tracer;
 
 use crate::boolalg::{BoolAlg, SatAlg};
+use crate::cone::{OutputCone, VerdictStore};
 use crate::config::AnalysisConfig;
 use crate::model::{TimingModel, TimingTuple};
 use crate::oracle::StabilityOracle;
@@ -230,24 +229,6 @@ impl<'a> Characterizer<'a> {
         std::mem::take(&mut self.tracer)
     }
 
-    /// Number of relaxation steps decided by a stability (validity)
-    /// check so far. A step whose verdict follows from one already
-    /// proven for the same cone is decided without a check and not
-    /// counted here (the `characterize_output` trace span counts it as
-    /// `implied`).
-    #[must_use]
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    /// Number of outputs whose characterization was degraded by the
-    /// budget (also available as
-    /// [`StabilityStats::degraded`] in [`Characterizer::stability_stats`]).
-    #[must_use]
-    pub fn degraded(&self) -> u64 {
-        self.stability.degraded
-    }
-
     /// Stability/solver work accumulated over all characterizations so
     /// far. One module-wide oracle backs every
     /// [`Characterizer::output_model`] call, so these counters reflect
@@ -268,46 +249,37 @@ impl<'a> Characterizer<'a> {
     ///
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn output_model(&mut self, output: NetId) -> Result<TimingModel, NetlistError> {
-        self.output_model_inner(output, None).map(|(m, _)| m)
+        let cone = OutputCone::new(self.netlist, output)?;
+        self.cone_model(&cone, None).map(|(m, _)| m)
     }
 
-    /// Like [`Characterizer::output_model`], consulting (and feeding) a
-    /// [`ConeSigCache`] under `key`, the structural signature of the
-    /// output's fanin cone (`cone_signature` of the cone
-    /// [`Netlist::cone`] extracts; the caller signs it once, for its own
-    /// use and this one).
+    /// The timing model of `cone`'s output over the module's full input
+    /// list; `cone` must be a cone of this characterizer's netlist.
+    /// With a [`ConeSigCache`], the cache is consulted (and fed) under
+    /// the cone's signature.
     ///
     /// On a cache hit the second component names the module that
     /// originally paid for the shared cone (possibly this one, for
-    /// isomorphic outputs within a module); on a miss it is `None`.
+    /// isomorphic outputs within a module); otherwise it is `None`.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-    pub fn output_model_cached(
+    pub fn cone_model(
         &mut self,
-        output: NetId,
-        cache: &mut ConeSigCache,
-        key: &ConeKey,
-    ) -> Result<(TimingModel, Option<String>), NetlistError> {
-        self.output_model_inner(output, Some((cache, key)))
-    }
-
-    fn output_model_inner(
-        &mut self,
-        output: NetId,
-        shared: Option<(&mut ConeSigCache, &ConeKey)>,
+        cone: &OutputCone,
+        cache: Option<&mut ConeSigCache>,
     ) -> Result<(TimingModel, Option<String>), NetlistError> {
         if !self.tracer.is_enabled() {
-            return self.output_model_impl(output, shared);
+            return self.cone_model_impl(cone, cache);
         }
         let span = self.tracer.begin("characterize_output");
         let checks_before = self.checks;
         let implied_before = self.implied;
         let degraded_before = self.stability.degraded;
-        let result = self.output_model_impl(output, shared);
+        let result = self.cone_model_impl(cone, cache);
         let fields = vec![
-            ("output", self.netlist.net_name(output).into()),
+            ("output", self.netlist.net_name(cone.output()).into()),
             ("checks", (self.checks - checks_before).into()),
             ("implied", (self.implied - implied_before).into()),
             (
@@ -319,26 +291,24 @@ impl<'a> Characterizer<'a> {
         result
     }
 
-    fn output_model_impl(
+    fn cone_model_impl(
         &mut self,
-        output: NetId,
-        shared: Option<(&mut ConeSigCache, &ConeKey)>,
+        cone: &OutputCone,
+        cache: Option<&mut ConeSigCache>,
     ) -> Result<(TimingModel, Option<String>), NetlistError> {
-        let (cone, sources) = self.netlist.cone(output);
-        let cone_out = cone.outputs()[0];
-        let n_cone = cone.inputs().len();
+        let expand = |tuples: Vec<TimingTuple>| {
+            let expanded = tuples
+                .iter()
+                .map(|t| TimingTuple::new(cone.expand(t.delays())))
+                .collect();
+            TimingModel::from_tuples(expanded)
+        };
+        let n_cone = cone.positions().len();
         if n_cone == 0 {
             // Constant cone: no input matters.
-            let full = vec![Time::NEG_INF; self.netlist.inputs().len()];
-            return Ok((TimingModel::from_tuples(vec![TimingTuple::new(full)]), None));
+            return Ok((expand(vec![TimingTuple::new(Vec::new())]), None));
         }
-        let sta = TopoSta::new(&cone)?;
-        let distinct = sta.distinct_lengths_to(cone_out, LENGTHS_CAP);
-        let lists: Vec<Vec<Time>> = cone
-            .inputs()
-            .iter()
-            .map(|pi| distinct[pi.index()].clone())
-            .collect();
+        let lists = cone.lengths(LENGTHS_CAP)?;
         let topo: Vec<Time> = lists
             .iter()
             .map(|l| l.first().copied().unwrap_or(Time::NEG_INF))
@@ -348,81 +318,50 @@ impl<'a> Characterizer<'a> {
         let mut by_criticality: Vec<usize> = (0..n_cone).collect();
         by_criticality.sort_by(|&a, &b| topo[b].cmp(&topo[a]));
 
-        // Expands cone tuples to the module's full input list.
-        let positions: Vec<usize> = sources
-            .iter()
-            .map(|src| {
-                self.netlist
-                    .inputs()
-                    .iter()
-                    .position(|pi| pi == src)
-                    .expect("cone sources are primary inputs")
-            })
-            .collect();
-        let full_len = self.netlist.inputs().len();
-        let expand = |tuples: Vec<TimingTuple>| {
-            let expanded = tuples
-                .into_iter()
-                .map(|t| {
-                    let mut full = vec![Time::NEG_INF; full_len];
-                    for (i, &p) in positions.iter().enumerate() {
-                        full[p] = t.delay(i);
-                    }
-                    TimingTuple::new(full)
-                })
-                .collect();
-            TimingModel::from_tuples(expanded)
-        };
-
-        if let Some((cache, key)) = shared {
-            let crit_slots: Vec<usize> = by_criticality.iter().map(|&i| key.perm[i]).collect();
-            if let Some(entry) = cache
-                .entries
-                .get(&key.sig.0)
-                .filter(|e| e.crit_slots == crit_slots)
-            {
-                let tuples = entry
-                    .slot_tuples
-                    .iter()
-                    .map(|st| TimingTuple::new(key.from_slots(st)))
-                    .collect();
-                let owner = entry.owner.clone();
-                cache.hits += 1;
-                self.stability.cone_sig_hits += 1;
-                if self.tracer.is_enabled() {
-                    self.tracer
-                        .event("cone_sig_hit", vec![("owner", owner.as_str().into())]);
-                }
-                return Ok((expand(tuples), Some(owner)));
-            }
-            cache.misses += 1;
-            self.stability.cone_sig_misses += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.event("cone_sig_miss", vec![]);
-            }
-            let (tuples, hit_budget) =
-                self.characterize_cone(output, &positions, &lists, &topo, &by_criticality)?;
-            // A run the budget interrupted is not the exact result, so
-            // it never enters the cache (see [`ConeSigCache`]).
-            if !hit_budget {
-                let slot_tuples = tuples
-                    .iter()
-                    .map(|t| {
-                        let vals: Vec<Time> = (0..n_cone).map(|i| t.delay(i)).collect();
-                        key.to_slots(&vals, Time::NEG_INF)
-                    })
-                    .collect();
-                cache.entries.entry(key.sig.0).or_insert_with(|| SigEntry {
-                    slot_tuples,
-                    crit_slots,
-                    owner: self.netlist.name().to_string(),
-                });
-            }
+        let Some(cache) = cache else {
+            let (tuples, _) = self.characterize_cone(cone, &lists, &topo, &by_criticality)?;
             return Ok((expand(tuples), None));
+        };
+        let key = cone.key();
+        let crit_slots: Vec<usize> = by_criticality.iter().map(|&i| key.perm[i]).collect();
+        if let Some(entry) = cache
+            .entries
+            .get(&key.sig.0)
+            .filter(|e| e.crit_slots == crit_slots)
+        {
+            let tuples = entry
+                .slot_tuples
+                .iter()
+                .map(|st| TimingTuple::new(key.from_slots(st)))
+                .collect();
+            let owner = entry.owner.clone();
+            cache.hits += 1;
+            self.stability.cone_sig_hits += 1;
+            if self.tracer.is_enabled() {
+                self.tracer
+                    .event("cone_sig_hit", vec![("owner", owner.as_str().into())]);
+            }
+            return Ok((expand(tuples), Some(owner)));
         }
-
-        let (tuples, _) =
-            self.characterize_cone(output, &positions, &lists, &topo, &by_criticality)?;
+        cache.misses += 1;
+        self.stability.cone_sig_misses += 1;
+        if self.tracer.is_enabled() {
+            self.tracer.event("cone_sig_miss", vec![]);
+        }
+        let (tuples, hit_budget) = self.characterize_cone(cone, &lists, &topo, &by_criticality)?;
+        // A run the budget interrupted is not the exact result, so it
+        // never enters the cache (see [`ConeSigCache`]).
+        if !hit_budget {
+            let slot_tuples = tuples
+                .iter()
+                .map(|t| key.to_slots(t.delays(), Time::NEG_INF))
+                .collect();
+            cache.entries.entry(key.sig.0).or_insert_with(|| SigEntry {
+                slot_tuples,
+                crit_slots,
+                owner: self.netlist.name().to_string(),
+            });
+        }
         Ok((expand(tuples), None))
     }
 
@@ -439,8 +378,7 @@ impl<'a> Characterizer<'a> {
     /// depends on what the module's earlier checks left in the solver.
     fn characterize_cone(
         &mut self,
-        output: NetId,
-        positions: &[usize],
+        cone: &OutputCone,
         lists: &[Vec<Time>],
         topo: &[Time],
         by_criticality: &[usize],
@@ -462,8 +400,7 @@ impl<'a> Characterizer<'a> {
         let mut tuples = Vec::with_capacity(passes + 1);
         let mut checker = ConeChecker {
             oracle: &mut oracle,
-            net: output,
-            positions,
+            cone,
             store: VerdictStore::default(),
             hit_budget: false,
         };
@@ -522,9 +459,10 @@ impl<'a> Characterizer<'a> {
             implied
         } else {
             let verdict = self.tuple_is_valid(checker, delays);
-            match verdict {
-                Some(valid) => checker.store.record(delays, valid),
-                None => checker.hit_budget = true,
+            if let Some(valid) = verdict {
+                checker.store.record(delays, valid);
+            } else {
+                checker.hit_budget = true;
             }
             verdict
         };
@@ -556,11 +494,11 @@ impl<'a> Characterizer<'a> {
         self.checks += 1;
         let oracle = &mut *checker.oracle;
         let mut arrivals = vec![Time::POS_INF; self.netlist.inputs().len()];
-        for (&p, &d) in checker.positions.iter().zip(delays) {
+        for (&p, &d) in checker.cone.positions().iter().zip(delays) {
             arrivals[p] = -d;
         }
         oracle.set_arrivals(&arrivals);
-        let verdict = oracle.try_is_stable_at(checker.net, Time::ZERO);
+        let verdict = oracle.try_is_stable_at(checker.cone.output(), Time::ZERO);
         if self.tracer.is_enabled() {
             for ep in oracle.alg_mut().take_episodes() {
                 self.tracer
@@ -571,63 +509,14 @@ impl<'a> Characterizer<'a> {
     }
 }
 
-/// One cone's relaxation state across its greedy passes: where its
-/// checks land (the module output `net`, with cone input `i` at module
-/// input `positions[i]`), the verdicts proven so far, and whether a
-/// check ran out of budget.
+/// One cone's relaxation state across its greedy passes: the cone its
+/// checks land on, the verdicts proven so far, and whether a check ran
+/// out of budget.
 struct ConeChecker<'s> {
     oracle: &'s mut StabilityOracle<SatAlg>,
-    net: NetId,
-    positions: &'s [usize],
+    cone: &'s OutputCone,
     store: VerdictStore,
     hit_budget: bool,
-}
-
-/// The definitive verdicts proven for one cone's candidate tuples.
-///
-/// Validity is monotone in every input's delay: each all-primes rule
-/// is a positive combination of fanin `S0`/`S1`, so an input arriving
-/// earlier can only grow them (monotone speedup). A tuple at or above a
-/// valid tuple componentwise is therefore valid, and one at or below a
-/// refuted tuple refuted — exactly the answer a check would give. The
-/// store is scoped to one cone (other outputs are other predicates)
-/// and never holds a budget-exhausted outcome, which is not a verdict.
-/// Only the minimal valid and the maximal refuted tuples are kept; the
-/// others are implied by them.
-#[derive(Debug, Default)]
-struct VerdictStore {
-    valid: Vec<Vec<Time>>,
-    refuted: Vec<Vec<Time>>,
-}
-
-impl VerdictStore {
-    /// The verdict on `delays` that the stored ones imply, if any.
-    fn implied(&self, delays: &[Time]) -> Option<bool> {
-        if self.valid.iter().any(|v| at_least(delays, v)) {
-            Some(true)
-        } else if self.refuted.iter().any(|r| at_least(r, delays)) {
-            Some(false)
-        } else {
-            None
-        }
-    }
-
-    /// Stores a proven verdict on `delays`, dropping the tuples it makes
-    /// redundant.
-    fn record(&mut self, delays: &[Time], valid: bool) {
-        if valid {
-            self.valid.retain(|v| !at_least(v, delays));
-            self.valid.push(delays.to_vec());
-        } else {
-            self.refuted.retain(|r| !at_least(delays, r));
-            self.refuted.push(delays.to_vec());
-        }
-    }
-}
-
-/// `a ≥ b` componentwise.
-fn at_least(a: &[Time], b: &[Time]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x >= y)
 }
 
 /// Convenience: characterizes every output of a module.
@@ -641,65 +530,18 @@ pub fn characterize_module(
     netlist: &Netlist,
     config: &AnalysisConfig,
 ) -> Result<Vec<TimingModel>, NetlistError> {
-    characterize_module_traced(netlist, config, None, &mut Tracer::disabled())
-        .map(|(models, _, _)| models)
-}
-
-/// What [`characterize_module_traced`] produces: per-output models, the
-/// stability work spent, and — per output — the module that originally
-/// characterized the shared cone (`None` for fresh characterizations).
-pub type CachedCharacterization = (Vec<TimingModel>, StabilityStats, Vec<Option<String>>);
-
-/// The one characterization entry point: every output of `netlist`,
-/// optionally sharing work through a [`ConeSigCache`] (isomorphic
-/// outputs within the module, and across modules when the same cache is
-/// reused). `shared` pairs the cache with the structural signature of
-/// every output's fanin cone, in output order, so no cone is signed
-/// twice; pass `None` to skip the cache. Spans and events
-/// (`characterize_output`, `relax_step`, `cone_sig_hit`/`cone_sig_miss`,
-/// `sat_episode`) are recorded into `tracer`; with a disabled tracer
-/// this performs exactly the work of an untraced run — tracing only ever
-/// appends to the side buffer.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-///
-/// # Panics
-///
-/// Panics if `shared` holds a key count other than the output count.
-pub fn characterize_module_traced(
-    netlist: &Netlist,
-    config: &AnalysisConfig,
-    mut shared: Option<(&mut ConeSigCache, &[ConeKey])>,
-    tracer: &mut Tracer,
-) -> Result<CachedCharacterization, NetlistError> {
-    if let Some((_, keys)) = &shared {
-        assert_eq!(
-            keys.len(),
-            netlist.outputs().len(),
-            "one cone key per output"
-        );
-    }
     let mut ch = Characterizer::new(netlist, config);
-    ch.set_tracer(std::mem::take(tracer));
-    let outputs: Result<Vec<_>, _> = netlist
+    netlist
         .outputs()
         .iter()
-        .enumerate()
-        .map(|(k, &o)| match shared.as_mut() {
-            Some((cache, keys)) => ch.output_model_cached(o, cache, &keys[k]),
-            None => ch.output_model(o).map(|model| (model, None)),
-        })
-        .collect();
-    *tracer = ch.take_tracer();
-    let (models, owners) = outputs?.into_iter().unzip();
-    Ok((models, ch.stability_stats(), owners))
+        .map(|&out| ch.output_model(out))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module_timing::ModuleTiming;
     use hfta_netlist::gen::{carry_skip_block, CsaDelays};
     use hfta_netlist::GateKind;
 
@@ -707,26 +549,33 @@ mod tests {
         Time::new(v)
     }
 
+    /// Models, stability work and per-output owners of a
+    /// characterization, through `cache` when one is given.
+    fn traced(
+        nl: &Netlist,
+        config: &AnalysisConfig,
+        cache: Option<&mut ConeSigCache>,
+    ) -> (Vec<TimingModel>, StabilityStats, Vec<Option<String>>) {
+        let cones = OutputCone::all(nl).unwrap();
+        let (timing, stats, owners) =
+            ModuleTiming::characterize_traced(nl, config, &cones, cache, &mut Tracer::disabled())
+                .unwrap();
+        (timing.models().to_vec(), stats, owners)
+    }
+
     /// Models and stability work of an uncached characterization.
     fn with_stats(nl: &Netlist, config: &AnalysisConfig) -> (Vec<TimingModel>, StabilityStats) {
-        let (models, stats, _) =
-            characterize_module_traced(nl, config, None, &mut Tracer::disabled()).unwrap();
+        let (models, stats, _) = traced(nl, config, None);
         (models, stats)
     }
 
-    /// Characterizes `nl` through `cache`, signing each output cone.
+    /// Characterizes `nl` through `cache`.
     fn cached(
         nl: &Netlist,
         config: &AnalysisConfig,
         cache: &mut ConeSigCache,
-    ) -> CachedCharacterization {
-        let keys: Vec<ConeKey> = nl
-            .outputs()
-            .iter()
-            .map(|&o| hfta_netlist::cone_signature(&nl.cone(o).0).unwrap())
-            .collect();
-        characterize_module_traced(nl, config, Some((cache, &keys)), &mut Tracer::disabled())
-            .unwrap()
+    ) -> (Vec<TimingModel>, StabilityStats, Vec<Option<String>>) {
+        traced(nl, config, Some(cache))
     }
 
     /// Section 4 of the paper: the timing models of the 2-bit
@@ -844,28 +693,8 @@ mod tests {
         let mut ch = Characterizer::new(&nl, &AnalysisConfig::default());
         let c_out = nl.find_net("c_out").unwrap();
         let _ = ch.output_model(c_out).unwrap();
-        assert!(ch.checks() > 0);
+        assert!(ch.checks > 0);
         assert!(ch.implied > 0);
-    }
-
-    /// The store answers exactly what monotone speedup implies: at or
-    /// above a valid tuple is valid, at or below a refuted one refuted,
-    /// anything else open; a new verdict drops the ones it subsumes.
-    #[test]
-    fn verdict_store_implies_by_dominance() {
-        let ts = |v: &[i64]| v.iter().map(|&x| t(x)).collect::<Vec<Time>>();
-        let mut store = VerdictStore::default();
-        store.record(&ts(&[4, 2]), true);
-        store.record(&ts(&[1, 1]), false);
-        assert_eq!(store.implied(&ts(&[5, 2])), Some(true));
-        assert_eq!(store.implied(&ts(&[4, 2])), Some(true));
-        assert_eq!(store.implied(&ts(&[0, 1])), Some(false));
-        assert_eq!(store.implied(&ts(&[3, 3])), None);
-        assert_eq!(store.implied(&[t(4), Time::NEG_INF]), None);
-        store.record(&ts(&[3, 2]), true);
-        store.record(&ts(&[2, 1]), false);
-        assert_eq!(store.valid, vec![ts(&[3, 2])]);
-        assert_eq!(store.refuted, vec![ts(&[2, 1])]);
     }
 
     /// A zero budget degrades every solver-dependent relaxation: the

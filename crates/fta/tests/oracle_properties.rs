@@ -1,13 +1,14 @@
-//! Property test for the persistent stability oracle: across random
-//! circuits, arrival conditions, and query times, one long-lived
-//! [`StabilityOracle`] answers exactly like a fresh one built per
-//! condition. This is the observable contract solver reuse must not
-//! disturb — learnt clauses and memoized `(net, t)` nodes may only
-//! change *how fast* an answer arrives, never *which* answer.
+//! Property tests for the persistent stability oracle and the verdict
+//! store: across random circuits, arrival conditions, and query times,
+//! one long-lived [`StabilityOracle`] answers exactly like a fresh one
+//! built per condition. This is the observable contract solver reuse
+//! must not disturb — learnt clauses and memoized `(net, t)` nodes may
+//! only change *how fast* an answer arrives, never *which* answer. A
+//! [`VerdictStore`] may likewise only answer what a fresh check would.
 
-use hfta_fta::{SatAlg, StabilityOracle};
+use hfta_fta::{SatAlg, StabilityOracle, VerdictStore};
 use hfta_netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
-use hfta_netlist::Time;
+use hfta_netlist::{Netlist, Time};
 use hfta_testkit::{from_fn_with_shrink, prop, vec_of, Rng, Strategy};
 
 const INPUTS: usize = 4;
@@ -48,12 +49,35 @@ fn condition_strategy() -> impl Strategy<Value = Vec<Time>> {
     )
 }
 
-// SAT work per case is non-trivial; 48 cases still sweeps ~150
-// (circuit, condition) pairs. HFTA_PROP_CASES overrides as usual.
-prop!(cases = 48, fn oracle_equals_fresh_analyzer(
-    seed in seed_strategy(),
-    conditions in vec_of(condition_strategy(), 1..4),
-) {
+/// One arrival condition around the window where stability at 0
+/// flips, with an occasional `−∞` (settled forever) or `+∞` (never
+/// arrives).
+fn infinite_condition_strategy() -> impl Strategy<Value = Vec<Time>> {
+    from_fn_with_shrink(
+        |rng: &mut Rng| {
+            (0..INPUTS)
+                .map(|_| match rng.gen_range(0..10) {
+                    0 => Time::NEG_INF,
+                    1 => Time::POS_INF,
+                    _ => Time::new(rng.gen_range(-8i64..3)),
+                })
+                .collect()
+        },
+        |v: &Vec<Time>| {
+            (0..v.len())
+                .filter(|&i| v[i] != Time::ZERO)
+                .map(|i| {
+                    let mut w = v.clone();
+                    w[i] = Time::ZERO;
+                    w
+                })
+                .collect()
+        },
+    )
+}
+
+/// The random circuit both properties run on.
+fn circuit(seed: u64) -> Netlist {
     let spec = RandomCircuitSpec {
         inputs: INPUTS,
         gates: 10,
@@ -62,7 +86,16 @@ prop!(cases = 48, fn oracle_equals_fresh_analyzer(
         global_fanin_prob: 0.25,
         mix: GateMix::NandHeavy,
     };
-    let nl = random_circuit("oracle_prop", spec);
+    random_circuit("oracle_prop", spec)
+}
+
+// SAT work per case is non-trivial; 48 cases still sweeps ~150
+// (circuit, condition) pairs. HFTA_PROP_CASES overrides as usual.
+prop!(cases = 48, fn oracle_equals_fresh_analyzer(
+    seed in seed_strategy(),
+    conditions in vec_of(condition_strategy(), 1..4),
+) {
+    let nl = circuit(seed);
     let mut oracle = StabilityOracle::new(nl.clone(), &conditions[0], SatAlg::new()).unwrap();
     // Visit every condition, then revisit the first — the oracle by
     // then carries memo entries and learnt clauses from *other*
@@ -92,6 +125,33 @@ prop!(cases = 48, fn oracle_equals_fresh_analyzer(
                 fresh.instability_witness(out, t).is_some(),
                 "witness presence diverged: seed {seed}, condition {cond:?}"
             );
+        }
+    }
+});
+
+// Monotone speedup, checked: the t = 0 verdicts of earlier conditions,
+// kept per output in a store keyed by the negated arrivals (delays),
+// imply a verdict on a later condition only when a fresh oracle gives
+// that same verdict. Demand refinement's per-class memo and the pruned
+// verdict records rely on exactly this.
+prop!(cases = 48, fn verdict_store_implies_only_fresh_verdicts(
+    seed in seed_strategy(),
+    conditions in vec_of(infinite_condition_strategy(), 2..12),
+) {
+    let nl = circuit(seed);
+    let mut stores = vec![VerdictStore::default(); nl.outputs().len()];
+    for cond in &conditions {
+        let mut fresh = StabilityOracle::new(nl.clone(), cond, SatAlg::new()).unwrap();
+        let delays: Vec<Time> = cond.iter().map(|&a| -a).collect();
+        for (store, &out) in stores.iter_mut().zip(nl.outputs()) {
+            let stable = fresh.is_stable_at(out, Time::ZERO);
+            if let Some(implied) = store.implied(&delays) {
+                assert_eq!(
+                    implied, stable,
+                    "seed {seed}, condition {cond:?}, net {out:?}"
+                );
+            }
+            store.record(&delays, stable);
         }
     }
 });

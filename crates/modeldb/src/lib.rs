@@ -25,7 +25,7 @@
 //!    header, which also hashes the fixed path-length cap). The solve
 //!    *budget* is deliberately **not** part of the key — see rule 4.
 //! 3. **Per-output cone signatures.** The record stores every output's
-//!    canonical [`ConeSig`](hfta_netlist::ConeSig); each is recomputed
+//!    canonical [`ConeSig`]; each is recomputed
 //!    on the target at load time and must match. This is
 //!    defense-in-depth against 64-bit fingerprint collisions: a
 //!    colliding record would also have to collide per-output in a
@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -51,8 +50,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
-use hfta_fta::{CharacterizeOptions, ModelSource, ModuleTiming, TimingModel, LENGTHS_CAP};
-use hfta_netlist::{cone_signature, exact_fingerprint, Netlist, Time};
+use hfta_fta::{
+    CharacterizeOptions, ModelSource, ModuleTiming, TimingModel, VerdictStore, LENGTHS_CAP,
+};
+use hfta_netlist::{cone_signature, exact_fingerprint, ConeSig, Netlist, NetlistError, Time};
 
 /// File extension of model records.
 pub const MODEL_EXT: &str = "hftam";
@@ -244,13 +245,8 @@ impl ModelDb {
         }
     }
 
-    /// Stores a characterized model, unless it was budget-`degraded`
-    /// (refused: degraded models are not exact, so reusing one under a
-    /// different budget would be unsound) or an identical record
-    /// already exists. Returns whether a record was written.
-    ///
-    /// Store failures are non-fatal: they are counted in
-    /// [`ModelDbStats::store_errors`] and the store is dropped.
+    /// [`ModelDb::store_signed`], signing every output cone of
+    /// `netlist` first.
     pub fn store(
         &mut self,
         netlist: &Netlist,
@@ -259,6 +255,36 @@ impl ModelDb {
         timing: &ModuleTiming,
         degraded: bool,
     ) -> bool {
+        let Ok(sigs) = output_sigs(netlist) else {
+            self.stats.store_errors += 1;
+            return false;
+        };
+        self.store_signed(netlist, &sigs, source, opts, timing, degraded)
+    }
+
+    /// Stores a characterized model under `sigs`, the structural
+    /// signature of every output cone of `netlist` in output order,
+    /// unless it was budget-`degraded` (refused: degraded models are not
+    /// exact, so reusing one under a different budget would be unsound)
+    /// or an identical record already exists. Returns whether a record
+    /// was written.
+    ///
+    /// Store failures are non-fatal: they are counted in
+    /// [`ModelDbStats::store_errors`] and the store is dropped.
+    pub fn store_signed(
+        &mut self,
+        netlist: &Netlist,
+        sigs: &[ConeSig],
+        source: ModelSource,
+        opts: &CharacterizeOptions,
+        timing: &ModuleTiming,
+        degraded: bool,
+    ) -> bool {
+        debug_assert_eq!(
+            sigs.len(),
+            netlist.outputs().len(),
+            "one signature per output"
+        );
         if !self.writable {
             return false;
         }
@@ -273,18 +299,7 @@ impl ModelDb {
             self.stats.store_skips += 1;
             return false;
         }
-        let mut sigs = Vec::with_capacity(netlist.outputs().len());
-        for &out in netlist.outputs() {
-            let (cone, _) = netlist.cone(out);
-            match cone_signature(&cone) {
-                Ok(key) => sigs.push(key.sig.0),
-                Err(_) => {
-                    self.stats.store_errors += 1;
-                    return false;
-                }
-            }
-        }
-        let record = render_model_record(fp, ofp, source, &sigs, timing);
+        let record = render_model_record(fp, ofp, source, sigs, timing);
         match write_atomic(&path, &record) {
             Ok(()) => {
                 self.stats.stores += 1;
@@ -299,55 +314,58 @@ impl ModelDb {
     }
 
     /// Loads the persisted refinement verdicts of one cone-signature
-    /// class (empty on miss or on any validation failure, which counts
-    /// as an invalidation).
-    pub fn load_verdicts(&mut self, sig: u128) -> HashMap<Vec<Time>, bool> {
+    /// class, as delay tuples in canonical slot order (empty on miss or
+    /// on any validation failure, which counts as an invalidation).
+    pub fn load_verdicts(&mut self, sig: u128) -> VerdictStore {
         let path = self.dir.join(verdict_file_name(sig));
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
-            Err(_) => return HashMap::new(),
+            Err(_) => return VerdictStore::default(),
         };
         match validate_verdict_record(&text, sig) {
-            Ok(map) => {
-                self.stats.verdicts_loaded += map.len() as u64;
+            Ok(store) => {
+                self.stats.verdicts_loaded += store.len() as u64;
                 let _ = fs::File::options()
                     .write(true)
                     .open(&path)
                     .and_then(|f| f.set_modified(SystemTime::now()));
-                map
+                store
             }
             Err(_) => {
                 self.stats.invalidations += 1;
-                HashMap::new()
+                VerdictStore::default()
             }
         }
     }
 
     /// Persists the refinement verdicts of one cone-signature class,
-    /// merged with whatever the file already holds. Only exact
-    /// (decided, never budget-interrupted) verdicts may be stored — the
-    /// caller enforces this, mirroring the in-memory memo's rule.
-    /// Returns whether the file was written.
-    pub fn store_verdicts(&mut self, sig: u128, memo: &HashMap<Vec<Time>, bool>) -> bool {
-        if !self.writable || memo.is_empty() {
+    /// merged with whatever the file already holds; the record keeps
+    /// only the merged store's minimal valid and maximal refuted
+    /// tuples. Only exact (decided, never budget-interrupted) verdicts
+    /// may be stored — the caller enforces this, mirroring the
+    /// in-memory store's rule. Returns whether the file was written;
+    /// [`ModelDbStats::verdicts_stored`] counts the verdicts the file
+    /// did not already imply.
+    pub fn store_verdicts(&mut self, sig: u128, verdicts: &VerdictStore) -> bool {
+        if !self.writable || verdicts.is_empty() {
             return false;
         }
         let path = self.dir.join(verdict_file_name(sig));
         let mut merged = match fs::read_to_string(&path) {
             Ok(text) => validate_verdict_record(&text, sig).unwrap_or_default(),
-            Err(_) => HashMap::new(),
+            Err(_) => VerdictStore::default(),
         };
-        let before = merged.len();
-        for (k, v) in memo {
-            merged.insert(k.clone(), *v);
-        }
-        if merged.len() == before && path.exists() {
+        let added = verdicts
+            .verdicts()
+            .filter(|&(delays, valid)| merged.record(delays, valid))
+            .count();
+        if added == 0 {
             return false; // nothing new to write
         }
         let record = render_verdict_record(sig, &merged);
         match write_atomic(&path, &record) {
             Ok(()) => {
-                self.stats.verdicts_stored += memo.len() as u64;
+                self.stats.verdicts_stored += added as u64;
                 true
             }
             Err(_) => {
@@ -541,11 +559,21 @@ pub fn options_fingerprint(source: ModelSource, opts: &CharacterizeOptions) -> u
     h.finish()
 }
 
+/// The structural signature of every output cone of `netlist`, in
+/// output order.
+fn output_sigs(netlist: &Netlist) -> Result<Vec<ConeSig>, NetlistError> {
+    netlist
+        .outputs()
+        .iter()
+        .map(|&out| cone_signature(&netlist.cone(out).0).map(|key| key.sig))
+        .collect()
+}
+
 fn render_model_record(
     fp: u64,
     ofp: u64,
     source: ModelSource,
-    sigs: &[u128],
+    sigs: &[ConeSig],
     timing: &ModuleTiming,
 ) -> String {
     let payload = timing.to_text();
@@ -562,7 +590,7 @@ fn render_model_record(
         }
     );
     for (k, sig) in sigs.iter().enumerate() {
-        let _ = writeln!(s, "sig {k} {sig:032x}");
+        let _ = writeln!(s, "sig {k} {:032x}", sig.0);
     }
     let _ = writeln!(s, "checksum {:016x}", fnv1a(payload.as_bytes()));
     let _ = writeln!(s, "payload");
@@ -683,21 +711,18 @@ fn validate_model_record(
             rec.sigs.len()
         ));
     }
-    for (k, &out) in netlist.outputs().iter().enumerate() {
+    let actual = output_sigs(netlist).map_err(|e| format!("target cone unsignable: {e:?}"))?;
+    for (k, actual) in actual.iter().enumerate() {
         let recorded = rec
             .sigs
             .iter()
             .find(|(i, _)| *i == k)
             .map(|(_, s)| *s)
             .ok_or_else(|| format!("signature mismatch: output {k} missing"))?;
-        let (cone, _) = netlist.cone(out);
-        let actual = cone_signature(&cone)
-            .map_err(|e| format!("target cone {k} unsignable: {e:?}"))?
-            .sig
-            .0;
-        if actual != recorded {
+        if actual.0 != recorded {
             return Err(format!(
-                "signature mismatch on output {k}: record {recorded:032x}, netlist {actual:032x}"
+                "signature mismatch on output {k}: record {recorded:032x}, netlist {:032x}",
+                actual.0
             ));
         }
     }
@@ -721,10 +746,14 @@ fn validate_model_record(
     ))
 }
 
-fn render_verdict_record(sig: u128, memo: &HashMap<Vec<Time>, bool>) -> String {
+fn render_verdict_record(sig: u128, verdicts: &VerdictStore) -> String {
     let mut body = String::new();
-    // Deterministic order so identical memos render identical files.
-    let mut entries: Vec<(&Vec<Time>, &bool)> = memo.iter().collect();
+    // Records hold canonical arrival vectors (the negated delays), in
+    // sorted order so equal stores render identical files.
+    let mut entries: Vec<(Vec<Time>, bool)> = verdicts
+        .verdicts()
+        .map(|(delays, stable)| (delays.iter().map(|&d| -d).collect(), stable))
+        .collect();
     entries.sort();
     for (arrivals, stable) in entries {
         let times: Vec<String> = arrivals.iter().map(Time::to_string).collect();
@@ -732,7 +761,7 @@ fn render_verdict_record(sig: u128, memo: &HashMap<Vec<Time>, bool>) -> String {
             body,
             "verdict {} -> {}",
             times.join(" "),
-            if *stable { "stable" } else { "unstable" }
+            if stable { "stable" } else { "unstable" }
         );
     }
     let mut s = String::new();
@@ -744,7 +773,7 @@ fn render_verdict_record(sig: u128, memo: &HashMap<Vec<Time>, bool>) -> String {
     s
 }
 
-fn validate_verdict_record(text: &str, sig: u128) -> Result<HashMap<Vec<Time>, bool>, String> {
+fn validate_verdict_record(text: &str, sig: u128) -> Result<VerdictStore, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty record")?;
     if header.trim() != VERDICT_HEADER {
@@ -789,8 +818,10 @@ fn validate_verdict_record(text: &str, sig: u128) -> Result<HashMap<Vec<Time>, b
     Err("truncated record: no payload".to_string())
 }
 
-fn parse_verdict_payload(payload: &str) -> Result<HashMap<Vec<Time>, bool>, String> {
-    let mut map = HashMap::new();
+/// Parses verdict lines into a store. Lines a later line dominates (as
+/// the exact-key records of earlier revisions hold) stay implied.
+fn parse_verdict_payload(payload: &str) -> Result<VerdictStore, String> {
+    let mut store = VerdictStore::default();
     for line in payload.lines() {
         let line = line.trim();
         if line.is_empty() {
@@ -809,9 +840,10 @@ fn parse_verdict_payload(payload: &str) -> Result<HashMap<Vec<Time>, bool>, Stri
             "unstable" => false,
             _ => return Err(format!("bad outcome in `{line}`")),
         };
-        map.insert(arrivals, stable);
+        let delays: Vec<Time> = arrivals.iter().map(|&a| -a).collect();
+        store.record(&delays, stable);
     }
-    Ok(map)
+    Ok(store)
 }
 
 fn audit_record(text: &str, kind: RecordKind) -> Result<(Option<String>, usize), String> {
@@ -831,8 +863,8 @@ fn audit_record(text: &str, kind: RecordKind) -> Result<(Option<String>, usize),
                 .find_map(|l| l.trim().strip_prefix("sig "))
                 .and_then(|s| parse_hex128(Some(s.trim())))
                 .ok_or("missing sig line")?;
-            let map = validate_verdict_record(text, sig_line)?;
-            Ok((None, map.len()))
+            let store = validate_verdict_record(text, sig_line)?;
+            Ok((None, store.len()))
         }
     }
 }
@@ -1207,26 +1239,77 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Verdict records round-trip a store, merge with what is on disk
+    /// and keep only antichains: a line a later verdict dominates is
+    /// pruned but stays implied, and an implied verdict writes nothing.
+    /// The verdicts fit one monotone predicate: with delays `(d₁, d₂)`
+    /// the output is stable iff `d₁ ≥ 5`, or `d₁ ≥ 2` and `d₂ ≥ 1`. A
+    /// v1 record as the exact-key memo of earlier revisions wrote it,
+    /// with dominated lines, loads into a store implying every line.
     #[test]
     fn verdicts_round_trip_and_merge() {
         let dir = temp_db_dir("verdicts");
         let mut db = ModelDb::open(&dir).unwrap();
         let sig = 0x1234_5678_9abc_def0_u128;
-        let mut memo = HashMap::new();
-        memo.insert(vec![Time::new(1), Time::NEG_INF], true);
-        memo.insert(vec![Time::new(2), Time::new(3)], false);
-        assert!(db.store_verdicts(sig, &memo));
-        let loaded = db.load_verdicts(sig);
-        assert_eq!(loaded, memo);
-        // Merge: a second store with one new verdict unions on disk.
-        let mut more = HashMap::new();
-        more.insert(vec![Time::POS_INF, Time::new(0)], true);
+        let t = Time::new;
+        let lines = [
+            ([t(6), Time::NEG_INF], true),
+            ([t(4), t(0)], false),
+            ([t(5), Time::NEG_INF], true),
+            ([t(2), t(1)], true),
+            ([t(1), t(9)], false),
+        ];
+        let store_of = |lines: &[([Time; 2], bool)]| {
+            let mut store = VerdictStore::default();
+            for (delays, valid) in lines {
+                store.record(delays, *valid);
+            }
+            store
+        };
+        let first = store_of(&lines[..2]);
+        assert!(db.store_verdicts(sig, &first));
+        assert_eq!(db.load_verdicts(sig), first);
+        assert_eq!(db.stats().verdicts_stored, 2);
+        // Merge: (5, −∞) prunes (6, −∞) on disk, the other two are new.
+        let more = store_of(&lines[2..]);
         assert!(db.store_verdicts(sig, &more));
+        assert_eq!(db.stats().verdicts_stored, 5);
         let all = db.load_verdicts(sig);
-        assert_eq!(all.len(), 3);
-        assert_eq!(all.get(&vec![Time::new(1), Time::NEG_INF]), Some(&true));
+        assert_eq!(all.len(), 4);
+        for (delays, valid) in &lines {
+            assert_eq!(all.implied(delays), Some(*valid), "{delays:?}");
+        }
+        // Everything implied: no write, nothing counted.
+        assert!(!db.store_verdicts(sig, &first));
+        assert_eq!(db.stats().verdicts_stored, 5);
         // Unknown sig loads empty.
         assert!(db.load_verdicts(0xdead).is_empty());
+
+        // The exact-key memo wrote every decided probe: here a chain of
+        // stable verdicts and a chain of unstable ones, in arrival form.
+        let old = 0xfeed_u128;
+        let body = "verdict -6 +inf -> stable\n\
+                    verdict -5 +inf -> stable\n\
+                    verdict -4 0 -> unstable\n\
+                    verdict -3 0 -> unstable\n";
+        let record = format!(
+            "{VERDICT_HEADER}\nsig {old:032x}\nchecksum {:016x}\npayload\n{body}",
+            fnv1a(body.as_bytes())
+        );
+        fs::write(dir.join(verdict_file_name(old)), record).unwrap();
+        let loaded_before = db.stats().verdicts_loaded;
+        let loaded = db.load_verdicts(old);
+        for (delays, valid) in [
+            ([t(6), Time::NEG_INF], true),
+            ([t(5), Time::NEG_INF], true),
+            ([t(4), t(0)], false),
+            ([t(3), t(0)], false),
+        ] {
+            assert_eq!(loaded.implied(&delays), Some(valid), "{delays:?}");
+        }
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(db.stats().verdicts_loaded - loaded_before, 2);
+        assert_eq!(db.stats().invalidations, 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

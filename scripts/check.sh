@@ -104,7 +104,8 @@ echo "== model db written by an earlier revision =="
 # load and hit: a cone signature that drifts turns them into silent
 # misses, which the fresh round trip above cannot notice. Characterizing
 # afresh with the commands that README lists must write the same records
-# byte for byte: same models, same verdicts.
+# byte for byte: same models, same verdicts. A demand run warm from the
+# stored verdicts answers every probe from them, without a SAT query.
 STORED="$(mktemp -d -t hfta_stored_XXXXXX)"
 FRESH="$(mktemp -d -t hfta_fresh_XXXXXX)"
 trap 'rm -f "$GATE_JSON"; rm -rf "$MODELDB" "$STORED" "$FRESH"' EXIT
@@ -123,6 +124,8 @@ DEMAND="$(./target/release/hfta hier tests/corpus/csa_pair.hnl --algo demand \
     --use-models "$STORED" --stats)"
 grep -F "8 verdicts loaded" <<<"$DEMAND"
 grep -F "estimated delay: 13" <<<"$DEMAND"
+grep -F "solver: 0 SAT queries" <<<"$DEMAND"
+grep -F "cone signatures: 10 hits, 0 misses" <<<"$DEMAND"
 
 echo "== budgeted runs on the corpus =="
 # A budget only caps queries on the shared solver state, so a binding

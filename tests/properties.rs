@@ -245,7 +245,7 @@ prop!(cases = 48, fn cone_signature_distinguishes_modified_cones(spec in spec_st
 // fresh characterization, for the original cone and any structural
 // twin of it.
 prop!(cases = 16, fn signature_shared_characterization_is_bit_identical(spec in spec_strategy()) {
-    use hfta::fta::{characterize_module, characterize_module_traced, ConeSigCache, Tracer};
+    use hfta::fta::{characterize_module, ConeSigCache, ModuleTiming, OutputCone, Tracer};
     let nl = random_circuit("p", spec);
     let out = nl.outputs()[0];
     let (cone, _) = nl.cone(out);
@@ -256,14 +256,15 @@ prop!(cases = 16, fn signature_shared_characterization_is_bit_identical(spec in 
 
     let mut cache = ConeSigCache::new();
     let mut shared = |module: &Netlist| {
-        let keys: Vec<_> = module
-            .outputs()
-            .iter()
-            .map(|&o| cone_signature(&module.cone(o).0).expect("acyclic"))
-            .collect();
-        characterize_module_traced(module, &config, Some((&mut cache, &keys)), &mut Tracer::disabled())
-            .expect("characterizes")
-            .0
+        let cones = OutputCone::all(module).expect("acyclic");
+        let traced = ModuleTiming::characterize_traced(
+            module,
+            &config,
+            &cones,
+            Some(&mut cache),
+            &mut Tracer::disabled(),
+        );
+        traced.expect("characterizes").0.models().to_vec()
     };
     let shared_cone = shared(&cone);
     let shared_twin = shared(&twin);
